@@ -24,7 +24,7 @@ from typing import IO
 import numpy as np
 
 from . import _rng, matcore
-from .adapters import AdapterParams, AdapterSpec, adapter_factors, as_method, delta_w
+from .adapters import AdapterParams, AdapterSpec, adapter_factors, as_method
 from .matcore import ShapeError
 from .model import BaseWeights
 
@@ -47,6 +47,24 @@ def _basis(x: np.ndarray, count: int, side: str) -> np.ndarray:
     return result.vt[:count, :].T
 
 
+def _delta_basis(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Top-r left singular vectors of B @ A (d x r), without forming the d x d product.
+
+    With B = Q R, B @ A = Q (R @ A), so the left singular vectors of B @ A are
+    Q times those of the r x d matrix R @ A.
+    """
+    q, r = np.linalg.qr(b)
+    return q @ matcore.svd(r @ a).u
+
+
+def _phi(bx: np.ndarray, by: np.ndarray, i: int, j: int) -> float:
+    """phi from orthonormal bases of i and j columns; clamped to [0, 1]."""
+    overlap = float(np.linalg.norm(bx.T @ by) ** 2) / min(i, j)
+    if overlap > 1.0 + 1e-9 or overlap < -1e-9:
+        raise matcore.NumericError(f"similarity {overlap} outside [0, 1] tolerance")
+    return min(max(overlap, 0.0), 1.0)
+
+
 def subspace_similarity(x, y, i: int, j: int, side: str = "left") -> float:
     """phi(X, Y, i, j) over top singular-vector subspaces; clamped to [0, 1]."""
     bx = _basis(x, i, side)
@@ -56,18 +74,16 @@ def subspace_similarity(x, y, i: int, j: int, side: str = "left") -> float:
             f"{side} singular vectors live in different spaces: "
             f"dim {bx.shape[0]} vs {by.shape[0]}"
         )
-    overlap = float(np.linalg.norm(bx.T @ by) ** 2) / min(i, j)
-    if overlap > 1.0 + 1e-9 or overlap < -1e-9:
-        raise matcore.NumericError(f"similarity {overlap} outside [0, 1] tolerance")
-    return min(max(overlap, 0.0), 1.0)
+    return _phi(bx, by, i, j)
 
 
 def _conversion(w0: np.ndarray, rhs: np.ndarray, pseudoinverse: bool) -> np.ndarray:
     w0 = matcore.as_matrix(w0, "W0")
     if w0.shape[0] != w0.shape[1]:
         raise ShapeError(f"conversion requires square W0, got {w0.shape[0]}x{w0.shape[1]}")
-    inv = matcore.pseudo_invert(w0) if pseudoinverse else matcore.invert(w0)
-    return matcore.matmul(inv, rhs)
+    if pseudoinverse:
+        return matcore.matmul(matcore.pseudo_invert(w0), rhs)
+    return matcore.solve(w0, rhs)
 
 
 def conversion_a(w0, a, pseudoinverse: bool = False) -> np.ndarray:
@@ -115,8 +131,7 @@ def layer_similarity_grid(matrices, i: int, j: int, side: str = "left",
     values = np.empty((n, n))
     for p in range(n):
         for q in range(n):
-            overlap = float(np.linalg.norm(bases[p].T @ bases_j[q]) ** 2) / min(i, j)
-            values[p, q] = min(max(overlap, 0.0), 1.0)
+            values[p, q] = _phi(bases[p], bases_j[q], i, j)
     if labels is None:
         labels = [str(idx + 1) for idx in range(n)]
     return SimilarityGrid(list(labels), values, side, i, j)
@@ -168,7 +183,11 @@ class ComparisonRow:
 
 def compare_lora_condlora(lora_params, cond_params, weights: BaseWeights,
                           spec: AdapterSpec) -> list[ComparisonRow]:
-    """Per-target similarity rows: A on the right side, B and delta on the left."""
+    """Per-target similarity rows: A on the right side, B and delta on the left.
+
+    The delta subspaces come from the factors (see ``_delta_basis``); the
+    d x d deltas are never formed.
+    """
     lora_spec = as_method(spec, "lora")
     cond_spec = as_method(spec, "condlora")
     r = spec.rank
@@ -177,15 +196,13 @@ def compare_lora_condlora(lora_params, cond_params, weights: BaseWeights,
         w0 = weights.projection(m, l)
         a_l, b_l = adapter_factors(lora_params, lora_spec, w0, m, l)
         a_c, b_c = adapter_factors(cond_params, cond_spec, w0, m, l)
-        dw_l = delta_w(lora_params, lora_spec, w0, m, l)
-        dw_c = delta_w(cond_params, cond_spec, w0, m, l)
         rows.append(
             ComparisonRow(
                 module=m,
                 layer=l,
                 phi_a=subspace_similarity(a_l, a_c, r, r, side="right"),
                 phi_b=subspace_similarity(b_l, b_c, r, r, side="left"),
-                phi_delta=subspace_similarity(dw_l, dw_c, r, r, side="left"),
+                phi_delta=_phi(_delta_basis(a_l, b_l), _delta_basis(a_c, b_c), r, r),
             )
         )
     return rows

@@ -170,8 +170,11 @@ def cmd_analyze(args) -> int:
         raise UsageError("at most two adapter checkpoints are supported")
     params, spec = loaded[0]
     spec.validate_for(weights.config)
-    i = args.i_vectors or spec.rank
-    j = args.j_vectors or spec.rank
+    i = spec.rank if args.i_vectors is None else args.i_vectors
+    j = spec.rank if args.j_vectors is None else args.j_vectors
+    for flag, value in (("--i", i), ("--j", j)):
+        if not 1 <= value <= spec.rank:
+            raise UsageError(f"{flag} must be in [1, {spec.rank}] (the adapter rank), got {value}")
     out = Path(args.out or "analysis")
     out.mkdir(parents=True, exist_ok=True)
 

@@ -5,8 +5,11 @@ matrices around as 2-D C-contiguous float64 numpy arrays. This module owns
 the operations that carry correctness contracts:
 
 * ``matmul`` rejects mismatched shapes, naming both operands.
-* ``invert`` runs a partial-pivot LU factorization and refuses matrices whose
-  pivot-ratio condition estimate exceeds ``COND_LIMIT`` (1e12).
+* ``solve(a, rhs)`` runs one right-looking blocked partial-pivot LU of ``a``
+  (panels of ``_LU_BLOCK`` columns, one GEMM trailing update per panel), refuses
+  matrices whose pivot-ratio condition estimate exceeds ``COND_LIMIT`` (1e12),
+  and substitutes on the columns of ``rhs`` only. ``invert(a)`` is
+  ``solve(a, I)``; ``condition_estimate`` reads the pivots of the same LU.
 * ``svd`` returns factors with a deterministic sign convention: the
   largest-magnitude entry of every left singular vector is non-negative.
 * ``gaussian`` draws from the counter-based generator in ``_rng`` so that a
@@ -28,6 +31,7 @@ import numpy as np
 from . import _rng
 
 COND_LIMIT = 1e12
+_LU_BLOCK = 64
 
 
 class ShapeError(ValueError):
@@ -111,22 +115,50 @@ def gaussian(rows: int, cols: int, mean: float = 0.0, std: float = 1.0, seed: in
     return mean + std * g
 
 
+def _unit_lower_solve(l: np.ndarray, x: np.ndarray) -> None:
+    """Overwrite x with L^{-1} x, L unit lower triangular (its diagonal is not read)."""
+    for i in range(1, x.shape[0]):
+        x[i] -= l[i, :i] @ x[:i]
+
+
+def _upper_solve(u: np.ndarray, x: np.ndarray) -> None:
+    """Overwrite x with U^{-1} x, U upper triangular."""
+    for i in range(x.shape[0] - 1, -1, -1):
+        x[i] = (x[i] - u[i, i + 1 :] @ x[i + 1 :]) / u[i, i]
+
+
 def _lu_decompose(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Partial-pivot LU. Returns (packed LU, row permutation)."""
+    """Right-looking blocked partial-pivot LU. Returns (packed LU, row permutation).
+
+    Golub & Van Loan, Matrix Computations, section 3.2: factor a panel of
+    _LU_BLOCK columns with rank-1 updates confined to the panel, solve the
+    unit-lower block for U12, then update the trailing matrix with one GEMM.
+    The pivot is the largest-magnitude entry of the column, as in the
+    unblocked algorithm, so both produce the same permutation.
+    """
     lu = np.array(a, dtype=np.float64)
     n = lu.shape[0]
     perm = np.arange(n)
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        if lu[p, k] == 0.0:
-            raise SingularMatrixError(math.inf)
-        if p != k:
-            lu[[k, p]] = lu[[p, k]]
-            perm[[k, p]] = perm[[p, k]]
-        lu[k + 1 :, k] /= lu[k, k]
-        if k + 1 < n:
-            lu[k + 1 :, k + 1 :] -= np.outer(lu[k + 1 :, k], lu[k, k + 1 :])
+    for k0 in range(0, n, _LU_BLOCK):
+        k1 = min(k0 + _LU_BLOCK, n)
+        for k in range(k0, k1):
+            p = k + int(np.argmax(np.abs(lu[k:, k])))
+            if lu[p, k] == 0.0:
+                raise SingularMatrixError(math.inf)
+            if p != k:
+                lu[[k, p]] = lu[[p, k]]
+                perm[[k, p]] = perm[[p, k]]
+            lu[k + 1 :, k] /= lu[k, k]
+            lu[k + 1 :, k + 1 : k1] -= np.outer(lu[k + 1 :, k], lu[k, k + 1 : k1])
+        if k1 < n:
+            _unit_lower_solve(lu[k0:k1, k0:k1], lu[k0:k1, k1:])
+            lu[k1:, k1:] -= lu[k1:, k0:k1] @ lu[k0:k1, k1:]
     return lu, perm
+
+
+def _pivot_ratio(lu: np.ndarray) -> float:
+    diag = np.abs(np.diag(lu))
+    return float(diag.max() / diag.min())
 
 
 def condition_estimate(a) -> float:
@@ -137,27 +169,39 @@ def condition_estimate(a) -> float:
         lu, _ = _lu_decompose(a)
     except SingularMatrixError:
         return math.inf
-    diag = np.abs(np.diag(lu))
-    return float(diag.max() / diag.min())
+    return _pivot_ratio(lu)
+
+
+def solve(a, rhs) -> np.ndarray:
+    """x with a @ x = rhs, through one LU of a and substitution on rhs's columns.
+
+    Rejects a whose pivot-ratio condition estimate exceeds COND_LIMIT.
+    """
+    a = as_matrix(a)
+    rhs = as_matrix(rhs, "right-hand side")
+    _require_square(a, "solve")
+    if rhs.shape[0] != a.shape[0]:
+        raise ShapeError(
+            f"cannot solve {a.shape[0]}x{a.shape[1]} system for "
+            f"{rhs.shape[0]}x{rhs.shape[1]} right-hand side"
+        )
+    _require_finite(a, "solve input")
+    _require_finite(rhs, "solve right-hand side")
+    lu, perm = _lu_decompose(a)
+    cond = _pivot_ratio(lu)
+    if cond > COND_LIMIT:
+        raise SingularMatrixError(cond)
+    x = rhs[perm]
+    _unit_lower_solve(lu, x)
+    _upper_solve(lu, x)
+    _require_finite(x, "solve result")
+    return x
 
 
 def invert(a) -> np.ndarray:
     a = as_matrix(a)
     _require_square(a, "invert")
-    _require_finite(a, "invert input")
-    lu, perm = _lu_decompose(a)
-    diag = np.abs(np.diag(lu))
-    cond = float(diag.max() / diag.min())
-    if cond > COND_LIMIT:
-        raise SingularMatrixError(cond)
-    n = a.shape[0]
-    x = np.eye(n)[perm]
-    for i in range(1, n):  # forward substitution, unit lower triangle
-        x[i] -= lu[i, :i] @ x[:i]
-    for i in range(n - 1, -1, -1):  # back substitution
-        x[i] = (x[i] - lu[i, i + 1 :] @ x[i + 1 :]) / lu[i, i]
-    _require_finite(x, "invert result")
-    return x
+    return solve(a, np.eye(a.shape[0]))
 
 
 def pseudo_invert(a, rel_tol: float = 1e-10) -> np.ndarray:

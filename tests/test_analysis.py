@@ -288,3 +288,31 @@ def test_conversion_grid_for_trained_shapes(desk_weights):
         "value", "B",
     )
     assert cond_grid.values.shape == (4, 4)
+
+
+def test_condlora_conversion_a_grid_is_one(desk_weights):
+    # W0^{-1} (W0 theta_A) = theta_A at every layer, so every pair is identical
+    spec = adapters.as_method(spec_pair(), "condlora")
+    for seed in range(3):
+        params = random_params("condlora", 20 + seed)
+        for module in spec.target_modules:
+            grid = analysis.conversion_grid(desk_weights, params, spec, module, "A")
+            assert np.abs(grid.values - 1.0).max() <= 1e-6, (seed, module)
+
+
+def test_compare_delta_matches_full_delta_similarity(desk_weights):
+    geometry = spec_pair()
+    lora_spec = adapters.as_method(geometry, "lora")
+    cond_spec = adapters.as_method(geometry, "condlora")
+    r = geometry.rank
+    for seed in range(5):
+        lora, cond = random_params("lora", 40 + seed), random_params("condlora", 60 + seed)
+        rows = analysis.compare_lora_condlora(lora, cond, desk_weights, geometry)
+        for row in rows:
+            w0 = desk_weights.projection(row.module, row.layer)
+            full = analysis.subspace_similarity(
+                adapters.delta_w(lora, lora_spec, w0, row.module, row.layer),
+                adapters.delta_w(cond, cond_spec, w0, row.module, row.layer),
+                r, r,
+            )
+            assert abs(row.phi_delta - full) <= 1e-9, (seed, row)

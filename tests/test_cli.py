@@ -189,6 +189,21 @@ def test_analyze_singular_projection_exit_two(tmp_path, trained_pair, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("flag, value", [("--i", "0"), ("--j", "0"), ("--i", "-1"),
+                                         ("--j", "-3"), ("--i", "3"), ("--j", "3")])
+def test_analyze_rejects_out_of_range_vector_counts(tmp_path, trained_pair, capsys, flag, value):
+    out_dir = tmp_path / "range_analysis"
+    code, _, err = run_cli(
+        capsys, "analyze",
+        "--model", str(trained_pair["lora"] / "model.ckpt"),
+        "--adapter", str(trained_pair["lora"] / "adapter.ckpt"),
+        "--out", str(out_dir), f"{flag}={value}",
+    )
+    assert code == 1
+    assert f"{flag} must be in [1, 2]" in err and f"got {value}" in err
+    assert not out_dir.exists()  # rejected before any grid work
+
+
 # --- gradcheck -----------------------------------------------------------------------
 
 def test_gradcheck_passes(capsys):

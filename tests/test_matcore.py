@@ -82,6 +82,87 @@ def test_condition_estimate_scales_with_near_singularity():
     assert matcore.condition_estimate(near) > matcore.COND_LIMIT
 
 
+# --- blocked LU and solve -----------------------------------------------------
+
+BLOCK = matcore._LU_BLOCK
+LU_SIZES = (1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3, 768)
+
+
+def _rank1_lu(a):
+    """Unblocked partial-pivot LU, one rank-1 update per column: the reference."""
+    lu = np.array(a, dtype=np.float64)
+    n = lu.shape[0]
+    perm = np.arange(n)
+    for k in range(n):
+        p = k + int(np.argmax(np.abs(lu[k:, k])))
+        lu[[k, p]] = lu[[p, k]]
+        perm[[k, p]] = perm[[p, k]]
+        lu[k + 1 :, k] /= lu[k, k]
+        lu[k + 1 :, k + 1 :] -= np.outer(lu[k + 1 :, k], lu[k, k + 1 :])
+    return lu, perm
+
+
+def _rel(x, ref):
+    return np.linalg.norm(x - ref) / np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("n", LU_SIZES)
+def test_blocked_lu_reconstructs_and_solves(n):
+    a = matcore.gaussian(n, n, 0, 1, 400 + n)
+    lu, perm = matcore._lu_decompose(a)
+    lower = np.tril(lu, -1) + np.eye(n)
+    assert _rel(lower @ np.triu(lu), a[perm]) <= 1e-12
+    ref_lu, ref_perm = _rank1_lu(a)
+    assert np.array_equal(perm, ref_perm)
+    assert _rel(lu, ref_lu) <= 1e-12
+    rhs = matcore.gaussian(n, 3, 0, 1, 900 + n)
+    assert _rel(matcore.solve(a, rhs), matcore.invert(a) @ rhs) <= 1e-12
+
+
+def test_solve_rejects_rank_deficient_past_block():
+    n = BLOCK + 9
+    rhs = np.ones((n, 1))
+    zero_col = matcore.gaussian(n, n, 0, 1, 77)
+    zero_col[:, BLOCK + 4] = 0.0  # exact zero pivot inside the second panel
+    with pytest.raises(matcore.SingularMatrixError) as info:
+        matcore.solve(zero_col, rhs)
+    assert math.isinf(info.value.condition)
+    assert math.isinf(matcore.condition_estimate(zero_col))
+    dup_col = matcore.gaussian(n, n, 0, 1, 78)
+    dup_col[:, BLOCK + 4] = dup_col[:, 2]
+    with pytest.raises(matcore.SingularMatrixError):
+        matcore.solve(dup_col, rhs)
+
+
+def test_solve_rejects_near_singular_past_block():
+    n = BLOCK + 9
+    base = matcore.gaussian(n, n, 0, 1, 79)
+    assert matcore.condition_estimate(base) < 1e6
+    near = base.copy()
+    near[n - 1] = near[n - 2] + 1e-14 * base[3]
+    assert matcore.condition_estimate(near) > matcore.COND_LIMIT
+    with pytest.raises(matcore.SingularMatrixError) as info:
+        matcore.solve(near, np.ones((n, 2)))
+    assert info.value.condition > matcore.COND_LIMIT
+
+
+def test_solve_rejects_nonfinite_and_bad_shapes():
+    bad = np.eye(3)
+    bad[1, 2] = np.nan
+    with pytest.raises(matcore.NumericError, match="solve input"):
+        matcore.solve(bad, np.ones((3, 1)))
+    rhs = np.ones((3, 2))
+    rhs[2, 1] = np.nan
+    with pytest.raises(matcore.NumericError, match="right-hand side"):
+        matcore.solve(np.eye(3), rhs)
+    with np.errstate(over="ignore"), pytest.raises(matcore.NumericError, match="solve result"):
+        matcore.solve(1e-300 * np.eye(2), [[1e10], [1.0]])
+    with pytest.raises(matcore.ShapeError, match="square"):
+        matcore.solve(np.ones((2, 3)), np.ones((2, 1)))
+    with pytest.raises(matcore.ShapeError, match="3x3.*4x1"):
+        matcore.solve(np.eye(3), np.ones((4, 1)))
+
+
 # --- svd ---------------------------------------------------------------------
 
 def test_svd_diagonal():

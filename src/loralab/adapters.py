@@ -21,6 +21,7 @@ initialization: training starts from the frozen base model in both cases.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -235,18 +236,44 @@ def _spec_line(spec: AdapterSpec) -> str:
     )
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite {value}")
+    return value
+
+
+# SPEC key -> (AdapterSpec field, parser of its text)
+_SPEC_FIELDS = {
+    "method": ("method", str),
+    "r": ("rank", int),
+    "alpha": ("alpha", _finite_float),
+    "modules": ("target_modules", lambda text: tuple(text.split(","))),
+    "layers": ("target_layers", lambda text: tuple(int(l) for l in text.split(","))),
+}
+
+
 def _parse_spec_line(line: str) -> AdapterSpec:
+    """AdapterSpec from a SPEC line; every key exactly once."""
     parts = line.split()
     if not parts or parts[0] != "SPEC":
         raise ValueError(f"expected SPEC line, got {line.rstrip()!r}")
-    kv = dict(item.partition("=")[::2] for item in parts[1:])
-    return AdapterSpec(
-        method=kv["method"],
-        rank=int(kv["r"]),
-        alpha=float(kv["alpha"]),
-        target_modules=tuple(kv["modules"].split(",")),
-        target_layers=tuple(int(l) for l in kv["layers"].split(",")),
-    )
+    kwargs = {}
+    for item in parts[1:]:
+        key, _, text = item.partition("=")
+        if key not in _SPEC_FIELDS:
+            raise ValueError(f"SPEC: unknown key {key!r}")
+        name, parse = _SPEC_FIELDS[key]
+        if name in kwargs:
+            raise ValueError(f"SPEC: duplicate key {key!r}")
+        try:
+            kwargs[name] = parse(text)
+        except ValueError:
+            raise ValueError(f"SPEC: bad value for {key}: {text!r}") from None
+    missing = [key for key, (name, _) in _SPEC_FIELDS.items() if name not in kwargs]
+    if missing:
+        raise ValueError(f"SPEC: missing key {missing[0]!r}")
+    return AdapterSpec(**kwargs)
 
 
 def save_adapter(path, params: AdapterParams, spec: AdapterSpec) -> None:
@@ -258,7 +285,10 @@ def save_adapter(path, params: AdapterParams, spec: AdapterSpec) -> None:
 
 def load_adapter(path) -> tuple[AdapterParams, AdapterSpec]:
     fh = io.StringIO(Path(path).read_text())
-    spec = _parse_spec_line(fh.readline())
+    try:
+        spec = _parse_spec_line(fh.readline())
+    except ValueError as exc:
+        raise ValueError(f"{path}: line 1: {exc}") from None
     tensors = dict(matcore.iter_matrices(fh))
     params: AdapterParams
     if spec.method == "lora":

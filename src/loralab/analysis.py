@@ -186,7 +186,9 @@ def compare_lora_condlora(lora_params, cond_params, weights: BaseWeights,
     """Per-target similarity rows: A on the right side, B and delta on the left.
 
     The delta subspaces come from the factors (see ``_delta_basis``); the
-    d x d deltas are never formed.
+    d x d deltas are never formed. Whenever A has full row rank r, the column
+    space of B·A is that of B, so ``phi_delta`` repeats ``phi_b`` up to
+    rounding; it differs only for rank-deficient A.
     """
     lora_spec = as_method(spec, "lora")
     cond_spec = as_method(spec, "condlora")

@@ -85,26 +85,6 @@ def transpose(a) -> np.ndarray:
     return np.ascontiguousarray(as_matrix(a).T)
 
 
-def add(a, b) -> np.ndarray:
-    a = as_matrix(a, "left operand")
-    b = as_matrix(b, "right operand")
-    if a.shape != b.shape:
-        raise ShapeError(f"cannot add {a.shape[0]}x{a.shape[1]} to {b.shape[0]}x{b.shape[1]}")
-    return a + b
-
-
-def scale(a, c: float) -> np.ndarray:
-    return as_matrix(a) * float(c)
-
-
-def frobenius_norm(a) -> float:
-    return float(np.linalg.norm(as_matrix(a)))
-
-
-def identity(n: int) -> np.ndarray:
-    return np.eye(n, dtype=np.float64)
-
-
 def gaussian(rows: int, cols: int, mean: float = 0.0, std: float = 1.0, seed: int = 0) -> np.ndarray:
     """rows x cols matrix of i.i.d. normal(mean, std) entries, row-major fill."""
     if rows < 1 or cols < 1:

@@ -9,6 +9,15 @@ Attention projections are the adaptation targets: ``forward`` optionally
 takes a ``{(module, layer): delta}`` mapping and adds each delta to the
 corresponding frozen projection before the pass. With no deltas (or all-zero
 deltas) the output equals the frozen-base output bit for bit.
+
+Training needs gradients for the attention projections only, so there is no
+general differentiation engine. ``forward_pass`` is one plain-numpy pass that
+can keep a per-layer ``Cache`` of the activations the backward reads, and
+``backward`` is its hand-written reverse: from dL/dlogits it walks back through
+the mean pooling, then layer by layer through LN2, the FFN, LN1 and the
+softmax attention, and returns dL/dW for each targeted projection. It stops
+after the lowest targeted layer. The layout follows the explicit per-layer
+forward/backward of llm.c (https://github.com/karpathy/llm.c).
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _rng, autodiff as ad, matcore
+from . import _rng, matcore
 
 ATTENTION_MODULES = ("query", "key", "value", "output")
 LN_EPS = 1e-5
@@ -141,74 +150,193 @@ def validate_tokens(config: ModelConfig, tokens) -> np.ndarray:
     return a.astype(np.int64)
 
 
-def _gelu(x: ad.Tensor) -> ad.Tensor:
-    # tanh form; smooth everywhere, which keeps finite-difference checks clean
-    cubic = ad.scale(ad.mul(ad.mul(x, x), x), 0.044715)
-    inner = ad.scale(ad.add(x, cubic), _GELU_C)
-    return ad.mul(ad.scale(x, 0.5), ad.add(ad.tanh(inner), ad.const(1.0)))
+# The helpers below work in place on arrays their caller owns: at desk sizes
+# a fresh temporary costs more than the arithmetic that fills it.
+
+def _layer_norm(u: np.ndarray, gain: np.ndarray, bias: np.ndarray):
+    """Layer norm over the last axis: (output, xhat, inv) with xhat = (u - mean) * inv.
+
+    ``u`` is overwritten with xhat.
+    """
+    scale = 1.0 / u.shape[-1]
+    u -= u.sum(axis=-1, keepdims=True) * scale
+    inv = ((u * u).sum(axis=-1, keepdims=True) * scale + LN_EPS) ** -0.5
+    u *= inv
+    out = u * gain
+    out += bias
+    return out, u, inv
 
 
-def _layer_norm(x: ad.Tensor, gain: np.ndarray, bias: np.ndarray) -> ad.Tensor:
-    mu = ad.reduce_mean(x, axis=-1, keepdims=True)
-    centered = ad.sub(x, mu)
-    var = ad.reduce_mean(ad.mul(centered, centered), axis=-1, keepdims=True)
-    inv = ad.power(ad.add(var, ad.const(LN_EPS)), -0.5)
-    return ad.add(ad.mul(ad.mul(centered, inv), ad.const(gain)), ad.const(bias))
+def _layer_norm_backward(dy: np.ndarray, xhat: np.ndarray, inv: np.ndarray,
+                         gain: np.ndarray) -> np.ndarray:
+    scale = 1.0 / xhat.shape[-1]
+    dxhat = dy * gain
+    dot = (dxhat * xhat).sum(axis=-1, keepdims=True)
+    dot *= scale
+    dxhat -= dxhat.sum(axis=-1, keepdims=True) * scale
+    dxhat -= xhat * dot
+    dxhat *= inv
+    return dxhat
 
 
-def _attention(config: ModelConfig, proj: dict[str, ad.Tensor], x: ad.Tensor) -> ad.Tensor:
-    batch, length, d = x.shape
-    dh = d // config.n_heads
+def _gelu(a: np.ndarray):
+    """tanh-form GELU and its tanh term; smooth everywhere, which keeps
+    finite-difference checks clean."""
+    t = a * a
+    t *= a
+    t *= 0.044715
+    t += a
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    h = t + 1.0
+    h *= a
+    h *= 0.5
+    return h, t
 
-    def heads(t):
-        return ad.transpose(ad.reshape(t, (batch, length, config.n_heads, dh)), (0, 2, 1, 3))
 
-    q = heads(ad.matmul(x, proj["query"]))
-    k = heads(ad.matmul(x, proj["key"]))
-    v = heads(ad.matmul(x, proj["value"]))
-    scores = ad.scale(ad.matmul(q, ad.swap_last(k)), 1.0 / math.sqrt(dh))
-    ctx = ad.matmul(ad.softmax(scores), v)
-    ctx = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (batch, length, d))
-    return ad.matmul(ctx, proj["output"])
+def _gelu_backward(dh: np.ndarray, a: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """dh times the GELU slope 0.5 (1 + t) + 0.5 a (1 - t^2) c (1 + 3 * 0.044715 a^2);
+    ``dh`` is overwritten."""
+    inner = a * a
+    inner *= 3 * 0.044715
+    inner += 1.0
+    inner *= _GELU_C
+    slope = t * t
+    np.subtract(1.0, slope, out=slope)
+    slope *= a
+    slope *= inner
+    slope += t
+    slope += 1.0
+    slope *= 0.5
+    dh *= slope
+    return dh
 
 
-def encode(
+def _softmax(z: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, numerically stabilized; ``z`` is overwritten."""
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
+
+
+def _softmax_backward(dp: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """dL/dz for p = softmax(z) over the last axis, given dL/dp; ``dp`` is overwritten."""
+    dp -= (dp * p).sum(axis=-1, keepdims=True)
+    dp *= p
+    return dp
+
+
+def _split_heads(t: np.ndarray, n_heads: int) -> np.ndarray:
+    """(batch, length, d) -> (batch, heads, length, d / heads), as a view."""
+    batch, length, d = t.shape
+    return t.reshape(batch, length, n_heads, d // n_heads).transpose(0, 2, 1, 3)
+
+
+def _merge_heads(t: np.ndarray) -> np.ndarray:
+    batch, n_heads, length, dh = t.shape
+    return t.transpose(0, 2, 1, 3).reshape(batch, length, n_heads * dh)
+
+
+@dataclass
+class Cache:
+    """What ``backward`` reads from one forward pass: per layer the input ``x``,
+    the projections used, q/k/v heads, softmax ``p``, attention context ``ctx``,
+    both layer norms' ``xhat``/``inv``, and the FFN pre-activation ``a`` with
+    its GELU tanh term ``t``."""
+
+    weights: BaseWeights
+    layers: list[dict[str, object]]
+
+
+def forward_pass(
     weights: BaseWeights,
     tokens,
-    projections: dict[tuple[str, int], ad.Tensor] | None = None,
-) -> tuple[ad.Tensor, list[ad.Tensor]]:
-    """Build the forward graph; ``projections`` overrides attention weights.
+    projections: dict[tuple[str, int], np.ndarray] | None = None,
+    keep_cache: bool = False,
+) -> tuple[np.ndarray, list[np.ndarray], Cache | None]:
+    """Logits, per-layer hidden states and, with ``keep_cache``, a ``Cache``.
 
-    Returns the logits node and the per-layer hidden-state nodes. Callers that
-    only want values can take ``.value``; the trainer passes adapted
-    projection tensors and runs ``backward`` on a loss derived from logits.
+    ``projections`` overrides attention weights per (module, layer); the
+    caller is responsible for their shapes.
     """
     config = weights.config
     tokens = validate_tokens(config, tokens)
     length = tokens.shape[1]
-    x = ad.const(weights["embed.token"][tokens] + weights["embed.pos"][:length])
-    hidden: list[ad.Tensor] = []
+    scale = 1.0 / math.sqrt(config.d_model // config.n_heads)
+    projections = projections or {}
+    x = weights["embed.token"][tokens] + weights["embed.pos"][:length]
+    hidden: list[np.ndarray] = []
+    layers: list[dict[str, object]] = []
     for l in range(1, config.n_layers + 1):
-        proj: dict[str, ad.Tensor] = {}
-        for m in ATTENTION_MODULES:
-            override = projections.get((m, l)) if projections else None
-            proj[m] = override if override is not None else ad.const(weights.projection(m, l))
-        x = _layer_norm(
-            ad.add(x, _attention(config, proj, x)),
-            weights[f"layer{l}.ln1.gain"],
-            weights[f"layer{l}.ln1.bias"],
-        )
-        h = _gelu(ad.add(ad.matmul(x, ad.const(weights[f"layer{l}.ffn.w1"])), ad.const(weights[f"layer{l}.ffn.b1"])))
-        ffn = ad.add(ad.matmul(h, ad.const(weights[f"layer{l}.ffn.w2"])), ad.const(weights[f"layer{l}.ffn.b2"]))
-        x = _layer_norm(
-            ad.add(x, ffn),
-            weights[f"layer{l}.ln2.gain"],
-            weights[f"layer{l}.ln2.bias"],
-        )
+        proj = {m: projections.get((m, l), weights.projection(m, l)) for m in ATTENTION_MODULES}
+        q, k, v = (_split_heads(x @ proj[m], config.n_heads) for m in ("query", "key", "value"))
+        scores = q @ k.swapaxes(-1, -2)
+        scores *= scale
+        p = _softmax(scores)
+        ctx = _merge_heads(p @ v)
+        u = ctx @ proj["output"]
+        u += x
+        y1, xhat1, inv1 = _layer_norm(u, weights[f"layer{l}.ln1.gain"],
+                                      weights[f"layer{l}.ln1.bias"])
+        a = y1 @ weights[f"layer{l}.ffn.w1"]
+        a += weights[f"layer{l}.ffn.b1"]
+        h, t = _gelu(a)
+        u = h @ weights[f"layer{l}.ffn.w2"]
+        u += weights[f"layer{l}.ffn.b2"]
+        u += y1
+        y2, xhat2, inv2 = _layer_norm(u, weights[f"layer{l}.ln2.gain"],
+                                      weights[f"layer{l}.ln2.bias"])
+        if keep_cache:
+            layers.append({"x": x, "proj": proj, "q": q, "k": k, "v": v, "p": p, "ctx": ctx,
+                           "xhat1": xhat1, "inv1": inv1, "a": a, "t": t,
+                           "xhat2": xhat2, "inv2": inv2})
+        x = y2
         hidden.append(x)
-    pooled = ad.reduce_mean(x, axis=1)
-    logits = ad.matmul(pooled, ad.const(weights["head.out"]))
-    return logits, hidden
+    logits = (x.sum(axis=1) * (1.0 / length)) @ weights["head.out"]
+    return logits, hidden, (Cache(weights, layers) if keep_cache else None)
+
+
+def backward(cache: Cache, dlogits: np.ndarray,
+             targets) -> dict[tuple[str, int], np.ndarray]:
+    """dL/dW for each targeted (module, layer) projection, given dL/dlogits.
+
+    Walks the layers top-down through the pooling, layer norms, FFN and
+    attention of the pass that filled ``cache``, and stops after the lowest
+    targeted layer, since nothing below it needs a gradient.
+    """
+    weights = cache.weights
+    targets = set(targets)
+    lowest = min(l for _, l in targets)
+    batch, length, d = cache.layers[0]["x"].shape
+    n_heads = weights.config.n_heads
+    scale = 1.0 / math.sqrt(d // n_heads)
+    dpooled = (dlogits @ weights["head.out"].T) * (1.0 / length)
+    dx = np.broadcast_to(dpooled[:, None, :], (batch, length, d))
+    grads: dict[tuple[str, int], np.ndarray] = {}
+    for l in range(len(cache.layers), lowest - 1, -1):
+        c = cache.layers[l - 1]
+        proj, p = c["proj"], c["p"]
+        du2 = _layer_norm_backward(dx, c["xhat2"], c["inv2"], weights[f"layer{l}.ln2.gain"])
+        da = _gelu_backward(du2 @ weights[f"layer{l}.ffn.w2"].T, c["a"], c["t"])
+        du2 += da @ weights[f"layer{l}.ffn.w1"].T
+        du1 = _layer_norm_backward(du2, c["xhat1"], c["inv1"], weights[f"layer{l}.ln1.gain"])
+        if ("output", l) in targets:
+            grads[("output", l)] = c["ctx"].reshape(-1, d).T @ du1.reshape(-1, d)
+        dctx = _split_heads(du1 @ proj["output"].T, n_heads)
+        dscores = _softmax_backward(dctx @ c["v"].swapaxes(-1, -2), p)
+        dscores *= scale
+        dheads = {"query": dscores @ c["k"], "key": dscores.swapaxes(-1, -2) @ c["q"],
+                  "value": p.swapaxes(-1, -2) @ dctx}
+        x = c["x"].reshape(-1, d)
+        dx = du1
+        for m, dh in dheads.items():
+            dm = _merge_heads(dh)
+            if (m, l) in targets:
+                grads[(m, l)] = x.T @ dm.reshape(-1, d)
+            if l > lowest:
+                dx += dm @ proj[m].T
+    return grads
 
 
 def forward(
@@ -217,19 +345,17 @@ def forward(
     tokens,
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Run the encoder; ``deltas`` maps (module, layer) to additive updates."""
-    projections = None
-    if deltas:
-        projections = {}
-        for (module, layer), dw in deltas.items():
-            w0 = weights.projection(module, layer)
-            dw = matcore.as_matrix(dw, f"delta for ({module}, {layer})")
-            if dw.shape != w0.shape:
-                raise matcore.ShapeError(
-                    f"delta for ({module}, {layer}) has shape {dw.shape}, expected {w0.shape}"
-                )
-            projections[(module, layer)] = ad.const(w0 + dw)
-    logits, hidden = encode(weights, tokens, projections)
-    return logits.value, [h.value for h in hidden]
+    projections = {}
+    for (module, layer), dw in (deltas or {}).items():
+        w0 = weights.projection(module, layer)
+        dw = matcore.as_matrix(dw, f"delta for ({module}, {layer})")
+        if dw.shape != w0.shape:
+            raise matcore.ShapeError(
+                f"delta for ({module}, {layer}) has shape {dw.shape}, expected {w0.shape}"
+            )
+        projections[(module, layer)] = w0 + dw
+    logits, hidden, _ = forward_pass(weights, tokens, projections)
+    return logits, hidden
 
 
 # --- checkpoint io ----------------------------------------------------------
@@ -240,13 +366,25 @@ def _config_line(config: ModelConfig) -> str:
 
 
 def _parse_config_line(line: str) -> ModelConfig:
+    """ModelConfig from a CONFIG line; every field exactly once, as an integer."""
     parts = line.split()
     if not parts or parts[0] != "CONFIG":
         raise ValueError(f"expected CONFIG line, got {line.rstrip()!r}")
+    names = [f.name for f in fields(ModelConfig)]
     kwargs = {}
     for item in parts[1:]:
         key, _, value = item.partition("=")
-        kwargs[key] = int(value)
+        if key not in names:
+            raise ValueError(f"CONFIG: unknown key {key!r}")
+        if key in kwargs:
+            raise ValueError(f"CONFIG: duplicate key {key!r}")
+        try:
+            kwargs[key] = int(value)
+        except ValueError:
+            raise ValueError(f"CONFIG: {key} must be an integer, got {value!r}") from None
+    missing = [name for name in names if name not in kwargs]
+    if missing:
+        raise ValueError(f"CONFIG: missing key {missing[0]!r}")
     return ModelConfig(**kwargs)
 
 
@@ -260,6 +398,9 @@ def save_model(path, weights: BaseWeights) -> None:
 def load_model(path) -> BaseWeights:
     text = Path(path).read_text()
     fh = io.StringIO(text)
-    config = _parse_config_line(fh.readline())
+    try:
+        config = _parse_config_line(fh.readline())
+    except ValueError as exc:
+        raise ValueError(f"{path}: line 1: {exc}") from None
     tensors = dict(matcore.iter_matrices(fh))
     return BaseWeights(config, tensors)

@@ -1,11 +1,15 @@
 """Training loop for adapter parameters over a frozen encoder.
 
-Gradients come from the reverse-mode engine in ``autodiff``: the adapter
-tensors are graph leaves, their deltas are built symbolically and added to
-the frozen projections, and one backward pass yields gradients for exactly
-the trainable set. For CondLoRA the chain rule through the conditioning maps
-(and the accumulation over layers sharing a theta) falls out of the shared
-leaf nodes. ``finite_difference_check`` provides the independent oracle.
+Gradients are explicit. ``loss_and_grads`` builds every adapted projection
+W = W0 + s·B·A (s = alpha / r), runs one cached ``model.forward_pass``, takes
+dL/dlogits in closed form (MSE: 2(logits - y)/N over the N entries;
+cross-entropy: (softmax - onehot)/batch) and gets dL/dW per target from
+``model.backward``. The adapter chain rule is then closed form too: for LoRA
+dA = s·Bᵀ·dW and dB = s·dW·Aᵀ; for CondLoRA the same rule gives dA_c and dB_c
+for the conditioned factors A_c = (W0·θ_A)ᵀ and B_c = W0ᵀ·θ_B, and
+dθ_A = W0ᵀ·dA_cᵀ and dθ_B = W0·dB_c are summed over the layers that share θ.
+``finite_difference_check`` provides the independent oracle: it only ever
+evaluates ``loss_only``, the uncached forward.
 
 Optimization is Adam with bias correction and a linear-to-zero learning-rate
 schedule: the effective rate at step s (1-based) is lr * max(0, 1 - s/max_steps).
@@ -19,10 +23,11 @@ from typing import IO
 
 import numpy as np
 
-from . import _rng, autodiff as ad, matcore, model
+from . import _rng, matcore, model
 from .adapters import (
     AdapterParams,
     AdapterSpec,
+    adapter_factors,
     count_trainable,
     init_condlora,
     init_lora,
@@ -71,77 +76,74 @@ class TrainReport:
     seed: int
 
 
-def _delta_node(leaves: dict[str, ad.Tensor], spec: AdapterSpec, weights: BaseWeights,
-                module: str, layer: int) -> ad.Tensor:
+def _adapt(weights: BaseWeights, params: AdapterParams, spec: AdapterSpec):
+    """Per target: the effective factors (A, B), and the projection W0 + s·B·A."""
     s = spec.alpha / spec.rank
-    if spec.method == "lora":
-        a = leaves[f"lora.{module}.{layer}.A"]
-        b = leaves[f"lora.{module}.{layer}.B"]
-        return ad.scale(ad.matmul(b, a), s)
-    w0 = weights.projection(module, layer)
-    a_cond = ad.transpose(ad.matmul(ad.const(w0), leaves[f"cond.{module}.thetaA"]))
-    b_cond = ad.matmul(ad.const(w0.T), leaves[f"cond.{module}.thetaB"])
-    return ad.scale(ad.matmul(b_cond, a_cond), s)
+    factors, projections = {}, {}
+    for m, l in spec.targets():
+        w0 = weights.projection(m, l)
+        a, b = factors[(m, l)] = adapter_factors(params, spec, w0, m, l)
+        projections[(m, l)] = w0 + s * (b @ a)
+    return factors, projections
 
 
-def adapted_projections(leaves: dict[str, ad.Tensor], spec: AdapterSpec,
-                        weights: BaseWeights) -> dict[tuple[str, int], ad.Tensor]:
-    return {
-        (m, l): ad.add(ad.const(weights.projection(m, l)), _delta_node(leaves, spec, weights, m, l))
-        for m, l in spec.targets()
-    }
-
-
-def _loss_node(logits: ad.Tensor, targets: np.ndarray, loss_kind: str) -> ad.Tensor:
+def _loss(logits: np.ndarray, targets, loss_kind: str) -> tuple[float, np.ndarray]:
+    """The batch loss and its gradient with respect to the logits."""
     if loss_kind == "mse":
         targets = np.asarray(targets, dtype=np.float64)
         if targets.shape != logits.shape:
             raise matcore.ShapeError(
                 f"mse targets shape {targets.shape} does not match logits {logits.shape}"
             )
-        diff = ad.sub(logits, ad.const(targets))
-        return ad.reduce_mean(ad.mul(diff, diff))
+        diff = logits - targets
+        return float((diff * diff).sum() * (1.0 / diff.size)), diff * (2.0 / diff.size)
     labels = np.asarray(targets)
-    n_out = logits.shape[-1]
-    if labels.ndim != 1 or labels.shape[0] != logits.shape[0]:
+    batch, n_out = logits.shape
+    if labels.ndim != 1 or labels.shape[0] != batch:
         raise matcore.ShapeError(
-            f"cross_entropy labels shape {labels.shape} does not match batch {logits.shape[0]}"
+            f"cross_entropy labels shape {labels.shape} does not match batch {batch}"
         )
     if (labels < 0).any() or (labels >= n_out).any():
         raise ValueError(f"labels out of range [0, {n_out})")
     onehot = np.zeros(logits.shape)
-    onehot[np.arange(labels.shape[0]), labels] = 1.0
-    picked = ad.reduce_sum(ad.mul(logits, ad.const(onehot)), axis=-1)
-    return ad.reduce_mean(ad.sub(ad.logsumexp(logits), picked))
-
-
-def _build_loss(weights: BaseWeights, params: AdapterParams, spec: AdapterSpec,
-                batch, loss_kind: str) -> tuple[ad.Tensor, dict[str, ad.Tensor]]:
-    tokens, targets = batch
-    leaves = {key: ad.leaf(value) for key, value in params.tensors.items()}
-    projections = adapted_projections(leaves, spec, weights)
-    logits, _ = model.encode(weights, tokens, projections)
-    return _loss_node(logits, targets, loss_kind), leaves
+    onehot[np.arange(batch), labels] = 1.0
+    top = logits.max(axis=-1)
+    lse = top + np.log(np.exp(logits - top[:, None]).sum(axis=-1))
+    loss = (lse - (logits * onehot).sum(axis=-1)).sum() * (1.0 / batch)
+    return float(loss), (np.exp(logits - lse[:, None]) - onehot) * (1.0 / batch)
 
 
 def loss_only(weights: BaseWeights, params: AdapterParams, spec: AdapterSpec,
               batch, loss_kind: str = "mse") -> float:
-    loss, _ = _build_loss(weights, params, spec, batch, loss_kind)
-    return float(loss.value)
+    tokens, targets = batch
+    _, projections = _adapt(weights, params, spec)
+    logits, _, _ = model.forward_pass(weights, tokens, projections)
+    return _loss(logits, targets, loss_kind)[0]
 
 
 def loss_and_grads(weights: BaseWeights, params: AdapterParams, spec: AdapterSpec,
                    batch, loss_kind: str = "mse") -> tuple[float, dict[str, np.ndarray]]:
     """Loss plus gradients for exactly the trainable tensors."""
-    loss, leaves = _build_loss(weights, params, spec, batch, loss_kind)
-    if not np.isfinite(loss.value):
-        raise matcore.NumericError(f"non-finite loss {loss.value!r}")
-    ad.backward(loss)
-    grads = {
-        key: (t.grad if t.grad is not None else np.zeros_like(t.value))
-        for key, t in leaves.items()
-    }
-    return float(loss.value), grads
+    tokens, targets = batch
+    s = spec.alpha / spec.rank
+    factors, projections = _adapt(weights, params, spec)
+    logits, _, cache = model.forward_pass(weights, tokens, projections, keep_cache=True)
+    loss, dlogits = _loss(logits, targets, loss_kind)
+    if not np.isfinite(loss):
+        raise matcore.NumericError(f"non-finite loss {loss!r}")
+    grads = {key: np.zeros_like(value) for key, value in params.tensors.items()}
+    for (m, l), dw in model.backward(cache, dlogits, projections).items():
+        a, b = factors[(m, l)]
+        da, db = s * (b.T @ dw), s * (dw @ a.T)
+        if spec.method == "lora":
+            key_a, key_b = f"lora.{m}.{l}.A", f"lora.{m}.{l}.B"
+        else:
+            w0 = weights.projection(m, l)
+            da, db = w0.T @ da.T, w0 @ db
+            key_a, key_b = f"cond.{m}.thetaA", f"cond.{m}.thetaB"
+        grads[key_a] += da
+        grads[key_b] += db
+    return loss, grads
 
 
 def schedule_factor(step: int, max_steps: int) -> float:

@@ -257,3 +257,22 @@ def test_load_adapter_rejects_missing_tensor(tmp_path):
     path.write_text("".join(lines[: 1 + 5]))  # SPEC line + one truncated block
     with pytest.raises(ValueError):
         adapters.load_adapter(path)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda line: line.replace(" alpha=4", ""), "missing key 'alpha'"),
+    (lambda line: line + " bogus=3", "unknown key 'bogus'"),
+    (lambda line: line.replace(" r=4", " r=four"), "bad value for r: 'four'"),
+    (lambda line: line.replace(" alpha=4", " alpha=nan"), "bad value for alpha: 'nan'"),
+    (lambda line: line.replace(" layers=1,2,3,4", " layers=1,x"), "bad value for layers: '1,x'"),
+    (lambda line: line + " r=4", "duplicate key 'r'"),
+    (lambda line: line.replace("method=lora", "method=dora"), "method must be one of"),
+])
+def test_adapter_header_errors_name_the_key(tmp_path, edit, message):
+    spec = lora_spec()
+    path = tmp_path / "adapter.ckpt"
+    adapters.save_adapter(path, random_lora(spec, 32, 14), spec)
+    header, rest = path.read_text().split("\n", 1)
+    path.write_text(edit(header) + "\n" + rest)
+    with pytest.raises(ValueError, match=f"adapter.ckpt: line 1: .*{message}"):
+        adapters.load_adapter(path)

@@ -316,3 +316,14 @@ def test_compare_delta_matches_full_delta_similarity(desk_weights):
                 r, r,
             )
             assert abs(row.phi_delta - full) <= 1e-9, (seed, row)
+
+
+def test_compare_delta_repeats_b_when_a_has_full_row_rank(desk_weights):
+    # col(B A) = col(B) whenever A (r x d) has full row rank, which generic
+    # factors of both methods have
+    for seed in range(5):
+        rows = analysis.compare_lora_condlora(random_params("lora", 80 + seed),
+                                              random_params("condlora", 90 + seed),
+                                              desk_weights, spec_pair())
+        for row in rows:
+            assert abs(row.phi_delta - row.phi_b) <= 1e-12, (seed, row)

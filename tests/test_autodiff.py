@@ -1,121 +1,81 @@
+"""The hand-written derivative rules that take the place of automatic
+differentiation in the encoder's backward and the losses, each checked
+against central differences or an exact identity."""
+
 import numpy as np
-import pytest
 
-from loralab import autodiff as ad
-from loralab import matcore
+from loralab import matcore, model, trainer
 
 
-def _fd(fn, x, eps=1e-6):
-    """Finite-difference gradient of scalar fn at x."""
-    g = np.zeros_like(x)
-    flat_x = x.ravel()
-    flat_g = g.ravel()
-    for i in range(flat_x.size):
-        orig = flat_x[i]
-        flat_x[i] = orig + eps
-        up = fn(x)
-        flat_x[i] = orig - eps
-        down = fn(x)
-        flat_x[i] = orig
-        flat_g[i] = (up - down) / (2 * eps)
-    return g
-
-
-def _check(build, shape, seed=0):
-    """build(leaf) -> scalar Tensor; compares backward against differences."""
-    x = matcore.gaussian(*shape, 0.3, 0.9, seed)
-    t = ad.leaf(x.copy())
-    out = build(t)
-    ad.backward(out)
-
-    def value(arr):
-        return float(build(ad.const(arr)).value)
-
-    fd = _fd(value, x.copy())
-    assert np.allclose(t.grad, fd, rtol=1e-5, atol=1e-7), (t.grad, fd)
-
-
-def test_add_mul_sub_grads():
-    c = matcore.gaussian(3, 4, 0, 1, 5)
-    _check(lambda t: ad.reduce_sum(ad.mul(ad.add(t, ad.const(c)), ad.sub(t, ad.const(c)))), (3, 4))
-
-
-def test_broadcast_add_grad():
-    bias = matcore.gaussian(1, 4, 0, 1, 9)
-    t = ad.leaf(bias.copy())
-    big = ad.const(matcore.gaussian(5, 4, 0, 1, 2))
-    out = ad.reduce_sum(ad.mul(ad.add(big, t), ad.add(big, t)))
-    ad.backward(out)
-    assert t.grad.shape == (1, 4)
-
-
-def test_matmul_grads_2d():
-    b = matcore.gaussian(4, 2, 0, 1, 3)
-    _check(lambda t: ad.reduce_sum(ad.mul(ad.matmul(t, ad.const(b)), ad.matmul(t, ad.const(b)))), (3, 4))
-
-
-def test_matmul_grads_broadcast_3d():
-    x3 = np.stack([matcore.gaussian(5, 4, 0, 1, s) for s in range(3)])
-
-    def build(t):
-        prod = ad.matmul(ad.const(x3), t)
-        return ad.reduce_sum(ad.mul(prod, prod))
-
-    _check(build, (4, 4))
-
-
-def test_transpose_reshape_grads():
-    def build(t):
-        r = ad.reshape(ad.transpose(t, (1, 0)), (2, 6))
-        return ad.reduce_sum(ad.mul(r, r))
-
-    _check(build, (4, 3))
+def central_difference(f, x, eps=1e-6):
+    grad = np.zeros_like(x)
+    for index in np.ndindex(x.shape):
+        up, down = x.copy(), x.copy()
+        up[index] += eps
+        down[index] -= eps
+        grad[index] = (f(up) - f(down)) / (2 * eps)
+    return grad
 
 
 def test_reduce_mean_keepdims_and_power():
-    def build(t):
-        m = ad.reduce_mean(t, axis=-1, keepdims=True)
-        centered = ad.sub(t, m)
-        var = ad.reduce_mean(ad.mul(centered, centered), axis=-1, keepdims=True)
-        return ad.reduce_sum(ad.power(ad.add(var, ad.const(0.01)), -0.5))
-
-    _check(build, (3, 5))
+    # Layer norm: mean over the last axis, then (var + eps) ** -0.5.
+    u = matcore.gaussian(6, 5, 0.3, 2.0, 31).reshape(2, 3, 5)
+    gain = matcore.gaussian(1, 5, 1.0, 0.5, 32)
+    bias = matcore.gaussian(1, 5, 0.0, 0.5, 33)
+    weight = matcore.gaussian(6, 5, 0.0, 1.0, 34).reshape(2, 3, 5)
+    _, xhat, inv = model._layer_norm(u.copy(), gain, bias)
+    analytic = model._layer_norm_backward(weight, xhat, inv, gain)
+    fd = central_difference(lambda v: np.sum(weight * model._layer_norm(v, gain, bias)[0]), u)
+    assert np.abs(analytic - fd).max() < 1e-8
 
 
 def test_tanh_grad():
-    _check(lambda t: ad.reduce_sum(ad.tanh(t)), (2, 7))
+    # The tanh-form GELU, over a range that saturates the tanh at both ends.
+    a = np.linspace(-6.0, 6.0, 25).reshape(5, 5)
+    weight = matcore.gaussian(5, 5, 0.0, 1.0, 35)
+    _, t = model._gelu(a)
+    analytic = model._gelu_backward(weight.copy(), a, t)
+    fd = central_difference(lambda v: np.sum(weight * model._gelu(v)[0]), a)
+    assert np.abs(analytic - fd).max() < 1e-8
 
 
 def test_softmax_grad():
-    w = matcore.gaussian(4, 4, 0, 1, 8)
-
-    def build(t):
-        return ad.reduce_sum(ad.mul(ad.softmax(t), ad.const(w)))
-
-    _check(build, (4, 4))
+    z = matcore.gaussian(8, 4, 0.0, 2.0, 36).reshape(2, 4, 4)
+    weight = matcore.gaussian(8, 4, 0.0, 1.0, 37).reshape(2, 4, 4)
+    p = model._softmax(z.copy())
+    analytic = model._softmax_backward(weight.copy(), p)
+    fd = central_difference(lambda v: np.sum(weight * model._softmax(v.copy())), z)
+    assert np.abs(analytic - fd).max() < 1e-8
 
 
 def test_softmax_rows_sum_to_one():
-    y = ad.softmax(ad.const(matcore.gaussian(6, 9, 0, 3, 1))).value
+    z = np.array([[1000.0, 999.0, -1000.0], [0.0, 0.0, 0.0]])
+    p = model._softmax(z.copy())
+    assert np.isfinite(p).all()
+    assert np.allclose(p.sum(axis=-1), 1.0, atol=1e-15)
+    assert np.allclose(p[0], model._softmax(z[0] - 1000.0), atol=1e-15)
+    assert np.allclose(p[1], 1.0 / 3.0, atol=1e-15)
+    y = model._softmax(matcore.gaussian(6, 9, 0, 3, 1))
     assert np.allclose(y.sum(axis=-1), 1.0)
     assert (y > 0).all()
 
 
 def test_logsumexp_grad_and_stability():
-    _check(lambda t: ad.reduce_sum(ad.logsumexp(t)), (5, 6))
-    big = ad.const(np.array([[1000.0, 1000.0]]))
-    assert np.isfinite(ad.logsumexp(big).value).all()
+    # Cross-entropy is the batch mean of logsumexp(z) - z[label].
+    logits = matcore.gaussian(3, 4, 0.0, 2.0, 41)
+    labels = np.array([0, 3, 1])
+    _, dlogits = trainer._loss(logits, labels, "cross_entropy")
+    fd = central_difference(lambda v: trainer._loss(v, labels, "cross_entropy")[0], logits)
+    assert np.abs(dlogits - fd).max() < 1e-8
+    loss, dlogits = trainer._loss(logits + 1e3, labels, "cross_entropy")
+    assert np.isfinite(loss) and np.isfinite(dlogits).all()
 
 
-def test_constant_graphs_carry_no_parents():
-    a = ad.const(np.ones((2, 2)))
-    b = ad.const(np.ones((2, 2)))
-    out = ad.matmul(a, b)
-    assert out.parents == () and not out.needs_grad
-
-
-def test_shared_leaf_accumulates():
-    t = ad.leaf(np.array([[2.0]]))
-    out = ad.reduce_sum(ad.add(ad.mul(t, t), ad.mul(t, t)))
-    ad.backward(out)
-    assert t.grad[0, 0] == pytest.approx(8.0)
+def test_transpose_reshape_grads():
+    # The backward sends gradients through each head reshuffle with the
+    # other, so _merge_heads must be the adjoint (and inverse) of _split_heads.
+    x = matcore.gaussian(2 * 3, 8, 0.0, 1.0, 38).reshape(2, 3, 8)
+    y = matcore.gaussian(2 * 4 * 3, 2, 0.0, 1.0, 39).reshape(2, 4, 3, 2)
+    assert np.array_equal(model._merge_heads(model._split_heads(x, 4)), x)
+    assert np.isclose(np.sum(model._split_heads(x, 4) * y), np.sum(x * model._merge_heads(y)),
+                      rtol=1e-14, atol=0)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from loralab import model
+from loralab import adapters, model
 from loralab.cli import main
 
 TINY_CONFIG = """
@@ -187,6 +187,28 @@ def test_analyze_singular_projection_exit_two(tmp_path, trained_pair, capsys):
     assert "singular" in err
     code, _, _ = run_cli(capsys, *args, "--pseudoinverse")
     assert code == 0
+
+
+@pytest.mark.parametrize("which, edit, message", [
+    ("model", lambda line: line + " bogus=3", "unknown key 'bogus'"),
+    ("model", lambda line: line.replace(" d_ff=32", " d_ff=3.5"), "d_ff must be an integer"),
+    ("adapter", lambda line: line.replace(" alpha=2", ""), "missing key 'alpha'"),
+    ("adapter", lambda line: line.replace(" r=2", " r=two"), "bad value for r"),
+])
+def test_analyze_malformed_header_names_the_key(tmp_path, capsys, which, edit, message):
+    config = model.ModelConfig(n_layers=2, d_model=16, n_heads=4, d_ff=32, vocab_size=32,
+                               max_len=16, n_outputs=4)
+    spec = adapters.AdapterSpec("lora", 2, 2.0, ("query", "value"), (1, 2))
+    paths = {"model": tmp_path / "model.ckpt", "adapter": tmp_path / "adapter.ckpt"}
+    model.save_model(paths["model"], model.build_model(config))
+    adapters.save_adapter(paths["adapter"], adapters.init_lora(spec, 16, 0), spec)
+    header, rest = paths[which].read_text().split("\n", 1)
+    paths[which].write_text(edit(header) + "\n" + rest)
+    code, _, err = run_cli(capsys, "analyze", "--model", str(paths["model"]),
+                           "--adapter", str(paths["adapter"]), "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert f"{which}.ckpt: line 1: " in err and message in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("flag, value", [("--i", "0"), ("--j", "0"), ("--i", "-1"),

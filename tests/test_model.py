@@ -138,3 +138,21 @@ def test_checkpoint_rejects_tampered_header(tmp_path):
     path.write_text(text)
     with pytest.raises(ValueError):
         model.load_model(path)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda line: line + " bogus=3", "unknown key 'bogus'"),
+    (lambda line: line.replace(" d_ff=32", " d_ff=wide"), "d_ff must be an integer, got 'wide'"),
+    (lambda line: line.replace(" seed=0", ""), "missing key 'seed'"),
+    (lambda line: line + " n_heads=4", "duplicate key 'n_heads'"),
+    (lambda line: line.replace(" d_model=16", " d_model=0"), "d_model must be >= 1"),
+])
+def test_checkpoint_header_errors_name_the_key(tmp_path, edit, message):
+    w = model.build_model(SMALL)
+    path = tmp_path / "model.ckpt"
+    model.save_model(path, w)
+    header, rest = path.read_text().split("\n", 1)
+    path.write_text(edit(header) + "\n" + rest)
+    with pytest.raises(ValueError, match=f"model.ckpt: line 1: .*{message}"):
+        model.load_model(path)
+

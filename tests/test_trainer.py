@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from loralab import adapters, autodiff as ad, matcore, model, tasks, trainer
+from loralab import adapters, matcore, model, tasks, trainer
 from loralab.adapters import AdapterSpec
 from loralab.model import ModelConfig
 from loralab.trainer import AdamState, TrainConfig
@@ -70,6 +70,40 @@ def test_finite_difference_oracle(small_weights, method, loss_kind):
     assert max(errors.values()) < 1e-4, errors
 
 
+THREE = ModelConfig(n_layers=3, d_model=16, n_heads=4, d_ff=32, vocab_size=32,
+                    max_len=16, n_outputs=4, seed=3)
+
+
+@pytest.fixture(scope="module")
+def three_layer_weights():
+    return model.build_model(THREE)
+
+
+@pytest.mark.parametrize("method", adapters.METHODS)
+@pytest.mark.parametrize("loss_kind", trainer.LOSS_KINDS)
+@pytest.mark.parametrize("layers", [(2, 3), (1,)])
+def test_finite_difference_oracle_partial_layers(three_layer_weights, method, loss_kind, layers):
+    # (2, 3): the backward stops above layer 1; (1,): it passes through two
+    # untargeted layers first. All four projections are targeted at once.
+    spec = AdapterSpec(method, 2, 3.0, adapters.ATTENTION_MODULES, layers)
+    params = trainer.generic_params(spec, THREE.d_model, seed=21)
+    if loss_kind == "mse":
+        batch = tasks.TeacherTask(three_layer_weights, rank=2, seed=22, seq_len=6).batch("fd", 3)
+    else:
+        batch = tasks.ParityTask(three_layer_weights, seed=22, seq_len=6).batch("fd", 3)
+    errors = trainer.finite_difference_check(three_layer_weights, params, spec, batch, loss_kind)
+    assert max(errors.values()) < 1e-4, errors
+
+
+def test_backward_returns_exactly_the_targets(three_layer_weights):
+    tokens = np.arange(12).reshape(2, 6)
+    logits, _, cache = model.forward_pass(three_layer_weights, tokens, keep_cache=True)
+    targets = {("key", 2), ("output", 3)}
+    grads = model.backward(cache, np.ones_like(logits), targets)
+    assert set(grads) == targets
+    assert all(g.shape == (THREE.d_model, THREE.d_model) for g in grads.values())
+
+
 def test_key_and_output_modules_trainable(small_weights):
     # query/value are the defaults, but all four projections are valid targets
     for method in adapters.METHODS:
@@ -85,34 +119,52 @@ def test_key_and_output_modules_trainable(small_weights):
 
 
 def test_condlora_gradient_accumulates_over_layers(small_weights):
+    # dL/dtheta is the sum over layers of <dL/dW_l, d(delta_l)/dtheta>. delta_l
+    # is linear in each theta with the other held fixed, so each layer's share
+    # is read off adapters.delta_w on unit tensors, independent of the
+    # trainer's closed-form chain rule.
     spec = small_spec(method="condlora")
     params = displaced_params(spec, seed=6)
-    batch = small_batch(small_weights, seed=7)
-    _, full = trainer.loss_and_grads(small_weights, params, spec, batch, "mse")
+    tokens, targets = small_batch(small_weights, seed=7)
+    _, full = trainer.loss_and_grads(small_weights, params, spec, (tokens, targets), "mse")
 
-    def grads_with_live_layers(live):
-        leaves = {k: ad.leaf(v) for k, v in params.tensors.items()}
-        projections = {}
-        for m, l in spec.targets():
-            w0 = small_weights.projection(m, l)
-            if l in live:
-                a_cond = ad.transpose(ad.matmul(ad.const(w0), leaves[f"cond.{m}.thetaA"]))
-                b_cond = ad.matmul(ad.const(w0.T), leaves[f"cond.{m}.thetaB"])
-                delta = ad.scale(ad.matmul(b_cond, a_cond), spec.alpha / spec.rank)
-            else:
-                delta = ad.const(adapters.delta_w(params, spec, w0, m, l))
-            projections[(m, l)] = ad.add(ad.const(w0), delta)
-        logits, _ = model.encode(small_weights, batch[0], projections)
-        loss = trainer._loss_node(logits, batch[1], "mse")
-        ad.backward(loss)
-        return {k: (t.grad if t.grad is not None else np.zeros_like(t.value))
-                for k, t in leaves.items()}
+    deltas = adapters.materialize_deltas(params, spec, small_weights)
+    projections = {t: small_weights.projection(*t) + dw for t, dw in deltas.items()}
+    logits, _, cache = model.forward_pass(small_weights, tokens, projections, keep_cache=True)
+    dlogits = 2.0 * (logits - targets) / logits.size
+    dws = model.backward(cache, dlogits, spec.targets())
 
-    only_1 = grads_with_live_layers({1})
-    only_2 = grads_with_live_layers({2})
+    shares = {l: {key: np.zeros_like(v) for key, v in params.tensors.items()}
+              for l in spec.target_layers}
+    for (m, l), dw in dws.items():
+        w0 = small_weights.projection(m, l)
+        for key in (f"cond.{m}.thetaA", f"cond.{m}.thetaB"):
+            for index in np.ndindex(params.tensors[key].shape):
+                unit = np.zeros_like(params.tensors[key])
+                unit[index] = 1.0
+                probe = adapters.CondLoraParams({**params.tensors, key: unit})
+                shares[l][key][index] = np.sum(dw * adapters.delta_w(probe, spec, w0, m, l))
     for key in full:
-        combined = only_1[key] + only_2[key]
+        assert all(np.abs(shares[l][key]).max() > 1e-6 for l in spec.target_layers), key
+        combined = sum(shares[l][key] for l in spec.target_layers)
         assert np.allclose(full[key], combined, rtol=1e-9, atol=1e-12), key
+
+
+def test_mse_dlogits_match_finite_differences_and_stay_finite():
+    # The cross-entropy counterpart is test_autodiff::test_logsumexp_grad_and_stability.
+    logits = matcore.gaussian(3, 4, 0.0, 2.0, 41)
+    targets = matcore.gaussian(3, 4, 0.0, 1.0, 42)
+    _, dlogits = trainer._loss(logits, targets, "mse")
+    fd = np.zeros_like(logits)
+    for index in np.ndindex(logits.shape):
+        up, down = logits.copy(), logits.copy()
+        up[index] += 1e-6
+        down[index] -= 1e-6
+        fd[index] = (trainer._loss(up, targets, "mse")[0]
+                     - trainer._loss(down, targets, "mse")[0]) / 2e-6
+    assert np.abs(dlogits - fd).max() < 1e-8
+    loss, dlogits = trainer._loss(logits + 1e3, targets + 1e3, "mse")
+    assert np.isfinite(loss) and np.isfinite(dlogits).all()
 
 
 def test_non_finite_loss_raises(small_weights):

@@ -20,10 +20,8 @@ initialization: training starts from the frozen base model in both cases.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -87,20 +85,6 @@ class AdapterSpec:
                 raise ValueError(f"target layer {l} exceeds n_layers {config.n_layers}")
 
 
-def default_spec(config: ModelConfig, method: str, rank: int = 4, alpha: float | None = None,
-                 target_modules: tuple[str, ...] = ("query", "value")) -> AdapterSpec:
-    """Spec targeting every layer; alpha defaults to rank (scale exactly 1)."""
-    spec = AdapterSpec(
-        method=method,
-        rank=rank,
-        alpha=float(rank if alpha is None else alpha),
-        target_modules=target_modules,
-        target_layers=tuple(range(1, config.n_layers + 1)),
-    )
-    spec.validate_for(config)
-    return spec
-
-
 @dataclass
 class LoraParams:
     """Per-target factor pairs, keyed lora.<module>.<layer>.{A,B}."""
@@ -124,30 +108,34 @@ class CondLoraParams:
 AdapterParams = LoraParams | CondLoraParams
 
 
+def tensor_shapes(spec: AdapterSpec, d: int | str) -> dict[str, tuple]:
+    """Name -> shape of every tensor the spec's method keeps for projections of width d."""
+    r = spec.rank
+    if spec.method == "lora":
+        return {f"lora.{m}.{l}.{x}": shape for m, l in spec.targets()
+                for x, shape in (("A", (r, d)), ("B", (d, r)))}
+    return {f"cond.{m}.{x}": (d, r) for m in spec.target_modules for x in ("thetaA", "thetaB")}
+
+
+def _init_tensors(spec: AdapterSpec, d_model: int, seed: int) -> dict[str, np.ndarray]:
+    """A-side factors ~ N(0, 1/r), seeded by tensor name; B-side factors zero."""
+    return {
+        name: matcore.gaussian(*shape, 0.0, 1.0 / spec.rank, _rng.derive_seed(seed, name))
+        if name.endswith("A") else np.zeros(shape)
+        for name, shape in tensor_shapes(spec, d_model).items()
+    }
+
+
 def init_lora(spec: AdapterSpec, d_model: int, seed: int) -> LoraParams:
     """A ~ N(0, 1/r) per target, B = 0, so every delta starts at zero."""
     _check_method(spec, "lora")
-    tensors: dict[str, np.ndarray] = {}
-    for m, l in spec.targets():
-        key = f"lora.{m}.{l}"
-        tensors[key + ".A"] = matcore.gaussian(
-            spec.rank, d_model, 0.0, 1.0 / spec.rank, _rng.derive_seed(seed, key + ".A")
-        )
-        tensors[key + ".B"] = np.zeros((d_model, spec.rank))
-    return LoraParams(tensors)
+    return LoraParams(_init_tensors(spec, d_model, seed))
 
 
 def init_condlora(spec: AdapterSpec, d_model: int, seed: int) -> CondLoraParams:
     """theta_A ~ N(0, 1/r) per module, theta_B = 0; deltas start at zero."""
     _check_method(spec, "condlora")
-    tensors: dict[str, np.ndarray] = {}
-    for m in spec.target_modules:
-        key = f"cond.{m}"
-        tensors[key + ".thetaA"] = matcore.gaussian(
-            d_model, spec.rank, 0.0, 1.0 / spec.rank, _rng.derive_seed(seed, key + ".thetaA")
-        )
-        tensors[key + ".thetaB"] = np.zeros((d_model, spec.rank))
-    return CondLoraParams(tensors)
+    return CondLoraParams(_init_tensors(spec, d_model, seed))
 
 
 def _check_method(spec: AdapterSpec, expected: str) -> None:
@@ -162,7 +150,7 @@ def cond_a(w0: np.ndarray, theta_a: np.ndarray) -> np.ndarray:
 
 def cond_b(w0: np.ndarray, theta_b: np.ndarray) -> np.ndarray:
     """W0^T @ theta_B: d1 x d2 and d1 x r in, d2 x r out."""
-    return matcore.matmul(matcore.transpose(w0), theta_b)
+    return matcore.matmul(w0.T, theta_b)
 
 
 def adapter_factors(
@@ -228,12 +216,15 @@ def count_trainable(spec: AdapterSpec, d1: int, d2: int | None = None) -> int:
 
 # --- checkpoint io ----------------------------------------------------------
 
-def _spec_line(spec: AdapterSpec) -> str:
-    return (
-        f"SPEC method={spec.method} r={spec.rank} alpha={spec.alpha:.17g} "
-        f"modules={','.join(spec.target_modules)} "
-        f"layers={','.join(str(l) for l in spec.target_layers)}"
-    )
+def check_shapes(params: AdapterParams, spec: AdapterSpec, d_model: int) -> None:
+    """Reject a tensor whose shape does not fit spec at width d_model."""
+    for name, shape in tensor_shapes(spec, d_model).items():
+        rows, cols = params.tensors[name].shape
+        if (rows, cols) != shape:
+            raise ValueError(
+                f"adapter tensor {name} is {rows}x{cols}, "
+                f"expected {shape[0]}x{shape[1]} for d_model {d_model}"
+            )
 
 
 def _finite_float(text: str) -> float:
@@ -243,65 +234,28 @@ def _finite_float(text: str) -> float:
     return value
 
 
-# SPEC key -> (AdapterSpec field, parser of its text)
-_SPEC_FIELDS = {
-    "method": ("method", str),
-    "r": ("rank", int),
-    "alpha": ("alpha", _finite_float),
-    "modules": ("target_modules", lambda text: tuple(text.split(","))),
-    "layers": ("target_layers", lambda text: tuple(int(l) for l in text.split(","))),
-}
-
-
-def _parse_spec_line(line: str) -> AdapterSpec:
-    """AdapterSpec from a SPEC line; every key exactly once."""
-    parts = line.split()
-    if not parts or parts[0] != "SPEC":
-        raise ValueError(f"expected SPEC line, got {line.rstrip()!r}")
-    kwargs = {}
-    for item in parts[1:]:
-        key, _, text = item.partition("=")
-        if key not in _SPEC_FIELDS:
-            raise ValueError(f"SPEC: unknown key {key!r}")
-        name, parse = _SPEC_FIELDS[key]
-        if name in kwargs:
-            raise ValueError(f"SPEC: duplicate key {key!r}")
-        try:
-            kwargs[name] = parse(text)
-        except ValueError:
-            raise ValueError(f"SPEC: bad value for {key}: {text!r}") from None
-    missing = [key for key, (name, _) in _SPEC_FIELDS.items() if name not in kwargs]
-    if missing:
-        raise ValueError(f"SPEC: missing key {missing[0]!r}")
-    return AdapterSpec(**kwargs)
+_CHECKPOINT = matcore.CheckpointFormat(
+    "SPEC",
+    {
+        "method": ("method", str, str),
+        "r": ("rank", int, str),
+        "alpha": ("alpha", _finite_float, "{:.17g}".format),
+        "modules": ("target_modules", lambda text: tuple(text.split(",")), ",".join),
+        "layers": ("target_layers", lambda text: tuple(int(l) for l in text.split(",")),
+                   lambda layers: ",".join(str(l) for l in layers)),
+    },
+    AdapterSpec,
+    lambda spec: tensor_shapes(spec, "d").items(),
+)
 
 
 def save_adapter(path, params: AdapterParams, spec: AdapterSpec) -> None:
-    with open(path, "w") as fh:
-        fh.write(_spec_line(spec) + "\n")
-        for name, tensor in params.tensors.items():
-            matcore.write_matrix(fh, name, tensor)
+    matcore.save_checkpoint(path, _CHECKPOINT, spec, params.tensors)
 
 
 def load_adapter(path) -> tuple[AdapterParams, AdapterSpec]:
-    fh = io.StringIO(Path(path).read_text())
-    try:
-        spec = _parse_spec_line(fh.readline())
-    except ValueError as exc:
-        raise ValueError(f"{path}: line 1: {exc}") from None
-    tensors = dict(matcore.iter_matrices(fh))
-    params: AdapterParams
-    if spec.method == "lora":
-        params = LoraParams(tensors)
-        expected = {f"lora.{m}.{l}.{x}" for m, l in spec.targets() for x in ("A", "B")}
-    else:
-        params = CondLoraParams(tensors)
-        expected = {f"cond.{m}.{x}" for m in spec.target_modules for x in ("thetaA", "thetaB")}
-    if set(tensors) != expected:
-        raise ValueError(
-            f"adapter checkpoint tensors do not match spec: "
-            f"missing={sorted(expected - set(tensors))} extra={sorted(set(tensors) - expected)}"
-        )
+    spec, tensors = matcore.load_checkpoint(path, _CHECKPOINT)
+    params = LoraParams(tensors) if spec.method == "lora" else CondLoraParams(tensors)
     return params, spec
 
 

@@ -168,8 +168,10 @@ def cmd_analyze(args) -> int:
     loaded = [adapters.load_adapter(path) for path in args.adapter_ckpts]
     if len(loaded) > 2:
         raise UsageError("at most two adapter checkpoints are supported")
+    for adapter_params, adapter_spec in loaded:
+        adapter_spec.validate_for(weights.config)
+        adapters.check_shapes(adapter_params, adapter_spec, weights.config.d_model)
     params, spec = loaded[0]
-    spec.validate_for(weights.config)
     i = spec.rank if args.i_vectors is None else args.i_vectors
     j = spec.rank if args.j_vectors is None else args.j_vectors
     for flag, value in (("--i", i), ("--j", j)):

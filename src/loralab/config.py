@@ -107,7 +107,7 @@ def _parse_layers(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(",") if part.strip())
 
 
-# key -> (field, parser, formatter); formatter None means str()
+# key -> (field, parser); serialize_config formats every value with _format_value
 _KEYS = {
     "model.n_layers": ("n_layers", int),
     "model.d_model": ("d_model", int),

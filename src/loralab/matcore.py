@@ -17,14 +17,21 @@ the operations that carry correctness contracts:
 
 A plain text serialization (header line ``MATRIX <name> <rows> <cols>``
 followed by rows of 17-significant-digit values) round-trips float64 values
-bit-exactly and is shared by model and adapter checkpoints.
+bit-exactly. Model and adapter checkpoints are one ``<TAG> key=value ...``
+header line followed by MATRIX blocks; ``save_checkpoint`` writes them
+atomically and ``load_checkpoint`` streams them line by line, checking every
+block against the layout the header implies. Each caller describes its file
+with one ``CheckpointFormat``.
 """
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import math
+import os
 from dataclasses import dataclass
-from typing import IO, Iterator
+from typing import IO, Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -79,10 +86,6 @@ def matmul(a, b) -> np.ndarray:
     out = a @ b
     _require_finite(out, "matmul result")
     return out
-
-
-def transpose(a) -> np.ndarray:
-    return np.ascontiguousarray(as_matrix(a).T)
 
 
 def gaussian(rows: int, cols: int, mean: float = 0.0, std: float = 1.0, seed: int = 0) -> np.ndarray:
@@ -233,29 +236,154 @@ def write_matrix(fh: IO[str], name: str, a) -> None:
 
 def read_matrix(fh: IO[str]) -> tuple[str, np.ndarray] | None:
     """Read one MATRIX block; None at end of stream."""
-    line = fh.readline()
-    while line and not line.strip():
-        line = fh.readline()
-    if not line:
-        return None
-    parts = line.split()
-    if len(parts) != 4 or parts[0] != "MATRIX":
-        raise ValueError(f"expected MATRIX header, got {line.rstrip()!r}")
-    name, rows, cols = parts[1], int(parts[2]), int(parts[3])
-    if rows < 1 or cols < 1:
-        raise ValueError(f"bad dimensions in header {line.rstrip()!r}")
-    data = np.empty((rows, cols), dtype=np.float64)
-    for i in range(rows):
-        values = fh.readline().split()
-        if len(values) != cols:
-            raise ValueError(f"matrix {name}: row {i} has {len(values)} values, expected {cols}")
-        data[i] = [float(v) for v in values]
-    return name, data
+    return next(iter_matrices(fh), None)
 
 
 def iter_matrices(fh: IO[str]) -> Iterator[tuple[str, np.ndarray]]:
-    while True:
-        item = read_matrix(fh)
-        if item is None:
-            return
-        yield item
+    """Stream MATRIX blocks; errors name the line, counted from the current position."""
+    return _read_blocks(fh, 1, None)
+
+
+def _read_blocks(
+    fh: IO[str], first_line: int, layout: dict[str, tuple] | None
+) -> Iterator[tuple[str, np.ndarray]]:
+    """(name, matrix) per MATRIX block of fh, whose next line is numbered first_line.
+
+    Errors are ValueErrors starting ``line <n>: `` and name the tensor once its
+    header is read. Entries must parse and be finite; names must be unique.
+    With a layout ({name: (rows, cols)}, see CheckpointFormat), every name
+    must be in it with its shape, and a missing one is an error at end of file.
+    """
+    lines = enumerate(fh, first_line)
+    lineno = first_line - 1
+    bound: dict[str, int] = {}
+    seen: set[str] = set()
+    for lineno, line in lines:
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != 4 or parts[0] != "MATRIX":
+            raise ValueError(f"line {lineno}: expected MATRIX header, got {line.rstrip()!r}")
+        name = parts[1]
+        where = f"line {lineno}: tensor {name}"
+        rows, cols = (int(n) if n.isdecimal() else 0 for n in parts[2:])
+        if rows < 1 or cols < 1:
+            raise ValueError(f"{where}: bad dimensions in {line.rstrip()!r}")
+        if name in seen:
+            raise ValueError(f"{where}: duplicate tensor name")
+        if layout is not None:
+            if name not in layout:
+                raise ValueError(f"{where}: not a tensor of this checkpoint")
+            want = [bound.setdefault(n, got) if isinstance(n, str) else n
+                    for n, got in zip(layout[name], (rows, cols))]
+            if [rows, cols] != want:
+                raise ValueError(f"{where}: shape {rows}x{cols}, expected {want[0]}x{want[1]}")
+        try:
+            data = np.empty((rows, cols))
+        except MemoryError:
+            raise ValueError(f"{where}: {rows}x{cols} does not fit in memory") from None
+        start = lineno
+        try:
+            for i in range(rows):
+                lineno, line = next(lines, (lineno + 1, ""))
+                values = line.split()
+                if len(values) != cols:
+                    raise ValueError(f"row {i + 1} has {len(values)} values, expected {cols}")
+                if not line.endswith("\n"):
+                    raise ValueError(f"row {i + 1} ends without a newline: the file is cut short")
+                data[i] = values
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: tensor {name}: {exc}") from None
+        finite = np.isfinite(data)
+        if not finite.all():
+            i, j = np.argwhere(~finite)[0]
+            raise ValueError(f"line {start + 1 + i}: tensor {name}: non-finite entry {data[i, j]}")
+        seen.add(name)
+        yield name, data
+    missing = [name for name in layout or () if name not in seen]
+    if missing:
+        raise ValueError(f"line {lineno + 1}: end of file, missing tensor {missing[0]}")
+
+
+# --- checkpoint files -------------------------------------------------------
+
+@dataclass(frozen=True)
+class CheckpointFormat:
+    """One kind of checkpoint file: a ``<tag> key=value ...`` line, then MATRIX blocks.
+
+    ``fields`` maps each header key to (attribute of the header object, parser
+    of its text, formatter of its value); every key appears exactly once.
+    ``make`` builds the header object from {attribute: parsed value}, and
+    ``layout`` maps that object to its (tensor name, (rows, cols)) pairs. A
+    str dimension (such as ``"d"``) is fixed by the first tensor that has it
+    and must match in every other.
+    """
+
+    tag: str
+    fields: dict[str, tuple[str, Callable[[str], object], Callable[[object], str]]]
+    make: Callable[..., object]
+    layout: Callable[[object], Iterable[tuple[str, tuple[int | str, int | str]]]]
+
+
+def _parse_header(line: str, fmt: CheckpointFormat) -> dict[str, object]:
+    parts = line.split()
+    if not parts or parts[0] != fmt.tag:
+        raise ValueError(f"expected {fmt.tag} line, got {line.rstrip()!r}")
+    kwargs = {}
+    for item in parts[1:]:
+        key, _, text = item.partition("=")
+        if key not in fmt.fields:
+            raise ValueError(f"{fmt.tag}: unknown key {key!r}")
+        attr, parse, _ = fmt.fields[key]
+        if attr in kwargs:
+            raise ValueError(f"{fmt.tag}: duplicate key {key!r}")
+        try:
+            kwargs[attr] = parse(text)
+        except ValueError:
+            raise ValueError(f"{fmt.tag}: bad value for {key}: {text!r}") from None
+    missing = [key for key, (attr, _, _) in fmt.fields.items() if attr not in kwargs]
+    if missing:
+        raise ValueError(f"{fmt.tag}: missing key {missing[0]!r}")
+    return kwargs
+
+
+def save_checkpoint(path, fmt: CheckpointFormat, header, tensors: Mapping[str, np.ndarray]) -> None:
+    """Write header's fields and one MATRIX block per tensor, atomically.
+
+    The file is written under a temporary name in path's directory and then
+    moved over path, so a failed write leaves any old file as it was.
+    """
+    values = " ".join(
+        f"{key}={show(getattr(header, attr))}" for key, (attr, _, show) in fmt.fields.items()
+    )
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(f"{fmt.tag} {values}\n")
+            for name, a in tensors.items():
+                write_matrix(fh, name, a)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def load_checkpoint(path, fmt: CheckpointFormat) -> tuple[object, dict[str, np.ndarray]]:
+    """(header object, {name: matrix}) read line by line from path.
+
+    Every format error is a ValueError starting ``<path>: line <n>: ``.
+    """
+    with open(path) as fh:
+        try:
+            header = fmt.make(**_parse_header(fh.readline(), fmt))
+        except ValueError as exc:
+            raise ValueError(f"{path}: line 1: {exc}") from None
+        # A block takes at least 15 bytes ("MATRIX a 1 1\n0\n"), so a layout
+        # longer than this cannot fit and is cut here; the missing check fails it.
+        most = os.fstat(fh.fileno()).st_size // 15 + 1
+        layout = dict(itertools.islice(fmt.layout(header), most))
+        try:
+            return header, dict(_read_blocks(fh, 2, layout))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None

@@ -22,10 +22,9 @@ forward/backward of llm.c (https://github.com/karpathy/llm.c).
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, fields
-from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -57,32 +56,29 @@ class ModelConfig:
             )
 
 
-def tensor_layout(config: ModelConfig) -> dict[str, tuple[int, int]]:
-    """Canonical tensor names and shapes; vectors are stored as 1 x n."""
+def tensor_layout(config: ModelConfig) -> Iterator[tuple[str, tuple[int, int]]]:
+    """Canonical (name, shape) pairs in order, one layer at a time; vectors are 1 x n."""
     d, f = config.d_model, config.d_ff
-    layout: dict[str, tuple[int, int]] = {
-        "embed.token": (config.vocab_size, d),
-        "embed.pos": (config.max_len, d),
-        "head.out": (d, config.n_outputs),
-    }
+    yield "embed.token", (config.vocab_size, d)
+    yield "embed.pos", (config.max_len, d)
+    yield "head.out", (d, config.n_outputs)
     for l in range(1, config.n_layers + 1):
         for m in ATTENTION_MODULES:
-            layout[f"layer{l}.{m}"] = (d, d)
-        layout[f"layer{l}.ffn.w1"] = (d, f)
-        layout[f"layer{l}.ffn.b1"] = (1, f)
-        layout[f"layer{l}.ffn.w2"] = (f, d)
-        layout[f"layer{l}.ffn.b2"] = (1, d)
+            yield f"layer{l}.{m}", (d, d)
+        yield f"layer{l}.ffn.w1", (d, f)
+        yield f"layer{l}.ffn.b1", (1, f)
+        yield f"layer{l}.ffn.w2", (f, d)
+        yield f"layer{l}.ffn.b2", (1, d)
         for ln in ("ln1", "ln2"):
-            layout[f"layer{l}.{ln}.gain"] = (1, d)
-            layout[f"layer{l}.{ln}.bias"] = (1, d)
-    return layout
+            yield f"layer{l}.{ln}.gain", (1, d)
+            yield f"layer{l}.{ln}.bias", (1, d)
 
 
 class BaseWeights:
     """Frozen tensor set for one ModelConfig; arrays are read-only."""
 
     def __init__(self, config: ModelConfig, tensors: dict[str, np.ndarray]):
-        layout = tensor_layout(config)
+        layout = dict(tensor_layout(config))
         missing = sorted(set(layout) - set(tensors))
         extra = sorted(set(tensors) - set(layout))
         if missing or extra:
@@ -122,7 +118,7 @@ def build_model(config: ModelConfig) -> BaseWeights:
     """Deterministic weights: Gaussian std 1/sqrt(d_model), zero biases, unit gains."""
     std = 1.0 / math.sqrt(config.d_model)
     tensors: dict[str, np.ndarray] = {}
-    for name, shape in tensor_layout(config).items():
+    for name, shape in tensor_layout(config):
         if name.endswith((".bias", ".b1", ".b2")):
             tensors[name] = np.zeros(shape)
         elif name.endswith(".gain"):
@@ -360,47 +356,15 @@ def forward(
 
 # --- checkpoint io ----------------------------------------------------------
 
-def _config_line(config: ModelConfig) -> str:
-    parts = " ".join(f"{f.name}={getattr(config, f.name)}" for f in fields(config))
-    return f"CONFIG {parts}"
-
-
-def _parse_config_line(line: str) -> ModelConfig:
-    """ModelConfig from a CONFIG line; every field exactly once, as an integer."""
-    parts = line.split()
-    if not parts or parts[0] != "CONFIG":
-        raise ValueError(f"expected CONFIG line, got {line.rstrip()!r}")
-    names = [f.name for f in fields(ModelConfig)]
-    kwargs = {}
-    for item in parts[1:]:
-        key, _, value = item.partition("=")
-        if key not in names:
-            raise ValueError(f"CONFIG: unknown key {key!r}")
-        if key in kwargs:
-            raise ValueError(f"CONFIG: duplicate key {key!r}")
-        try:
-            kwargs[key] = int(value)
-        except ValueError:
-            raise ValueError(f"CONFIG: {key} must be an integer, got {value!r}") from None
-    missing = [name for name in names if name not in kwargs]
-    if missing:
-        raise ValueError(f"CONFIG: missing key {missing[0]!r}")
-    return ModelConfig(**kwargs)
+_CHECKPOINT = matcore.CheckpointFormat(
+    "CONFIG", {f.name: (f.name, int, str) for f in fields(ModelConfig)}, ModelConfig, tensor_layout
+)
 
 
 def save_model(path, weights: BaseWeights) -> None:
-    with open(path, "w") as fh:
-        fh.write(_config_line(weights.config) + "\n")
-        for name in weights.names():
-            matcore.write_matrix(fh, name, weights[name])
+    tensors = {name: weights[name] for name in weights.names()}
+    matcore.save_checkpoint(path, _CHECKPOINT, weights.config, tensors)
 
 
 def load_model(path) -> BaseWeights:
-    text = Path(path).read_text()
-    fh = io.StringIO(text)
-    try:
-        config = _parse_config_line(fh.readline())
-    except ValueError as exc:
-        raise ValueError(f"{path}: line 1: {exc}") from None
-    tensors = dict(matcore.iter_matrices(fh))
-    return BaseWeights(config, tensors)
+    return BaseWeights(*matcore.load_checkpoint(path, _CHECKPOINT))

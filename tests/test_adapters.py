@@ -100,7 +100,7 @@ def test_cond_a_identity_and_oracle():
     assert np.array_equal(adapters.cond_a(np.eye(32), theta_a), theta_a.T)
     assert np.array_equal(adapters.cond_a(np.eye(32), np.zeros((32, 4))), np.zeros((4, 32)))
     w0 = matcore.gaussian(32, 32, 0, 1, 12)
-    expected = matcore.transpose(matcore.matmul(w0, theta_a))
+    expected = matcore.matmul(w0, theta_a).T
     assert np.array_equal(adapters.cond_a(w0, theta_a), expected)
 
 
@@ -109,7 +109,7 @@ def test_cond_b_identity_and_oracle():
     assert np.array_equal(adapters.cond_b(np.eye(32), theta_b), theta_b)
     assert np.array_equal(adapters.cond_b(np.eye(32), np.zeros((32, 4))), np.zeros((32, 4)))
     w0 = matcore.gaussian(32, 32, 0, 1, 14)
-    expected = matcore.matmul(matcore.transpose(w0), theta_b)
+    expected = w0.T @ theta_b
     assert np.array_equal(adapters.cond_b(w0, theta_b), expected)
 
 

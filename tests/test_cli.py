@@ -191,7 +191,7 @@ def test_analyze_singular_projection_exit_two(tmp_path, trained_pair, capsys):
 
 @pytest.mark.parametrize("which, edit, message", [
     ("model", lambda line: line + " bogus=3", "unknown key 'bogus'"),
-    ("model", lambda line: line.replace(" d_ff=32", " d_ff=3.5"), "d_ff must be an integer"),
+    ("model", lambda line: line.replace(" d_ff=32", " d_ff=3.5"), "bad value for d_ff: '3.5'"),
     ("adapter", lambda line: line.replace(" alpha=2", ""), "missing key 'alpha'"),
     ("adapter", lambda line: line.replace(" r=2", " r=two"), "bad value for r"),
 ])

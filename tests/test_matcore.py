@@ -222,11 +222,6 @@ def test_svd_rejects_nonfinite():
 
 # --- small ops ---------------------------------------------------------------
 
-def test_transpose_involution():
-    a = matcore.gaussian(5, 3, 0, 1, 9)
-    assert np.array_equal(matcore.transpose(matcore.transpose(a)), a)
-
-
 def test_gaussian_determinism_and_zero_std():
     a = matcore.gaussian(768, 8, 0, 1, 42)
     b = matcore.gaussian(768, 8, 0, 1, 42)

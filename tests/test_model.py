@@ -142,7 +142,7 @@ def test_checkpoint_rejects_tampered_header(tmp_path):
 
 @pytest.mark.parametrize("edit, message", [
     (lambda line: line + " bogus=3", "unknown key 'bogus'"),
-    (lambda line: line.replace(" d_ff=32", " d_ff=wide"), "d_ff must be an integer, got 'wide'"),
+    (lambda line: line.replace(" d_ff=32", " d_ff=wide"), "bad value for d_ff: 'wide'"),
     (lambda line: line.replace(" seed=0", ""), "missing key 'seed'"),
     (lambda line: line + " n_heads=4", "duplicate key 'n_heads'"),
     (lambda line: line.replace(" d_model=16", " d_model=0"), "d_model must be >= 1"),

@@ -46,6 +46,7 @@ _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 
 _TWO53 = 2.0 ** -53
+_PAIR_BLOCK = 1 << 15  # Gaussian pairs per pass of gaussian_block
 
 
 def mix64(z: int) -> int:
@@ -112,16 +113,30 @@ def uniform_block(seed: int, start: int, count: int) -> np.ndarray:
 
 
 def gaussian_block(n: int, seed: int) -> np.ndarray:
-    """n standard normals, filled in output order from counter 0."""
+    """n standard normals, filled in output order from counter 0.
+
+    Pairs are drawn ``_PAIR_BLOCK`` at a time, so the temporaries stay small
+    whatever n is; every value is the one a single full-length pass gives.
+    """
     pairs = (n + 1) // 2
-    z = raw64_block(seed, 0, 2 * pairs)
-    u1 = ((z[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * _TWO53
-    u2 = (z[1::2] >> np.uint64(11)).astype(np.float64) * _TWO53
-    radius = np.sqrt(-2.0 * np.log(u1))
-    angle = (2.0 * math.pi) * u2
     out = np.empty(2 * pairs, dtype=np.float64)
-    out[0::2] = radius * np.cos(angle)
-    out[1::2] = radius * np.sin(angle)
+    for start in range(0, pairs, _PAIR_BLOCK):
+        stop = min(start + _PAIR_BLOCK, pairs)
+        z = raw64_block(seed, 2 * start, 2 * (stop - start))
+        u1 = (z[0::2] >> np.uint64(11)).astype(np.float64)
+        u1 += 1.0
+        u1 *= _TWO53
+        radius = np.log(u1, out=u1)
+        radius *= -2.0
+        np.sqrt(radius, out=radius)
+        angle = (z[1::2] >> np.uint64(11)).astype(np.float64)
+        angle *= _TWO53
+        angle *= 2.0 * math.pi
+        even, odd = out[2 * start:2 * stop:2], out[2 * start + 1:2 * stop:2]
+        np.cos(angle, out=even)
+        even *= radius
+        np.sin(angle, out=odd)
+        odd *= radius
     return out[:n]
 
 

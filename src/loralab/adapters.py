@@ -48,8 +48,8 @@ class AdapterSpec:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.rank < 1:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not (self.alpha > 0) or not math.isfinite(self.alpha):
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         if not self.target_modules:
             raise ValueError("target_modules must be non-empty")
         for m in self.target_modules:

@@ -8,6 +8,7 @@ method- or task-appropriate defaults at use time, so
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -99,12 +100,23 @@ class ExperimentConfig:
         return build_task(self.task, weights, self.seed_data, rank=rank, seq_len=self.seq_len)
 
 
-def _parse_modules(text: str) -> tuple[str, ...]:
-    return tuple(part.strip() for part in text.split(",") if part.strip())
+def _parse_items(text: str) -> tuple[str, ...]:
+    """Comma-separated items; an empty one is an error, never skipped."""
+    items = tuple(part.strip() for part in text.split(","))
+    if not all(items):
+        raise ValueError(f"empty item in {text!r}")
+    return items
 
 
 def _parse_layers(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(",") if part.strip())
+    return tuple(int(item) for item in _parse_items(text))
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (value > 0) or not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a positive finite number")
+    return value
 
 
 # key -> (field, parser); serialize_config formats every value with _format_value
@@ -118,11 +130,11 @@ _KEYS = {
     "model.n_outputs": ("n_outputs", int),
     "adapter.method": ("method", str),
     "adapter.rank": ("rank", int),
-    "adapter.alpha": ("alpha", float),
-    "adapter.target_modules": ("target_modules", _parse_modules),
+    "adapter.alpha": ("alpha", _positive_float),
+    "adapter.target_modules": ("target_modules", _parse_items),
     "adapter.target_layers": ("target_layers", _parse_layers),
     "train.batch_size": ("batch_size", int),
-    "train.learning_rate": ("learning_rate", float),
+    "train.learning_rate": ("learning_rate", _positive_float),
     "train.max_steps": ("max_steps", int),
     "train.loss_kind": ("loss_kind", str),
     "task": ("task", str),

@@ -95,7 +95,9 @@ def gaussian(rows: int, cols: int, mean: float = 0.0, std: float = 1.0, seed: in
     if std < 0:
         raise ValueError(f"std must be non-negative, got {std}")
     g = _rng.gaussian_block(rows * cols, seed).reshape(rows, cols)
-    return mean + std * g
+    g *= std
+    g += mean
+    return g
 
 
 def _unit_lower_solve(l: np.ndarray, x: np.ndarray) -> None:
@@ -229,9 +231,9 @@ def write_matrix(fh: IO[str], name: str, a) -> None:
     if not name or any(ch.isspace() for ch in name):
         raise ValueError(f"matrix name must be non-empty without whitespace: {name!r}")
     fh.write(f"MATRIX {name} {a.shape[0]} {a.shape[1]}\n")
+    row_format = " ".join(["%.17g"] * a.shape[1]) + "\n"
     for row in a:
-        fh.write(" ".join(f"{v:.17g}" for v in row))
-        fh.write("\n")
+        fh.write(row_format % tuple(row.tolist()))
 
 
 def read_matrix(fh: IO[str]) -> tuple[str, np.ndarray] | None:

@@ -11,13 +11,26 @@ corresponding frozen projection before the pass. With no deltas (or all-zero
 deltas) the output equals the frozen-base output bit for bit.
 
 Training needs gradients for the attention projections only, so there is no
-general differentiation engine. ``forward_pass`` is one plain-numpy pass that
-can keep a per-layer ``Cache`` of the activations the backward reads, and
+general differentiation engine. ``forward_pass`` is one plain-numpy pass, and
 ``backward`` is its hand-written reverse: from dL/dlogits it walks back through
 the mean pooling, then layer by layer through LN2, the FFN, LN1 and the
 softmax attention, and returns dL/dW for each targeted projection. It stops
 after the lowest targeted layer. The layout follows the explicit per-layer
 forward/backward of llm.c (https://github.com/karpathy/llm.c).
+
+Workspace. Every activation and every backward temporary is written into the
+preallocated buffers of a ``Cache``, views into one block, as llm.c's
+``gpt2_forward`` sizes and allocates its ``acts_memory`` once. A ``Cache(keep_layers=True)`` keeps each layer's
+activations for ``backward``; a plain ``Cache()`` holds one layer's buffers,
+which every layer of a forward-only pass reuses. A caller that runs many
+passes of one (batch, length) keeps one Cache, which reallocates only when
+that shape changes, so a training step allocates nothing large and does not
+page-fault; a caller that passes none gets a fresh one.
+
+Ownership. ``BaseWeights`` stores a read-only float64 array as it is and
+copies any other. ``build_model`` and ``load_model`` mark their fresh arrays
+read-only and hand them over, so the weights are never held twice, and
+``replace`` shares every tensor it does not substitute.
 """
 
 from __future__ import annotations
@@ -75,7 +88,12 @@ def tensor_layout(config: ModelConfig) -> Iterator[tuple[str, tuple[int, int]]]:
 
 
 class BaseWeights:
-    """Frozen tensor set for one ModelConfig; arrays are read-only."""
+    """Frozen tensor set for one ModelConfig; arrays are read-only.
+
+    A read-only float64 array is stored as it is, with no copy; any other
+    array is copied first, so a caller's array never becomes read-only
+    behind its back and later writes to it do not reach the weights.
+    """
 
     def __init__(self, config: ModelConfig, tensors: dict[str, np.ndarray]):
         layout = dict(tensor_layout(config))
@@ -85,10 +103,13 @@ class BaseWeights:
             raise ValueError(f"weight set mismatch: missing={missing} extra={extra}")
         store: dict[str, np.ndarray] = {}
         for name, shape in layout.items():
-            a = np.array(tensors[name], dtype=np.float64)
+            a = tensors[name]
+            if not (isinstance(a, np.ndarray) and a.dtype == np.float64
+                    and not a.flags.writeable):
+                a = np.array(a, dtype=np.float64)
+                a.flags.writeable = False
             if a.shape != shape:
                 raise matcore.ShapeError(f"{name}: expected {shape}, got {a.shape}")
-            a.flags.writeable = False
             store[name] = a
         self.config = config
         self._tensors = store
@@ -105,13 +126,20 @@ class BaseWeights:
         return self._tensors[f"layer{layer}.{module}"]
 
     def replace(self, updates: dict[str, np.ndarray]) -> "BaseWeights":
-        """New weight set with the named tensors substituted."""
+        """New weight set with the named tensors substituted; the rest are shared."""
         tensors = dict(self._tensors)
         for name, value in updates.items():
             if name not in tensors:
                 raise KeyError(f"unknown tensor {name!r}")
             tensors[name] = value
         return BaseWeights(self.config, tensors)
+
+
+def _frozen(tensors: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Mark fresh arrays read-only in place, so BaseWeights takes them without a copy."""
+    for a in tensors.values():
+        a.flags.writeable = False
+    return tensors
 
 
 def build_model(config: ModelConfig) -> BaseWeights:
@@ -127,7 +155,7 @@ def build_model(config: ModelConfig) -> BaseWeights:
             tensors[name] = matcore.gaussian(
                 shape[0], shape[1], 0.0, std, _rng.derive_seed(config.seed, "init." + name)
             )
-    return BaseWeights(config, tensors)
+    return BaseWeights(config, _frozen(tensors))
 
 
 def validate_tokens(config: ModelConfig, tokens) -> np.ndarray:
@@ -146,58 +174,72 @@ def validate_tokens(config: ModelConfig, tokens) -> np.ndarray:
     return a.astype(np.int64)
 
 
-# The helpers below work in place on arrays their caller owns: at desk sizes
-# a fresh temporary costs more than the arithmetic that fills it.
+# The helpers below work in place on arrays their caller owns and write their
+# results and temporaries into the buffers they are given (``out=None`` lets
+# numpy allocate): at desk sizes a fresh temporary costs more than the
+# arithmetic that fills it.
 
-def _layer_norm(u: np.ndarray, gain: np.ndarray, bias: np.ndarray):
+def _layer_norm(u: np.ndarray, gain: np.ndarray, bias: np.ndarray,
+                inv: np.ndarray | None = None, out: np.ndarray | None = None):
     """Layer norm over the last axis: (output, xhat, inv) with xhat = (u - mean) * inv.
 
-    ``u`` is overwritten with xhat.
+    ``u`` is overwritten with xhat; ``out`` also serves as the temporary for u².
     """
     scale = 1.0 / u.shape[-1]
-    u -= u.sum(axis=-1, keepdims=True) * scale
-    inv = ((u * u).sum(axis=-1, keepdims=True) * scale + LN_EPS) ** -0.5
+    mean = np.sum(u, axis=-1, keepdims=True, out=inv)
+    mean *= scale
+    u -= mean
+    inv = np.sum(np.multiply(u, u, out=out), axis=-1, keepdims=True, out=inv)
+    inv *= scale
+    inv += LN_EPS
+    inv **= -0.5
     u *= inv
-    out = u * gain
+    out = np.multiply(u, gain, out=out)
     out += bias
     return out, u, inv
 
 
 def _layer_norm_backward(dy: np.ndarray, xhat: np.ndarray, inv: np.ndarray,
-                         gain: np.ndarray) -> np.ndarray:
+                         gain: np.ndarray, out: np.ndarray | None = None,
+                         tmp: np.ndarray | None = None,
+                         rows: tuple[np.ndarray, np.ndarray] = (None, None)) -> np.ndarray:
     scale = 1.0 / xhat.shape[-1]
-    dxhat = dy * gain
-    dot = (dxhat * xhat).sum(axis=-1, keepdims=True)
+    dxhat = np.multiply(dy, gain, out=out)
+    dot = np.sum(np.multiply(dxhat, xhat, out=tmp), axis=-1, keepdims=True, out=rows[0])
     dot *= scale
-    dxhat -= dxhat.sum(axis=-1, keepdims=True) * scale
-    dxhat -= xhat * dot
+    mean = np.sum(dxhat, axis=-1, keepdims=True, out=rows[1])
+    mean *= scale
+    dxhat -= mean
+    dxhat -= np.multiply(xhat, dot, out=tmp)
     dxhat *= inv
     return dxhat
 
 
-def _gelu(a: np.ndarray):
+def _gelu(a: np.ndarray, t: np.ndarray | None = None, h: np.ndarray | None = None):
     """tanh-form GELU and its tanh term; smooth everywhere, which keeps
     finite-difference checks clean."""
-    t = a * a
+    t = np.multiply(a, a, out=t)
     t *= a
     t *= 0.044715
     t += a
     t *= _GELU_C
     np.tanh(t, out=t)
-    h = t + 1.0
+    h = np.add(t, 1.0, out=h)
     h *= a
     h *= 0.5
     return h, t
 
 
-def _gelu_backward(dh: np.ndarray, a: np.ndarray, t: np.ndarray) -> np.ndarray:
+def _gelu_backward(dh: np.ndarray, a: np.ndarray, t: np.ndarray,
+                   inner: np.ndarray | None = None,
+                   slope: np.ndarray | None = None) -> np.ndarray:
     """dh times the GELU slope 0.5 (1 + t) + 0.5 a (1 - t^2) c (1 + 3 * 0.044715 a^2);
     ``dh`` is overwritten."""
-    inner = a * a
+    inner = np.multiply(a, a, out=inner)
     inner *= 3 * 0.044715
     inner += 1.0
     inner *= _GELU_C
-    slope = t * t
+    slope = np.multiply(t, t, out=slope)
     np.subtract(1.0, slope, out=slope)
     slope *= a
     slope *= inner
@@ -208,17 +250,18 @@ def _gelu_backward(dh: np.ndarray, a: np.ndarray, t: np.ndarray) -> np.ndarray:
     return dh
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
+def _softmax(z: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
     """Softmax over the last axis, numerically stabilized; ``z`` is overwritten."""
-    z -= z.max(axis=-1, keepdims=True)
+    z -= np.max(z, axis=-1, keepdims=True, out=rows)
     np.exp(z, out=z)
-    z /= z.sum(axis=-1, keepdims=True)
+    z /= np.sum(z, axis=-1, keepdims=True, out=rows)
     return z
 
 
-def _softmax_backward(dp: np.ndarray, p: np.ndarray) -> np.ndarray:
+def _softmax_backward(dp: np.ndarray, p: np.ndarray, tmp: np.ndarray | None = None,
+                      rows: np.ndarray | None = None) -> np.ndarray:
     """dL/dz for p = softmax(z) over the last axis, given dL/dp; ``dp`` is overwritten."""
-    dp -= (dp * p).sum(axis=-1, keepdims=True)
+    dp -= np.sum(np.multiply(dp, p, out=tmp), axis=-1, keepdims=True, out=rows)
     dp *= p
     return dp
 
@@ -229,68 +272,116 @@ def _split_heads(t: np.ndarray, n_heads: int) -> np.ndarray:
     return t.reshape(batch, length, n_heads, d // n_heads).transpose(0, 2, 1, 3)
 
 
-def _merge_heads(t: np.ndarray) -> np.ndarray:
-    batch, n_heads, length, dh = t.shape
-    return t.transpose(0, 2, 1, 3).reshape(batch, length, n_heads * dh)
+def _carve(groups: list[dict[str, tuple[int, ...]]]) -> list[dict[str, np.ndarray]]:
+    """One {name: buffer} dict per group, all views into one allocation.
+
+    A single large block is faulted in once, in huge pages where numpy
+    advises them, instead of buffer by buffer; each view starts on a
+    64-byte boundary of the block.
+    """
+    sizes = [[-(-math.prod(shape) // 8) * 8 for shape in group.values()] for group in groups]
+    block = np.empty(sum(map(sum, sizes)))
+    views, start = [], 0
+    for group, group_sizes in zip(groups, sizes):
+        views.append({})
+        for (name, shape), size in zip(group.items(), group_sizes):
+            views[-1][name] = block[start:start + math.prod(shape)].reshape(shape)
+            start += size
+    return views
 
 
-@dataclass
 class Cache:
-    """What ``backward`` reads from one forward pass: per layer the input ``x``,
-    the projections used, q/k/v heads, softmax ``p``, attention context ``ctx``,
-    both layer norms' ``xhat``/``inv``, and the FFN pre-activation ``a`` with
-    its GELU tanh term ``t``."""
+    """The activation workspace of ``forward_pass`` for one (batch, length).
 
-    weights: BaseWeights
-    layers: list[dict[str, object]]
+    ``layers`` holds per layer the q/k/v projections, the softmax ``p``, the
+    attention context ``ctx``, both layer norms' ``xhat`` and ``inv``, the FFN
+    pre-activation ``a`` with its GELU tanh term ``t``, and the output ``y``;
+    ``x`` (the input: the embeddings or the previous layer's ``y``) and
+    ``proj`` (the projections used) are set by the pass. Without
+    ``keep_layers`` there is one such set, which every layer overwrites in
+    turn; from the second layer on, a layer's output overwrites its own
+    input. With ``keep_layers``
+    each layer keeps its own set for ``backward``, which also gets buffers of
+    its own here.
+
+    Buffers are allocated by the first pass and again only when the model
+    geometry or the token shape changes; every array a pass returns is fresh.
+    """
+
+    def __init__(self, keep_layers: bool = False):
+        self.keep_layers = keep_layers
+        self.weights: BaseWeights | None = None
+        self._key: tuple | None = None
+
+    def _fit(self, weights: BaseWeights, batch: int, length: int) -> None:
+        self.weights = weights
+        config = weights.config
+        key = (config.n_layers, config.d_model, config.n_heads, config.d_ff, batch, length)
+        if key == self._key:
+            return
+        self._key = key
+        act = (batch, length, config.d_model)
+        wide = (batch, length, config.d_ff)
+        rows = (batch, length, 1)
+        heads = (batch, config.n_heads, length, length)
+        layer = dict(q=act, k=act, v=act, p=heads, ctx=act, xhat1=act, inv1=rows,
+                     a=wide, t=wide, xhat2=act, inv2=rows, y=act)
+        scratch = dict(embed=act, y1=act, h=wide, head_rows=heads[:3] + (1,))
+        grad = dict(dx=act, du=act, tmp=act, dctx=act, dm=act, da=wide, slope=wide,
+                    dp=heads, dp_tmp=heads, dot=rows, mean=rows) if self.keep_layers else {}
+        n = config.n_layers if self.keep_layers else 1
+        *self.layers, self.scratch, self.grad = _carve([layer] * n + [scratch, grad])
 
 
 def forward_pass(
     weights: BaseWeights,
     tokens,
     projections: dict[tuple[str, int], np.ndarray] | None = None,
-    keep_cache: bool = False,
-) -> tuple[np.ndarray, list[np.ndarray], Cache | None]:
-    """Logits, per-layer hidden states and, with ``keep_cache``, a ``Cache``.
+    cache: Cache | None = None,
+) -> np.ndarray:
+    """Logits of one pass, whose activations are written into ``cache``.
 
     ``projections`` overrides attention weights per (module, layer); the
-    caller is responsible for their shapes.
+    caller is responsible for their shapes. With no ``cache`` the pass uses a
+    fresh forward-only one.
     """
     config = weights.config
     tokens = validate_tokens(config, tokens)
-    length = tokens.shape[1]
-    scale = 1.0 / math.sqrt(config.d_model // config.n_heads)
+    batch, length = tokens.shape
+    cache = Cache() if cache is None else cache
+    cache._fit(weights, batch, length)
+    n_heads = config.n_heads
+    scale = 1.0 / math.sqrt(config.d_model // n_heads)
     projections = projections or {}
-    x = weights["embed.token"][tokens] + weights["embed.pos"][:length]
-    hidden: list[np.ndarray] = []
-    layers: list[dict[str, object]] = []
+    s = cache.scratch
+    x = s["embed"]
+    np.take(weights["embed.token"], tokens, axis=0, out=x)
+    x += weights["embed.pos"][:length]
     for l in range(1, config.n_layers + 1):
-        proj = {m: projections.get((m, l), weights.projection(m, l)) for m in ATTENTION_MODULES}
-        q, k, v = (_split_heads(x @ proj[m], config.n_heads) for m in ("query", "key", "value"))
-        scores = q @ k.swapaxes(-1, -2)
-        scores *= scale
-        p = _softmax(scores)
-        ctx = _merge_heads(p @ v)
-        u = ctx @ proj["output"]
+        c = cache.layers[l - 1 if cache.keep_layers else 0]
+        c["x"] = x
+        proj = c["proj"] = {m: projections.get((m, l), weights.projection(m, l))
+                            for m in ATTENTION_MODULES}
+        for m in ("query", "key", "value"):
+            np.matmul(x, proj[m], out=c[m[0]])
+        q, k, v = (_split_heads(c[n], n_heads) for n in "qkv")
+        p = np.matmul(q, k.swapaxes(-1, -2), out=c["p"])
+        p *= scale
+        _softmax(p, s["head_rows"])
+        np.matmul(p, v, out=_split_heads(c["ctx"], n_heads))
+        u = np.matmul(c["ctx"], proj["output"], out=c["xhat1"])
         u += x
-        y1, xhat1, inv1 = _layer_norm(u, weights[f"layer{l}.ln1.gain"],
-                                      weights[f"layer{l}.ln1.bias"])
-        a = y1 @ weights[f"layer{l}.ffn.w1"]
+        y1, _, _ = _layer_norm(u, weights[f"layer{l}.ln1.gain"], weights[f"layer{l}.ln1.bias"],
+                               c["inv1"], s["y1"])
+        a = np.matmul(y1, weights[f"layer{l}.ffn.w1"], out=c["a"])
         a += weights[f"layer{l}.ffn.b1"]
-        h, t = _gelu(a)
-        u = h @ weights[f"layer{l}.ffn.w2"]
+        h, _ = _gelu(a, c["t"], s["h"])
+        u = np.matmul(h, weights[f"layer{l}.ffn.w2"], out=c["xhat2"])
         u += weights[f"layer{l}.ffn.b2"]
         u += y1
-        y2, xhat2, inv2 = _layer_norm(u, weights[f"layer{l}.ln2.gain"],
-                                      weights[f"layer{l}.ln2.bias"])
-        if keep_cache:
-            layers.append({"x": x, "proj": proj, "q": q, "k": k, "v": v, "p": p, "ctx": ctx,
-                           "xhat1": xhat1, "inv1": inv1, "a": a, "t": t,
-                           "xhat2": xhat2, "inv2": inv2})
-        x = y2
-        hidden.append(x)
-    logits = (x.sum(axis=1) * (1.0 / length)) @ weights["head.out"]
-    return logits, hidden, (Cache(weights, layers) if keep_cache else None)
+        x, _, _ = _layer_norm(u, weights[f"layer{l}.ln2.gain"], weights[f"layer{l}.ln2.bias"],
+                              c["inv2"], c["y"])
+    return (x.sum(axis=1) * (1.0 / length)) @ weights["head.out"]
 
 
 def backward(cache: Cache, dlogits: np.ndarray,
@@ -298,40 +389,50 @@ def backward(cache: Cache, dlogits: np.ndarray,
     """dL/dW for each targeted (module, layer) projection, given dL/dlogits.
 
     Walks the layers top-down through the pooling, layer norms, FFN and
-    attention of the pass that filled ``cache``, and stops after the lowest
-    targeted layer, since nothing below it needs a gradient.
+    attention of the pass that filled ``cache`` (a ``Cache(keep_layers=True)``),
+    and stops after the lowest targeted layer, since nothing below it needs a
+    gradient.
     """
+    if not cache.keep_layers or cache.weights is None:
+        raise ValueError("backward needs a Cache(keep_layers=True) filled by forward_pass")
     weights = cache.weights
     targets = set(targets)
     lowest = min(l for _, l in targets)
-    batch, length, d = cache.layers[0]["x"].shape
+    batch, length, d = cache.scratch["embed"].shape
     n_heads = weights.config.n_heads
     scale = 1.0 / math.sqrt(d // n_heads)
+    g, s = cache.grad, cache.scratch
+    rows = (g["dot"], g["mean"])
     dpooled = (dlogits @ weights["head.out"].T) * (1.0 / length)
     dx = np.broadcast_to(dpooled[:, None, :], (batch, length, d))
     grads: dict[tuple[str, int], np.ndarray] = {}
     for l in range(len(cache.layers), lowest - 1, -1):
         c = cache.layers[l - 1]
         proj, p = c["proj"], c["p"]
-        du2 = _layer_norm_backward(dx, c["xhat2"], c["inv2"], weights[f"layer{l}.ln2.gain"])
-        da = _gelu_backward(du2 @ weights[f"layer{l}.ffn.w2"].T, c["a"], c["t"])
-        du2 += da @ weights[f"layer{l}.ffn.w1"].T
-        du1 = _layer_norm_backward(du2, c["xhat1"], c["inv1"], weights[f"layer{l}.ln1.gain"])
+        du2 = _layer_norm_backward(dx, c["xhat2"], c["inv2"], weights[f"layer{l}.ln2.gain"],
+                                   g["du"], g["tmp"], rows)
+        da = np.matmul(du2, weights[f"layer{l}.ffn.w2"].T, out=g["da"])
+        _gelu_backward(da, c["a"], c["t"], s["h"], g["slope"])
+        du2 += np.matmul(da, weights[f"layer{l}.ffn.w1"].T, out=g["tmp"])
+        du1 = _layer_norm_backward(du2, c["xhat1"], c["inv1"], weights[f"layer{l}.ln1.gain"],
+                                   g["dx"], g["tmp"], rows)
         if ("output", l) in targets:
             grads[("output", l)] = c["ctx"].reshape(-1, d).T @ du1.reshape(-1, d)
-        dctx = _split_heads(du1 @ proj["output"].T, n_heads)
-        dscores = _softmax_backward(dctx @ c["v"].swapaxes(-1, -2), p)
+        dctx = _split_heads(np.matmul(du1, proj["output"].T, out=g["dctx"]), n_heads)
+        v = _split_heads(c["v"], n_heads)
+        dscores = np.matmul(dctx, v.swapaxes(-1, -2), out=g["dp"])
+        _softmax_backward(dscores, p, g["dp_tmp"], s["head_rows"])
         dscores *= scale
-        dheads = {"query": dscores @ c["k"], "key": dscores.swapaxes(-1, -2) @ c["q"],
-                  "value": p.swapaxes(-1, -2) @ dctx}
+        q, k = _split_heads(c["q"], n_heads), _split_heads(c["k"], n_heads)
         x = c["x"].reshape(-1, d)
-        dx = du1
-        for m, dh in dheads.items():
-            dm = _merge_heads(dh)
+        dx, dm = du1, g["dm"]
+        for m, left, right in (("query", dscores, k), ("key", dscores.swapaxes(-1, -2), q),
+                               ("value", p.swapaxes(-1, -2), dctx)):
+            np.matmul(left, right, out=_split_heads(dm, n_heads))
             if (m, l) in targets:
                 grads[(m, l)] = x.T @ dm.reshape(-1, d)
             if l > lowest:
-                dx += dm @ proj[m].T
+                dx += np.matmul(dm, proj[m].T, out=g["tmp"])
     return grads
 
 
@@ -339,8 +440,9 @@ def forward(
     weights: BaseWeights,
     deltas: dict[tuple[str, int], np.ndarray] | None,
     tokens,
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Run the encoder; ``deltas`` maps (module, layer) to additive updates."""
+    cache: Cache | None = None,
+) -> np.ndarray:
+    """Logits of the encoder; ``deltas`` maps (module, layer) to additive updates."""
     projections = {}
     for (module, layer), dw in (deltas or {}).items():
         w0 = weights.projection(module, layer)
@@ -350,8 +452,7 @@ def forward(
                 f"delta for ({module}, {layer}) has shape {dw.shape}, expected {w0.shape}"
             )
         projections[(module, layer)] = w0 + dw
-    logits, hidden, _ = forward_pass(weights, tokens, projections)
-    return logits, hidden
+    return forward_pass(weights, tokens, projections, cache)
 
 
 # --- checkpoint io ----------------------------------------------------------
@@ -367,4 +468,5 @@ def save_model(path, weights: BaseWeights) -> None:
 
 
 def load_model(path) -> BaseWeights:
-    return BaseWeights(*matcore.load_checkpoint(path, _CHECKPOINT))
+    config, tensors = matcore.load_checkpoint(path, _CHECKPOINT)
+    return BaseWeights(config, _frozen(tensors))

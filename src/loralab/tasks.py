@@ -63,6 +63,7 @@ class TeacherTask:
                 delta = scale * ((w0.T @ theta_b) @ (w0 @ theta_a).T)
                 updates[f"layer{l}.{m}"] = w0 + delta
         self._teacher = weights.replace(updates) if updates else weights
+        self._cache = model.Cache()
         self._config = config
         self.rank = rank
         self.seed = seed
@@ -70,7 +71,7 @@ class TeacherTask:
 
     def batch(self, index, batch_size: int) -> tuple[np.ndarray, np.ndarray]:
         tokens = _token_batch(self._config, self.seed, str(index), batch_size, self.seq_len)
-        targets, _ = model.forward(self._teacher, None, tokens)
+        targets = model.forward(self._teacher, None, tokens, self._cache)
         return tokens, targets
 
     def eval_batch(self, batch_size: int) -> tuple[np.ndarray, np.ndarray]:

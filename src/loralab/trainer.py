@@ -1,15 +1,16 @@
 """Training loop for adapter parameters over a frozen encoder.
 
 Gradients are explicit. ``loss_and_grads`` builds every adapted projection
-W = W0 + s·B·A (s = alpha / r), runs one cached ``model.forward_pass``, takes
-dL/dlogits in closed form (MSE: 2(logits - y)/N over the N entries;
+W = W0 + s·B·A (s = alpha / r), runs one ``model.forward_pass`` into a
+``model.Cache(keep_layers=True)`` (``train_run`` reuses one for every step),
+takes dL/dlogits in closed form (MSE: 2(logits - y)/N over the N entries;
 cross-entropy: (softmax - onehot)/batch) and gets dL/dW per target from
 ``model.backward``. The adapter chain rule is then closed form too: for LoRA
 dA = s·Bᵀ·dW and dB = s·dW·Aᵀ; for CondLoRA the same rule gives dA_c and dB_c
 for the conditioned factors A_c = (W0·θ_A)ᵀ and B_c = W0ᵀ·θ_B, and
 dθ_A = W0ᵀ·dA_cᵀ and dθ_B = W0·dB_c are summed over the layers that share θ.
 ``finite_difference_check`` provides the independent oracle: it only ever
-evaluates ``loss_only``, the uncached forward.
+evaluates ``loss_only``, the forward-only pass.
 
 Optimization is Adam with bias correction and a linear-to-zero learning-rate
 schedule: the effective rate at step s (1-based) is lr * max(0, 1 - s/max_steps).
@@ -17,6 +18,7 @@ schedule: the effective rate at step s (1-based) is lr * max(0, 1 - s/max_steps)
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 from typing import IO
@@ -55,8 +57,9 @@ class TrainConfig:
     eps: float = 1e-8
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not (self.learning_rate > 0) or not math.isfinite(self.learning_rate):
+            raise ValueError(
+                f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.max_steps < 0:
@@ -117,17 +120,24 @@ def loss_only(weights: BaseWeights, params: AdapterParams, spec: AdapterSpec,
               batch, loss_kind: str = "mse") -> float:
     tokens, targets = batch
     _, projections = _adapt(weights, params, spec)
-    logits, _, _ = model.forward_pass(weights, tokens, projections)
+    logits = model.forward_pass(weights, tokens, projections)
     return _loss(logits, targets, loss_kind)[0]
 
 
 def loss_and_grads(weights: BaseWeights, params: AdapterParams, spec: AdapterSpec,
-                   batch, loss_kind: str = "mse") -> tuple[float, dict[str, np.ndarray]]:
-    """Loss plus gradients for exactly the trainable tensors."""
+                   batch, loss_kind: str = "mse",
+                   cache: model.Cache | None = None) -> tuple[float, dict[str, np.ndarray]]:
+    """Loss plus gradients for exactly the trainable tensors.
+
+    ``cache``, a ``model.Cache(keep_layers=True)``, is the activation
+    workspace; a caller that steps repeatedly passes the same one.
+    """
     tokens, targets = batch
     s = spec.alpha / spec.rank
     factors, projections = _adapt(weights, params, spec)
-    logits, _, cache = model.forward_pass(weights, tokens, projections, keep_cache=True)
+    if cache is None:
+        cache = model.Cache(keep_layers=True)
+    logits = model.forward_pass(weights, tokens, projections, cache)
     loss, dlogits = _loss(logits, targets, loss_kind)
     if not np.isfinite(loss):
         raise matcore.NumericError(f"non-finite loss {loss!r}")
@@ -221,12 +231,13 @@ def train_run(weights: BaseWeights, spec: AdapterSpec, task, config: TrainConfig
     eval_batch = task.eval_batch(eval_batches * config.batch_size)
     initial_loss = loss_only(weights, params, spec, eval_batch, config.loss_kind)
     state = AdamState()
+    cache = model.Cache(keep_layers=True)
     losses: list[float] = []
     started = time.perf_counter()
     for step in range(1, config.max_steps + 1):
         batch = task.batch(step, config.batch_size)
         try:
-            loss, grads = loss_and_grads(weights, params, spec, batch, config.loss_kind)
+            loss, grads = loss_and_grads(weights, params, spec, batch, config.loss_kind, cache)
         except matcore.NumericError as exc:
             raise matcore.NumericError(f"step {step}: {exc}") from exc
         losses.append(loss)
@@ -253,13 +264,14 @@ def bench_throughput(weights: BaseWeights, spec: AdapterSpec, task, seconds: flo
         raise ValueError(f"seconds must be >= 1, got {seconds}")
     params = init_params(spec, weights.config.d_model, config.seed)
     state = AdamState()
+    cache = model.Cache(keep_layers=True)
     step = 0
 
     def iterate():
         nonlocal params, step
         step += 1
         batch = task.batch(step, config.batch_size)
-        _, grads = loss_and_grads(weights, params, spec, batch, config.loss_kind)
+        _, grads = loss_and_grads(weights, params, spec, batch, config.loss_kind, cache)
         params = replace(params, tensors=adam_step(params.tensors, grads, state, step, config))
 
     for _ in range(warmup):

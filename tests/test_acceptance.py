@@ -160,11 +160,11 @@ def test_criterion_6_zero_init_equivalence(report, desk):
     for batch_seed in (5, 6, 7):
         task = tasks.TeacherTask(weights, rank=4, seed=batch_seed, seq_len=16)
         tokens = task.batch("zeroinit", 8)[0]
-        base, _ = model.forward(weights, None, tokens)
+        base = model.forward(weights, None, tokens)
         for method in adapters.METHODS:
             spec = cfg.adapter_spec(method)
             params = trainer.init_params(spec, cfg.d_model, seed=batch_seed)
-            adapted, _ = adapters.forward_with_adapters(weights, params, spec, tokens)
+            adapted = adapters.forward_with_adapters(weights, params, spec, tokens)
             worst = max(worst, float(np.abs(adapted - base).max()))
     report(6, "zero-init equivalence", worst == 0.0, f"max |logit diff|={worst}")
 
@@ -176,8 +176,8 @@ def test_criterion_7_merge_equivalence(report, desk, trained):
         params, spec, _, _ = trained[(method, SEED_PAIRS[0][0])]
         task = tasks.TeacherTask(weights, rank=4, seed=42, seq_len=16)
         tokens = task.batch("merge", 8)[0]
-        via_adapter, _ = adapters.forward_with_adapters(weights, params, spec, tokens)
-        merged, _ = model.forward(adapters.merge(weights, params, spec), None, tokens)
+        via_adapter = adapters.forward_with_adapters(weights, params, spec, tokens)
+        merged = model.forward(adapters.merge(weights, params, spec), None, tokens)
         worst = max(worst, float(np.abs(via_adapter - merged).max()))
     report(7, "merge equivalence (trained)", worst < 1e-9, f"max |logit diff|={worst:.2e}")
 

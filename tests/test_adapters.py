@@ -188,8 +188,8 @@ def test_merge_equivalence_with_adapter_forward():
     for method in adapters.METHODS:
         spec = lora_spec(method=method)
         params = random_lora(spec, 32, seed=10) if method == "lora" else random_cond(spec, 32, seed=10)
-        via_adapter, _ = adapters.forward_with_adapters(w, params, spec, toks)
-        merged, _ = model.forward(adapters.merge(w, params, spec), None, toks)
+        via_adapter = adapters.forward_with_adapters(w, params, spec, toks)
+        merged = model.forward(adapters.merge(w, params, spec), None, toks)
         assert np.abs(via_adapter - merged).max() < 1e-9
 
 

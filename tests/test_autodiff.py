@@ -71,11 +71,14 @@ def test_logsumexp_grad_and_stability():
     assert np.isfinite(loss) and np.isfinite(dlogits).all()
 
 
-def test_transpose_reshape_grads():
-    # The backward sends gradients through each head reshuffle with the
-    # other, so _merge_heads must be the adjoint (and inverse) of _split_heads.
+def test_split_heads_is_a_writable_view():
+    # The forward and backward write each per-head product straight into the
+    # split-heads view of a (batch, length, d) buffer, so that buffer must then
+    # hold the heads side by side, head h in columns h*dh:(h+1)*dh.
     x = matcore.gaussian(2 * 3, 8, 0.0, 1.0, 38).reshape(2, 3, 8)
     y = matcore.gaussian(2 * 4 * 3, 2, 0.0, 1.0, 39).reshape(2, 4, 3, 2)
-    assert np.array_equal(model._merge_heads(model._split_heads(x, 4)), x)
-    assert np.isclose(np.sum(model._split_heads(x, 4) * y), np.sum(x * model._merge_heads(y)),
-                      rtol=1e-14, atol=0)
+    heads = model._split_heads(x, 4)
+    assert np.shares_memory(heads, x)
+    heads[...] = y
+    for h in range(4):
+        assert np.array_equal(x[:, :, 2 * h:2 * h + 2], y[:, h])

@@ -267,3 +267,21 @@ def test_bad_config_file_exit_one(tmp_path, capsys):
 def test_bench_rejects_sub_second(capsys):
     code, _, err = run_cli(capsys, "bench", "--seconds", "0.2")
     assert code == 1
+
+
+@pytest.mark.parametrize("line, key", [
+    ("adapter.alpha = nan", "adapter.alpha"),
+    ("adapter.alpha = inf", "adapter.alpha"),
+    ("train.learning_rate = nan", "train.learning_rate"),
+    ("train.learning_rate = inf", "train.learning_rate"),
+    ("train.learning_rate = -0.0", "train.learning_rate"),
+    ("adapter.target_layers = 1,,2", "adapter.target_layers"),
+    ("adapter.target_layers = 1,", "adapter.target_layers"),
+    ("adapter.target_modules = query,,value", "adapter.target_modules"),
+])
+def test_train_rejects_non_finite_and_empty_config_values(tmp_path, capsys, line, key):
+    cfg = write_tiny_config(tmp_path, line + "\n")
+    code, out, err = run_cli(capsys, "train", "--config", str(cfg), "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert err.count("\n") == 1 and f"line 13: bad value for {key}" in err, err
+    assert not (tmp_path / "o").exists()

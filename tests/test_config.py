@@ -1,6 +1,8 @@
 import pytest
 
+from loralab.adapters import AdapterSpec
 from loralab.config import ConfigError, ExperimentConfig, parse_config, serialize_config
+from loralab.trainer import TrainConfig
 
 
 def test_round_trip_defaults():
@@ -45,6 +47,30 @@ def test_parse_rejects_duplicate_key():
 def test_parse_rejects_bad_value():
     with pytest.raises(ConfigError):
         parse_config("model.d_model = wide\n")
+
+
+@pytest.mark.parametrize("text", ["adapter.alpha = nan", "adapter.alpha = inf",
+                                  "adapter.alpha = 0", "train.learning_rate = nan",
+                                  "train.learning_rate = inf", "train.learning_rate = -1e-3"])
+def test_parse_rejects_non_finite_and_non_positive_floats(text):
+    with pytest.raises(ConfigError, match=f"line 1: bad value for {text.split()[0]}"):
+        parse_config(text + "\n")
+
+
+@pytest.mark.parametrize("text", ["adapter.target_layers = 1,,2", "adapter.target_layers = ,1",
+                                  "adapter.target_layers =", "adapter.target_modules = query,",
+                                  "adapter.target_modules = query, ,value"])
+def test_parse_rejects_empty_list_items(text):
+    with pytest.raises(ConfigError, match=f"bad value for {text.split()[0]}: empty item"):
+        parse_config(text + "\n")
+
+
+def test_non_finite_values_fail_outside_files_too():
+    with pytest.raises(ValueError, match="alpha must be positive and finite"):
+        AdapterSpec("lora", 2, float("nan"))
+    for lr in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="learning_rate must be positive and finite"):
+            TrainConfig(learning_rate=lr, max_steps=1)
 
 
 def test_parse_rejects_invalid_combination():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from loralab import matcore
+from loralab import _rng, matcore
 
 
 # --- matmul ------------------------------------------------------------------
@@ -232,6 +232,12 @@ def test_gaussian_determinism_and_zero_std():
     assert np.array_equal(z, np.zeros((2, 2)))
 
 
+def test_gaussian_scales_the_stream_bit_for_bit():
+    g = matcore.gaussian(31, 33, 0.25, 1.7, 98)
+    reference = 0.25 + 1.7 * _rng.gaussian_block(31 * 33, 98).reshape(31, 33)
+    assert np.array_equal(g.view(np.uint64), reference.view(np.uint64))
+
+
 def test_gaussian_rejects_negative_std():
     with pytest.raises(ValueError):
         matcore.gaussian(2, 2, 0.0, -1.0, 0)
@@ -264,6 +270,23 @@ def test_matrix_round_trip_bit_exact():
     assert back.shape == a.shape
     assert np.array_equal(back, a)
     assert np.signbit(back[0, 0])
+
+
+def test_write_matrix_bytes_are_pinned():
+    # Every value as repr-exact "%.17g": the file format, edge values included.
+    edges = np.array([[-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                       0.1, -1.5, 1e16, 123456789.0]])
+    buf = io.StringIO()
+    matcore.write_matrix(buf, "edges", edges)
+    assert buf.getvalue() == (
+        "MATRIX edges 1 8\n"
+        "-0 4.9406564584124654e-324 2.2250738585072014e-308 1.7976931348623157e+308 "
+        "0.10000000000000001 -1.5 10000000000000000 123456789\n")
+    normals = matcore.gaussian(200, 768, 0.0, 1.0, 5)
+    buf = io.StringIO()
+    matcore.write_matrix(buf, "normals", normals)
+    expected = "".join(" ".join(f"{v:.17g}" for v in row) + "\n" for row in normals)
+    assert buf.getvalue() == "MATRIX normals 200 768\n" + expected
 
 
 def test_iter_matrices_multiple_blocks():

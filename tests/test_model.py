@@ -52,38 +52,84 @@ def test_weights_frozen():
         w["embed.token"][0, 0] = 1.0
 
 
+def test_weights_take_read_only_arrays_and_copy_writable_ones():
+    w = model.build_model(SMALL)
+    assert all(not w[name].flags.writeable for name in w.names())
+    mine = np.full((16, 16), 0.5)
+    replaced = w.replace({"layer1.query": mine})
+    assert mine.flags.writeable
+    mine[0, 0] = 7.0
+    assert replaced["layer1.query"][0, 0] == 0.5
+    assert all(not replaced[name].flags.writeable for name in replaced.names())
+    for name in w.names():
+        if name != "layer1.query":
+            assert np.shares_memory(replaced[name], w[name]), name
+    as_list = w.replace({"head.out": np.zeros((16, 4)).tolist()})
+    assert as_list["head.out"].dtype == np.float64 and not as_list["head.out"].flags.writeable
+
+
+def test_reused_cache_gives_the_bits_of_a_fresh_one():
+    # Same shape twice, a new shape, then the first shape again; what a pass
+    # returns must also survive later passes through the same cache.
+    w = model.build_model(SMALL)
+    forward_only, kept = model.Cache(), model.Cache(keep_layers=True)
+    returned = []
+    for batch, length in ((3, 5), (3, 5), (2, 7), (3, 5)):
+        toks = tokens_for(SMALL, batch, length, seed=batch * length + len(returned))
+        fresh = model.forward(w, None, toks)
+        logits = model.forward(w, None, toks, forward_only)
+        assert np.array_equal(logits, fresh)
+        assert np.array_equal(model.forward_pass(w, toks, cache=kept), fresh)
+        grads = model.backward(kept, np.ones_like(fresh), [("query", 1), ("value", 2)])
+        again = model.Cache(keep_layers=True)
+        model.forward_pass(w, toks, cache=again)
+        for key, g in model.backward(again, np.ones_like(fresh), grads).items():
+            assert np.array_equal(g, grads[key]), key
+        returned.append((logits, fresh.copy(), grads, {k: g.copy() for k, g in grads.items()}))
+    for logits, logits_then, grads, grads_then in returned:
+        assert np.array_equal(logits, logits_then)
+        for key, g in grads.items():
+            assert np.array_equal(g, grads_then[key]), key
+
+
+def test_backward_needs_a_cache_that_kept_every_layer():
+    w = model.build_model(SMALL)
+    cache = model.Cache()
+    logits = model.forward_pass(w, tokens_for(SMALL, 2, 4), cache=cache)
+    with pytest.raises(ValueError, match="keep_layers"):
+        model.backward(cache, np.ones_like(logits), [("query", 1)])
+
+
 def test_forward_shapes_and_determinism():
     w = model.build_model(SMALL)
     toks = tokens_for(SMALL, 3, 5)
-    logits, hidden = model.forward(w, None, toks)
+    logits = model.forward(w, None, toks)
     assert logits.shape == (3, SMALL.n_outputs)
-    assert len(hidden) == SMALL.n_layers
-    assert all(h.shape == (3, 5, SMALL.d_model) for h in hidden)
-    logits2, _ = model.forward(w, None, toks)
+    logits2 = model.forward(w, None, toks)
     assert np.array_equal(logits, logits2)
 
 
 def test_forward_single_token():
     w = model.build_model(SMALL)
-    logits, _ = model.forward(w, None, np.array([[3]]))
+    logits = model.forward(w, None, np.array([[3]]))
     assert logits.shape == (1, SMALL.n_outputs)
 
 
 def test_forward_zero_delta_bit_exact():
     w = model.build_model(SMALL)
     toks = tokens_for(SMALL, 4, 8, seed=1)
-    base, _ = model.forward(w, None, toks)
+    base = model.forward(w, None, toks)
     zero = {("query", 1): np.zeros((16, 16)), ("value", 2): np.zeros((16, 16))}
-    adapted, _ = model.forward(w, zero, toks)
+    adapted = model.forward(w, zero, toks)
     assert np.array_equal(base, adapted)
 
 
 def test_forward_nonzero_delta_changes_logits():
     w = model.build_model(SMALL)
     toks = tokens_for(SMALL, 2, 6, seed=2)
-    base, _ = model.forward(w, None, toks)
+    base = model.forward(w, None, toks)
     dw = {("value", 1): matcore.gaussian(16, 16, 0, 0.1, 5)}
-    out, _ = model.forward(w, dw, toks)
+    out = model.forward(w, dw, toks)
     assert not np.array_equal(base, out)
 
 
@@ -91,8 +137,8 @@ def test_forward_permutation_equivariance():
     w = model.build_model(SMALL)
     toks = tokens_for(SMALL, 6, 7, seed=3)
     perm = np.array([4, 0, 5, 2, 1, 3])
-    logits, _ = model.forward(w, None, toks)
-    permuted, _ = model.forward(w, None, toks[perm])
+    logits = model.forward(w, None, toks)
+    permuted = model.forward(w, None, toks[perm])
     assert np.array_equal(permuted, logits[perm])
 
 
@@ -127,7 +173,7 @@ def test_checkpoint_round_trip(tmp_path):
     for name in w.names():
         assert np.array_equal(back[name], w[name]), name
     toks = tokens_for(SMALL, 2, 4, seed=9)
-    assert np.array_equal(model.forward(back, None, toks)[0], model.forward(w, None, toks)[0])
+    assert np.array_equal(model.forward(back, None, toks), model.forward(w, None, toks))
 
 
 def test_checkpoint_rejects_tampered_header(tmp_path):

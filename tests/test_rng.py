@@ -30,6 +30,36 @@ def test_gaussian_block_matches_scalar_pairs():
     assert np.allclose(g, flat, rtol=1e-12, atol=0.0)
 
 
+def _one_shot_gaussians(n, seed):
+    """gaussian_block's formula evaluated over all n values in one pass."""
+    z = _rng.raw64_block(seed, 0, 2 * ((n + 1) // 2))
+    u1 = ((z[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * _rng._TWO53
+    u2 = (z[1::2] >> np.uint64(11)).astype(np.float64) * _rng._TWO53
+    radius = np.sqrt(-2.0 * np.log(u1))
+    angle = (2.0 * np.pi) * u2
+    out = np.empty(z.size)
+    out[0::2] = radius * np.cos(angle)
+    out[1::2] = radius * np.sin(angle)
+    return out[:n]
+
+
+@pytest.mark.parametrize("n", [7, 2 * _rng._PAIR_BLOCK - 1, 2 * _rng._PAIR_BLOCK,
+                               2 * _rng._PAIR_BLOCK + 1, 4 * _rng._PAIR_BLOCK + 3])
+def test_gaussian_block_chunk_edges_match_both_references(n):
+    # Scalar libm and numpy's vector math may differ in the last ulp, hence
+    # the tolerance; against the same formula in one pass, every bit is equal.
+    g = _rng.gaussian_block(n, 23)
+    pairs = [_rng.gaussian_pair(23, k) for k in range((n + 1) // 2)]
+    assert np.allclose(g, [v for pair in pairs for v in pair][:n], rtol=1e-12, atol=0.0)
+    assert np.array_equal(g.view(np.uint64), _one_shot_gaussians(n, 23).view(np.uint64))
+
+
+def test_gaussian_block_paper_size_is_bit_identical_to_one_pass():
+    n = 768 * 3072
+    g = _rng.gaussian_block(n, 77)
+    assert np.array_equal(g.view(np.uint64), _one_shot_gaussians(n, 77).view(np.uint64))
+
+
 def test_gaussian_odd_length_prefix_of_even():
     odd = _rng.gaussian_block(7, 11)
     even = _rng.gaussian_block(8, 11)

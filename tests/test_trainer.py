@@ -1,4 +1,8 @@
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,7 +45,7 @@ def test_zero_signal_gives_zero_grads(small_weights):
     spec = small_spec()
     params = displaced_params(spec, seed=1)
     toks = small_batch(small_weights, seed=2)[0]
-    logits, _ = adapters.forward_with_adapters(small_weights, params, spec, toks)
+    logits = adapters.forward_with_adapters(small_weights, params, spec, toks)
     loss, grads = trainer.loss_and_grads(small_weights, params, spec, (toks, logits), "mse")
     assert loss == 0.0
     for key, g in grads.items():
@@ -97,7 +101,8 @@ def test_finite_difference_oracle_partial_layers(three_layer_weights, method, lo
 
 def test_backward_returns_exactly_the_targets(three_layer_weights):
     tokens = np.arange(12).reshape(2, 6)
-    logits, _, cache = model.forward_pass(three_layer_weights, tokens, keep_cache=True)
+    cache = model.Cache(keep_layers=True)
+    logits = model.forward_pass(three_layer_weights, tokens, cache=cache)
     targets = {("key", 2), ("output", 3)}
     grads = model.backward(cache, np.ones_like(logits), targets)
     assert set(grads) == targets
@@ -113,8 +118,8 @@ def test_key_and_output_modules_trainable(small_weights):
         errors = trainer.finite_difference_check(small_weights, params, spec, batch, "mse")
         assert max(errors.values()) < 1e-4, (method, errors)
         merged = adapters.merge(small_weights, params, spec)
-        via_adapter, _ = adapters.forward_with_adapters(small_weights, params, spec, batch[0])
-        direct, _ = model.forward(merged, None, batch[0])
+        via_adapter = adapters.forward_with_adapters(small_weights, params, spec, batch[0])
+        direct = model.forward(merged, None, batch[0])
         assert np.abs(via_adapter - direct).max() < 1e-9
 
 
@@ -130,7 +135,8 @@ def test_condlora_gradient_accumulates_over_layers(small_weights):
 
     deltas = adapters.materialize_deltas(params, spec, small_weights)
     projections = {t: small_weights.projection(*t) + dw for t, dw in deltas.items()}
-    logits, _, cache = model.forward_pass(small_weights, tokens, projections, keep_cache=True)
+    cache = model.Cache(keep_layers=True)
+    logits = model.forward_pass(small_weights, tokens, projections, cache)
     dlogits = 2.0 * (logits - targets) / logits.size
     dws = model.backward(cache, dlogits, spec.targets())
 
@@ -314,3 +320,46 @@ def test_bench_throughput_minimum(small_weights):
     assert rate > 0
     with pytest.raises(ValueError):
         trainer.bench_throughput(small_weights, spec, task, 0.5, tc)
+
+
+# --- allocation ----------------------------------------------------------------
+
+# Minor page faults per desk training step, from the difference of a 60-step
+# and a 10-step run after two warm-up runs (the heap settles in the first
+# two), so set-up and evaluation cancel.
+_FAULT_PROBE = """
+import resource, sys
+from dataclasses import replace
+from loralab import trainer
+from loralab.config import ExperimentConfig
+from loralab.model import build_model
+if sys.argv[1] == "freed":
+    block = bytearray(30 << 20)
+    del block
+cfg = ExperimentConfig()
+weights = build_model(cfg.model_config())
+task, spec = cfg.make_task(weights), cfg.adapter_spec("lora")
+
+def faults(steps):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    trainer.train_run(weights, spec, task, replace(cfg.train_config(), max_steps=steps), 1)
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+faults(10)
+faults(10)
+short = faults(10)
+print((faults(60) - short) / 50)
+"""
+
+
+@pytest.mark.parametrize("state", ["fresh", "freed"])
+def test_desk_step_does_not_page_fault(state):
+    # A step whose temporaries are mmapped faults hundreds of times, and how
+    # often depends on what the process freed before (glibc's dynamic mmap
+    # threshold); the workspace makes both states alike. A fresh process each.
+    src = str(Path(model.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    run = subprocess.run([sys.executable, "-c", _FAULT_PROBE, state], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert float(run.stdout) <= 20.0

@@ -227,22 +227,14 @@ def check_shapes(params: AdapterParams, spec: AdapterSpec, d_model: int) -> None
             )
 
 
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite {value}")
-    return value
-
-
 _CHECKPOINT = matcore.CheckpointFormat(
     "SPEC",
     {
         "method": ("method", str, str),
         "r": ("rank", int, str),
-        "alpha": ("alpha", _finite_float, "{:.17g}".format),
-        "modules": ("target_modules", lambda text: tuple(text.split(",")), ",".join),
-        "layers": ("target_layers", lambda text: tuple(int(l) for l in text.split(",")),
-                   lambda layers: ",".join(str(l) for l in layers)),
+        "alpha": ("alpha", matcore.positive_float, matcore.format_float),
+        "modules": ("target_modules", matcore.parse_items, matcore.format_items),
+        "layers": ("target_layers", matcore.parse_layers, matcore.format_items),
     },
     AdapterSpec,
     lambda spec: tensor_shapes(spec, "d").items(),

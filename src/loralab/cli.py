@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -42,7 +43,7 @@ def _add_common(p: _Parser) -> None:
     p.add_argument("--seed-model", type=int, dest="seed_model")
     p.add_argument("--seed-adapter", type=int, dest="seed_adapter")
     p.add_argument("--seed-data", type=int, dest="seed_data")
-    p.add_argument("--out", help="output directory")
+    p.add_argument("--out", dest="output_dir", help="output directory")
 
 
 def build_parser() -> _Parser:
@@ -93,20 +94,17 @@ def build_parser() -> _Parser:
 
 def _load_experiment(args) -> ExperimentConfig:
     cfg = load_config(args.config) if getattr(args, "config", None) else ExperimentConfig()
-    overrides = (
-        ("method", "method"),
-        ("task", "task"),
-        ("max_steps", "max_steps"),
-        ("seed_model", "seed_model"),
-        ("seed_adapter", "seed_adapter"),
-        ("seed_data", "seed_data"),
-        ("out", "output_dir"),
-    )
-    for attr, field_name in overrides:
-        value = getattr(args, attr, None)
-        if value is not None:
-            setattr(cfg, field_name, value)
+    _override(cfg, args, ("method", "task", "max_steps", "seed_model", "seed_adapter",
+                          "seed_data", "output_dir"))
     return cfg
+
+
+def _override(cfg: ExperimentConfig, args, names) -> None:
+    """Set the config field of each named flag that was given."""
+    for name in names:
+        value = getattr(args, name, None)
+        if value is not None:
+            setattr(cfg, name, value)
 
 
 def cmd_count_params(args) -> int:
@@ -139,7 +137,7 @@ def cmd_train(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     model.save_model(out / "model.ckpt", weights)
     adapters.save_adapter(out / "adapter.ckpt", params, spec)
-    with open(out / "report.csv", "w") as fh:
+    with matcore.atomic_write(out / "report.csv") as fh:
         trainer.write_report(fh, report)
     summary = {
         "method": spec.method,
@@ -152,7 +150,7 @@ def cmd_train(args) -> int:
         "wall_clock_seconds": report.wall_clock_seconds,
         "seeds": {"model": cfg.seed_model, "adapter": cfg.seed_adapter, "data": cfg.seed_data},
     }
-    with open(out / "run.json", "w") as fh:
+    with matcore.atomic_write(out / "run.json") as fh:
         json.dump(summary, fh, indent=2)
         fh.write("\n")
     print(
@@ -177,7 +175,7 @@ def cmd_analyze(args) -> int:
     for flag, value in (("--i", i), ("--j", j)):
         if not 1 <= value <= spec.rank:
             raise UsageError(f"{flag} must be in [1, {spec.rank}] (the adapter rank), got {value}")
-    out = Path(args.out or "analysis")
+    out = Path(args.output_dir or "analysis")
     out.mkdir(parents=True, exist_ok=True)
 
     for module in spec.target_modules:
@@ -186,8 +184,7 @@ def cmd_analyze(args) -> int:
                 weights, params, spec, module, which,
                 i=i, j=j, side=args.side, pseudoinverse=args.pseudoinverse,
             )
-            path = out / f"conv_{which}_{module}.csv"
-            with open(path, "w") as fh:
+            with matcore.atomic_write(out / f"conv_{which}_{module}.csv") as fh:
                 analysis.write_grid_csv(fh, grid)
             print(f"conv_{which} {module} avg_offdiag={grid.average_offdiagonal:.6f}")
 
@@ -195,7 +192,7 @@ def cmd_analyze(args) -> int:
     baseline = analysis.random_baseline_grid(
         d, spec.rank, len(spec.target_layers), i, j, side=args.side, seed=args.baseline_seed
     )
-    with open(out / "random_baseline.csv", "w") as fh:
+    with matcore.atomic_write(out / "random_baseline.csv") as fh:
         analysis.write_grid_csv(fh, baseline)
     print(f"random_baseline avg_offdiag={baseline.average_offdiagonal:.6f}")
 
@@ -210,7 +207,7 @@ def cmd_analyze(args) -> int:
         ):
             raise UsageError("adapter checkpoints target different shapes; cannot compare")
         rows = analysis.compare_lora_condlora(lora_params, cond_params, weights, lora_spec)
-        with open(out / "comparison.csv", "w") as fh:
+        with matcore.atomic_write(out / "comparison.csv") as fh:
             analysis.write_comparison_csv(fh, rows)
         mean_delta = float(np.mean([r.phi_delta for r in rows]))
         print(f"comparison rows={len(rows)} mean_phi_dW={mean_delta:.6f}")
@@ -218,8 +215,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.seconds < 1:
-        raise UsageError(f"--seconds must be >= 1, got {args.seconds}")
+    if not 1 <= args.seconds < math.inf:
+        raise UsageError(f"--seconds must be finite and >= 1, got {args.seconds}")
     cfg = _load_experiment(args)
     weights = model.build_model(cfg.model_config())
     task = cfg.make_task(weights)
@@ -245,11 +242,7 @@ def _gradcheck_config(args) -> ExperimentConfig:
             n_layers=2, d_model=16, n_heads=4, d_ff=32, vocab_size=32,
             max_len=16, n_outputs=4, rank=2, seq_len=8, task="teacher",
         )
-        for attr, field_name in (("seed_model", "seed_model"), ("seed_adapter", "seed_adapter"),
-                                 ("seed_data", "seed_data")):
-            value = getattr(args, attr, None)
-            if value is not None:
-                setattr(cfg, field_name, value)
+        _override(cfg, args, ("seed_model", "seed_adapter", "seed_data"))
     if cfg.d_model > GRADCHECK_MAX_D or cfg.n_layers > GRADCHECK_MAX_LAYERS:
         raise UsageError(
             f"gradcheck is limited to d_model <= {GRADCHECK_MAX_D} and "

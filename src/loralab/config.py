@@ -1,17 +1,20 @@
 """Experiment configuration: one flat dataclass plus a line-based file format.
 
 Files hold ``key = value`` pairs with dotted keys (``model.d_model = 32``)
-and ``#`` comments. Optional fields are omitted when unset and resolved to
-method- or task-appropriate defaults at use time, so
+and ``#`` comments. ``_FIELDS`` is a ``matcore.Fields`` table, as for the
+checkpoint headers, and ``matcore.read_fields`` reads it. Optional fields are
+omitted when unset and resolved to method- or task-appropriate defaults at use
+time. ``serialize_config`` refuses a value it could not read back, so
 ``parse_config(serialize_config(cfg)) == cfg`` for every valid config.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import Iterator
 
+from . import matcore
 from .adapters import AdapterSpec
 from .model import ModelConfig
 from .tasks import build_task
@@ -20,6 +23,10 @@ from .trainer import DEFAULT_LEARNING_RATE, TrainConfig
 
 class ConfigError(ValueError):
     """Malformed configuration file or invalid field value."""
+
+
+# the ModelConfig fields an experiment sets, as its keys model.<name>
+_MODEL_FIELDS = tuple(f.name for f in fields(ModelConfig) if f.name != "seed")
 
 
 @dataclass
@@ -54,16 +61,8 @@ class ExperimentConfig:
     seed_data: int = 2
 
     def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            n_layers=self.n_layers,
-            d_model=self.d_model,
-            n_heads=self.n_heads,
-            d_ff=self.d_ff,
-            vocab_size=self.vocab_size,
-            max_len=self.max_len,
-            n_outputs=self.n_outputs,
-            seed=self.seed_model,
-        )
+        return ModelConfig(**{name: getattr(self, name) for name in _MODEL_FIELDS},
+                           seed=self.seed_model)
 
     def adapter_spec(self, method: str | None = None) -> AdapterSpec:
         layers = self.target_layers or tuple(range(1, self.n_layers + 1))
@@ -100,74 +99,28 @@ class ExperimentConfig:
         return build_task(self.task, weights, self.seed_data, rank=rank, seq_len=self.seq_len)
 
 
-def _parse_items(text: str) -> tuple[str, ...]:
-    """Comma-separated items; an empty one is an error, never skipped."""
-    items = tuple(part.strip() for part in text.split(","))
-    if not all(items):
-        raise ValueError(f"empty item in {text!r}")
-    return items
-
-
-def _parse_layers(text: str) -> tuple[int, ...]:
-    return tuple(int(item) for item in _parse_items(text))
-
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not (value > 0) or not math.isfinite(value):
-        raise ValueError(f"{text!r} is not a positive finite number")
-    return value
-
-
-# key -> (field, parser); serialize_config formats every value with _format_value
-_KEYS = {
-    "model.n_layers": ("n_layers", int),
-    "model.d_model": ("d_model", int),
-    "model.n_heads": ("n_heads", int),
-    "model.d_ff": ("d_ff", int),
-    "model.vocab_size": ("vocab_size", int),
-    "model.max_len": ("max_len", int),
-    "model.n_outputs": ("n_outputs", int),
-    "adapter.method": ("method", str),
-    "adapter.rank": ("rank", int),
-    "adapter.alpha": ("alpha", _positive_float),
-    "adapter.target_modules": ("target_modules", _parse_items),
-    "adapter.target_layers": ("target_layers", _parse_layers),
-    "train.batch_size": ("batch_size", int),
-    "train.learning_rate": ("learning_rate", _positive_float),
-    "train.max_steps": ("max_steps", int),
-    "train.loss_kind": ("loss_kind", str),
-    "task": ("task", str),
-    "task.teacher_rank": ("teacher_rank", int),
-    "task.seq_len": ("seq_len", int),
-    "output_dir": ("output_dir", str),
-    "seeds.model": ("seed_model", int),
-    "seeds.adapter": ("seed_adapter", int),
-    "seeds.data": ("seed_data", int),
+# key -> (field, parser, formatter), the table type of the checkpoint headers
+_FIELDS: matcore.Fields = {
+    **{f"model.{name}": (name, int, str) for name in _MODEL_FIELDS},
+    "adapter.method": ("method", str, str),
+    "adapter.rank": ("rank", int, str),
+    "adapter.alpha": ("alpha", matcore.positive_float, matcore.format_float),
+    "adapter.target_modules": ("target_modules", matcore.parse_items, matcore.format_items),
+    "adapter.target_layers": ("target_layers", matcore.parse_layers, matcore.format_items),
+    "train.batch_size": ("batch_size", int, str),
+    "train.learning_rate": ("learning_rate", matcore.positive_float, matcore.format_float),
+    "train.max_steps": ("max_steps", int, str),
+    "train.loss_kind": ("loss_kind", str, str),
+    "task": ("task", str, str),
+    "task.teacher_rank": ("teacher_rank", int, str),
+    "task.seq_len": ("seq_len", int, str),
+    "output_dir": ("output_dir", str, str),
+    **{f"seeds.{name}": (f"seed_{name}", int, str) for name in ("model", "adapter", "data")},
 }
 
 
-def _format_value(value) -> str:
-    if isinstance(value, tuple):
-        return ",".join(str(v) for v in value)
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
-
-
-def serialize_config(cfg: ExperimentConfig) -> str:
-    lines = []
-    for key, (field_name, _) in _KEYS.items():
-        value = getattr(cfg, field_name)
-        if value is None:
-            continue
-        lines.append(f"{key} = {_format_value(value)}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_config(text: str) -> ExperimentConfig:
-    cfg = ExperimentConfig()
-    seen: set[str] = set()
+def _entries(text: str) -> Iterator[tuple[int, str, str]]:
+    """(line number, key, value) per ``key = value`` line; ``#`` starts a comment."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -175,32 +128,28 @@ def parse_config(text: str) -> ExperimentConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw.rstrip()!r}")
         key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key not in _KEYS:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        if key in seen:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        seen.add(key)
-        field_name, parser = _KEYS[key]
+        yield lineno, key.strip(), value.strip()
+
+
+def serialize_config(cfg: ExperimentConfig) -> str:
+    """The file text of cfg; a value it could not read back is a ValueError naming the key."""
+    lines = []
+    for key, text in matcore.format_fields(cfg, _FIELDS):
+        line = f"{key} = {text}"
         try:
-            setattr(cfg, field_name, parser(value))
-        except ValueError as exc:
-            raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from exc
-    _validate(cfg)
-    return cfg
+            same = list(_entries(line)) == [(1, key, text)]
+        except ConfigError:
+            same = False
+        if not same:
+            raise ValueError(f"cannot write {key} = {text!r}: a config line cannot hold it")
+        lines.append(line)
+    return "\n".join(lines) + "\n"
 
 
-def load_config(path) -> ExperimentConfig:
+def parse_config(text: str) -> ExperimentConfig:
+    defaults = vars(ExperimentConfig())
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return parse_config(text)
-
-
-def _validate(cfg: ExperimentConfig) -> None:
-    try:
+        cfg = ExperimentConfig(**matcore.read_fields(_entries(text), _FIELDS, defaults))
         cfg.model_config()
         cfg.adapter_spec()
         cfg.train_config()
@@ -208,3 +157,14 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError(str(exc)) from exc
     if cfg.task not in ("teacher", "parity"):
         raise ConfigError(f"unknown task {cfg.task!r}")
+    return cfg
+
+
+def load_config(path) -> ExperimentConfig:
+    """parse_config of the file at path; every ConfigError names the file."""
+    try:
+        return parse_config(Path(path).read_text())
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc

@@ -19,9 +19,10 @@ A plain text serialization (header line ``MATRIX <name> <rows> <cols>``
 followed by rows of 17-significant-digit values) round-trips float64 values
 bit-exactly. Model and adapter checkpoints are one ``<TAG> key=value ...``
 header line followed by MATRIX blocks; ``save_checkpoint`` writes them
-atomically and ``load_checkpoint`` streams them line by line, checking every
-block against the layout the header implies. Each caller describes its file
-with one ``CheckpointFormat``.
+through ``atomic_write`` and ``load_checkpoint`` streams them line by line,
+checking every block against the layout the header implies. Each caller
+describes its file with one ``CheckpointFormat``, whose header is a
+``Fields`` table as the experiment file's is; ``read_fields`` reads both.
 """
 
 from __future__ import annotations
@@ -307,14 +308,103 @@ def _read_blocks(
         raise ValueError(f"line {lineno + 1}: end of file, missing tensor {missing[0]}")
 
 
+# --- key/value fields -------------------------------------------------------
+
+Fields = Mapping[str, tuple[str, Callable[[str], object], Callable[[object], str]]]
+"""A field table: key -> (attribute, parser of the key's text, formatter of the value)."""
+
+
+def parse_items(text: str) -> tuple[str, ...]:
+    """Comma-separated items; an empty one is an error, never skipped."""
+    items = tuple(part.strip() for part in text.split(","))
+    if not all(items):
+        raise ValueError("empty item")
+    return items
+
+
+def parse_layers(text: str) -> tuple[int, ...]:
+    return tuple(int(item) for item in parse_items(text))
+
+
+def positive_float(text: str) -> float:
+    value = float(text)
+    if not (value > 0) or not math.isfinite(value):
+        raise ValueError("not a positive finite number")
+    return value
+
+
+def format_items(values: Iterable) -> str:
+    return ",".join(str(v) for v in values)
+
+
+format_float = "{:.17g}".format
+
+
+def read_fields(
+    items: Iterable[tuple[int, str, str]], fields: Fields, defaults: Mapping[str, object] = {}
+) -> dict[str, object]:
+    """{attribute: value} for every field from (line number, key, text) items.
+
+    An absent key takes its attribute's entry in ``defaults`` or is missing.
+    Errors are ValueErrors ``line <n>: <problem>`` that name the key.
+    """
+    values: dict[str, object] = {}
+    lineno = 1
+    for lineno, key, text in items:
+        if key not in fields:
+            raise ValueError(f"line {lineno}: unknown key {key!r}")
+        attr, parse, _ = fields[key]
+        if attr in values:
+            raise ValueError(f"line {lineno}: duplicate key {key!r}")
+        try:
+            values[attr] = parse(text)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: bad value for {key}: {text!r} ({exc})") from None
+    for key, (attr, _, _) in fields.items():
+        if attr not in values and attr not in defaults:
+            raise ValueError(f"line {lineno}: missing key {key!r}")
+    return {**defaults, **values}
+
+
+def format_fields(obj, fields: Fields) -> Iterator[tuple[str, str]]:
+    """(key, text) for every field of obj that is not None and reads back as itself."""
+    for key, (attr, parse, show) in fields.items():
+        value = getattr(obj, attr)
+        if value is None:
+            continue
+        text = show(value)
+        try:
+            same = parse(text) == value
+        except ValueError:
+            same = False
+        if not same:
+            raise ValueError(f"cannot write {key} = {value!r}: it would not read back")
+        yield key, text
+
+
+@contextlib.contextmanager
+def atomic_write(path) -> Iterator[IO[str]]:
+    """A file beside path that os.replace moves over it once the block succeeds.
+
+    A failed write leaves any old file as it was and removes the temporary file.
+    """
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+
+
 # --- checkpoint files -------------------------------------------------------
 
 @dataclass(frozen=True)
 class CheckpointFormat:
     """One kind of checkpoint file: a ``<tag> key=value ...`` line, then MATRIX blocks.
 
-    ``fields`` maps each header key to (attribute of the header object, parser
-    of its text, formatter of its value); every key appears exactly once.
+    ``fields`` is the header's field table; every key appears exactly once.
     ``make`` builds the header object from {attribute: parsed value}, and
     ``layout`` maps that object to its (tensor name, (rows, cols)) pairs. A
     str dimension (such as ``"d"``) is fixed by the first tensor that has it
@@ -322,53 +412,29 @@ class CheckpointFormat:
     """
 
     tag: str
-    fields: dict[str, tuple[str, Callable[[str], object], Callable[[object], str]]]
+    fields: Fields
     make: Callable[..., object]
     layout: Callable[[object], Iterable[tuple[str, tuple[int | str, int | str]]]]
 
 
-def _parse_header(line: str, fmt: CheckpointFormat) -> dict[str, object]:
+def _read_header(line: str, fmt: CheckpointFormat):
     parts = line.split()
-    if not parts or parts[0] != fmt.tag:
-        raise ValueError(f"expected {fmt.tag} line, got {line.rstrip()!r}")
-    kwargs = {}
-    for item in parts[1:]:
-        key, _, text = item.partition("=")
-        if key not in fmt.fields:
-            raise ValueError(f"{fmt.tag}: unknown key {key!r}")
-        attr, parse, _ = fmt.fields[key]
-        if attr in kwargs:
-            raise ValueError(f"{fmt.tag}: duplicate key {key!r}")
-        try:
-            kwargs[attr] = parse(text)
-        except ValueError:
-            raise ValueError(f"{fmt.tag}: bad value for {key}: {text!r}") from None
-    missing = [key for key, (attr, _, _) in fmt.fields.items() if attr not in kwargs]
-    if missing:
-        raise ValueError(f"{fmt.tag}: missing key {missing[0]!r}")
-    return kwargs
+    if parts[:1] != [fmt.tag]:
+        raise ValueError(f"line 1: expected {fmt.tag} line, got {line.rstrip()!r}")
+    values = read_fields(((1, *item.partition("=")[::2]) for item in parts[1:]), fmt.fields)
+    try:
+        return fmt.make(**values)
+    except ValueError as exc:
+        raise ValueError(f"line 1: {exc}") from None
 
 
 def save_checkpoint(path, fmt: CheckpointFormat, header, tensors: Mapping[str, np.ndarray]) -> None:
-    """Write header's fields and one MATRIX block per tensor, atomically.
-
-    The file is written under a temporary name in path's directory and then
-    moved over path, so a failed write leaves any old file as it was.
-    """
-    values = " ".join(
-        f"{key}={show(getattr(header, attr))}" for key, (attr, _, show) in fmt.fields.items()
-    )
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w") as fh:
-            fh.write(f"{fmt.tag} {values}\n")
-            for name, a in tensors.items():
-                write_matrix(fh, name, a)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
+    """Write header's fields and one MATRIX block per tensor through ``atomic_write``."""
+    values = " ".join(f"{key}={text}" for key, text in format_fields(header, fmt.fields))
+    with atomic_write(path) as fh:
+        fh.write(f"{fmt.tag} {values}\n")
+        for name, a in tensors.items():
+            write_matrix(fh, name, a)
 
 
 def load_checkpoint(path, fmt: CheckpointFormat) -> tuple[object, dict[str, np.ndarray]]:
@@ -378,14 +444,11 @@ def load_checkpoint(path, fmt: CheckpointFormat) -> tuple[object, dict[str, np.n
     """
     with open(path) as fh:
         try:
-            header = fmt.make(**_parse_header(fh.readline(), fmt))
-        except ValueError as exc:
-            raise ValueError(f"{path}: line 1: {exc}") from None
-        # A block takes at least 15 bytes ("MATRIX a 1 1\n0\n"), so a layout
-        # longer than this cannot fit and is cut here; the missing check fails it.
-        most = os.fstat(fh.fileno()).st_size // 15 + 1
-        layout = dict(itertools.islice(fmt.layout(header), most))
-        try:
+            header = _read_header(fh.readline(), fmt)
+            # A block takes at least 15 bytes ("MATRIX a 1 1\n0\n"), so a layout
+            # longer than this cannot fit and is cut here; the missing check fails it.
+            most = os.fstat(fh.fileno()).st_size // 15 + 1
+            layout = dict(itertools.islice(fmt.layout(header), most))
             return header, dict(_read_blocks(fh, 2, layout))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None

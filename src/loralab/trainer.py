@@ -243,6 +243,7 @@ def train_run(weights: BaseWeights, spec: AdapterSpec, task, config: TrainConfig
         losses.append(loss)
         params = replace(params, tensors=adam_step(params.tensors, grads, state, step, config))
     elapsed = time.perf_counter() - started
+    del cache  # free the training workspace before loss_only builds its own
     final_loss = loss_only(weights, params, spec, eval_batch, config.loss_kind)
     rate = (config.max_steps * config.batch_size / elapsed) if config.max_steps and elapsed > 0 else 0.0
     report = TrainReport(
@@ -260,8 +261,8 @@ def train_run(weights: BaseWeights, spec: AdapterSpec, task, config: TrainConfig
 def bench_throughput(weights: BaseWeights, spec: AdapterSpec, task, seconds: float,
                      config: TrainConfig, warmup: int = 10) -> float:
     """Full training iterations per second times batch size; warm-up excluded."""
-    if seconds < 1:
-        raise ValueError(f"seconds must be >= 1, got {seconds}")
+    if not 1 <= seconds < math.inf:
+        raise ValueError(f"seconds must be finite and >= 1, got {seconds}")
     params = init_params(spec, weights.config.d_model, config.seed)
     state = AdamState()
     cache = model.Cache(keep_layers=True)

@@ -123,6 +123,22 @@ def test_failed_save_keeps_the_old_file_and_leaves_no_temporary(tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["adapter.ckpt", "model.ckpt"]
 
 
+def test_atomic_write_replaces_only_on_success(tmp_path):
+    path = tmp_path / "report.csv"
+    path.write_bytes(b"step,loss\r\n0,1\n")
+    before = path.read_bytes()
+    with pytest.raises(KeyboardInterrupt):
+        with matcore.atomic_write(path) as fh:
+            fh.write("step,loss\n")
+            raise KeyboardInterrupt
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["report.csv"]
+    with matcore.atomic_write(path) as fh:
+        fh.write("new\n")
+    assert path.read_bytes() == b"new\n"
+    assert os.listdir(tmp_path) == ["report.csv"]
+
+
 def test_failed_first_save_leaves_nothing(tmp_path):
     with pytest.raises(ValueError, match="matrix name"):
         adapters.save_adapter(tmp_path / "adapter.ckpt", bad_params(), TINY_SPEC)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from loralab import adapters, model
+from loralab import adapters, analysis, model
 from loralab.cli import main
 
 TINY_CONFIG = """
@@ -261,12 +261,29 @@ def test_bad_config_file_exit_one(tmp_path, capsys):
     cfg.write_text("model.d_model = nonsense\n")
     code, _, err = run_cli(capsys, "count-params", "--config", str(cfg))
     assert code == 1
-    assert "config error" in err
+    assert err == (f"config error: {cfg}: line 1: bad value for model.d_model: 'nonsense' "
+                   "(invalid literal for int() with base 10: 'nonsense')\n")
+
+
+def test_config_errors_name_the_file(tmp_path, capsys):
+    cfg = write_tiny_config(tmp_path, "adapter.target_layers = 3\n")
+    code, _, err = run_cli(capsys, "count-params", "--config", str(cfg))
+    assert code == 1 and err == f"config error: {cfg}: target layer 3 exceeds n_layers 2\n"
+    cfg.write_bytes(b"\xff\xfe")
+    code, _, err = run_cli(capsys, "count-params", "--config", str(cfg))
+    assert code == 1 and err.startswith(f"config error: cannot read config {cfg}: ")
 
 
 def test_bench_rejects_sub_second(capsys):
     code, _, err = run_cli(capsys, "bench", "--seconds", "0.2")
     assert code == 1
+
+
+@pytest.mark.parametrize("seconds", ["nan", "inf", "-inf"])
+def test_bench_rejects_non_finite_seconds(capsys, seconds):
+    code, _, err = run_cli(capsys, "bench", f"--seconds={seconds}")
+    assert code == 1
+    assert err == f"error: --seconds must be finite and >= 1, got {float(seconds)}\n"
 
 
 @pytest.mark.parametrize("line, key", [
@@ -283,5 +300,23 @@ def test_train_rejects_non_finite_and_empty_config_values(tmp_path, capsys, line
     cfg = write_tiny_config(tmp_path, line + "\n")
     code, out, err = run_cli(capsys, "train", "--config", str(cfg), "--out", str(tmp_path / "o"))
     assert code == 1
-    assert err.count("\n") == 1 and f"line 13: bad value for {key}" in err, err
+    assert err.count("\n") == 1, err
+    assert err.startswith(f"config error: {cfg}: line 13: bad value for {key}: "), err
     assert not (tmp_path / "o").exists()
+
+
+def test_a_failed_output_write_keeps_the_old_file(tmp_path, trained_pair, capsys, monkeypatch):
+    out_dir = tmp_path / "analysis"
+    args = ["analyze", "--model", str(trained_pair["lora"] / "model.ckpt"),
+            "--adapter", str(trained_pair["lora"] / "adapter.ckpt"), "--out", str(out_dir)]
+    assert run_cli(capsys, *args)[0] == 0
+    before = {path.name: path.read_bytes() for path in out_dir.iterdir()}
+
+    def fail_midway(fh, grid):
+        fh.write("labels,partial")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(analysis, "write_grid_csv", fail_midway)
+    code, _, err = run_cli(capsys, *args, "--baseline-seed", "5")
+    assert code == 1 and err == "error: disk full\n"
+    assert {path.name: path.read_bytes() for path in out_dir.iterdir()} == before

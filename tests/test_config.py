@@ -1,8 +1,12 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from loralab.adapters import AdapterSpec
+from loralab import adapters, matcore
+from loralab.adapters import METHODS, AdapterSpec
 from loralab.config import ConfigError, ExperimentConfig, parse_config, serialize_config
-from loralab.trainer import TrainConfig
+from loralab.model import ATTENTION_MODULES
+from loralab.trainer import LOSS_KINDS, TrainConfig
 
 
 def test_round_trip_defaults():
@@ -61,7 +65,7 @@ def test_parse_rejects_non_finite_and_non_positive_floats(text):
                                   "adapter.target_layers =", "adapter.target_modules = query,",
                                   "adapter.target_modules = query, ,value"])
 def test_parse_rejects_empty_list_items(text):
-    with pytest.raises(ConfigError, match=f"bad value for {text.split()[0]}: empty item"):
+    with pytest.raises(ConfigError, match=rf"bad value for {text.split()[0]}: '.*' \(empty item\)"):
         parse_config(text + "\n")
 
 
@@ -98,3 +102,96 @@ def test_defaults_resolution():
 def test_model_config_carries_model_seed():
     cfg = ExperimentConfig(seed_model=123)
     assert cfg.model_config().seed == 123
+
+
+# --- one key/value reader for config files and checkpoint headers --------------------
+
+@pytest.mark.parametrize("config_text, header_text, problem", [
+    ("model.width = 4", "width=4", "unknown key '{key}'"),
+    ("adapter.rank = four", "r=four", "bad value for {key}: 'four' (invalid literal for int()"),
+    ("adapter.alpha = nan", "alpha=nan", "bad value for {key}: 'nan' (not a positive finite"),
+])
+def test_config_and_header_errors_share_one_wording(tmp_path, config_text, header_text, problem):
+    with pytest.raises(ConfigError) as info:
+        parse_config(config_text + "\n")
+    assert str(info.value).startswith("line 1: " + problem.format(key=config_text.split()[0]))
+    path = tmp_path / "adapter.ckpt"
+    spec = AdapterSpec("lora", 2, 2.0, ("query",), (1,))
+    adapters.save_adapter(path, adapters.init_lora(spec, 4, 0), spec)
+    key = header_text.split("=")[0]
+    header, rest = path.read_text().split("\n", 1)
+    items = [item for item in header.split() if not item.startswith(key + "=")] + [header_text]
+    path.write_text(" ".join(items) + "\n" + rest)
+    with pytest.raises(ValueError) as info:
+        adapters.load_adapter(path)
+    assert str(info.value).startswith(f"{path}: line 1: " + problem.format(key=key))
+
+
+def test_duplicate_and_missing_keys_name_the_key():
+    with pytest.raises(ConfigError, match=r"^line 2: duplicate key 'adapter.rank'$"):
+        parse_config("adapter.rank = 2\nadapter.rank = 2\n")
+    fields = {"a": ("a", int, str), "b": ("b", int, str)}
+    with pytest.raises(ValueError, match=r"^line 3: duplicate key 'a'$"):
+        matcore.read_fields([(1, "a", "1"), (3, "a", "1")], fields)
+    with pytest.raises(ValueError, match=r"^line 1: missing key 'b'$"):
+        matcore.read_fields([(1, "a", "1")], fields)
+    assert matcore.read_fields([(1, "a", "1")], fields, {"b": 7}) == {"a": 1, "b": 7}
+
+
+# --- serialize_config writes only what it reads back ----------------------------------
+
+@pytest.mark.parametrize("changes, key", [
+    ({"output_dir": "a#b"}, "output_dir"),
+    ({"output_dir": " lead"}, "output_dir"),
+    ({"output_dir": "trail "}, "output_dir"),
+    ({"output_dir": "two\nlines"}, "output_dir"),
+    ({"output_dir": "x\nseeds.data = 5"}, "output_dir"),
+    ({"method": "lora # comment"}, "adapter.method"),
+    ({"alpha": float("nan")}, "adapter.alpha"),
+    ({"learning_rate": -1.0}, "train.learning_rate"),
+    ({"target_layers": ()}, "adapter.target_layers"),
+])
+def test_serialize_refuses_a_value_it_cannot_read_back(changes, key):
+    cfg = ExperimentConfig(**changes)
+    with pytest.raises(ValueError, match=f"^cannot write {key} = "):
+        serialize_config(cfg)
+
+
+positive_floats = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def configs(draw):
+    n_heads = draw(st.integers(1, 4))
+    n_layers = draw(st.integers(1, 4))
+    d_model = n_heads * draw(st.integers(1, 8))
+    layers = st.lists(st.integers(1, n_layers), min_size=1, unique=True).map(tuple)
+    small = st.integers(1, 10**6)
+    return ExperimentConfig(
+        n_layers=n_layers, d_model=d_model, n_heads=n_heads, d_ff=draw(small),
+        vocab_size=draw(small), max_len=draw(small), n_outputs=draw(small),
+        method=draw(st.sampled_from(METHODS)), rank=draw(st.integers(1, d_model)),
+        alpha=draw(st.none() | positive_floats),
+        target_modules=tuple(draw(st.lists(st.sampled_from(ATTENTION_MODULES),
+                                           min_size=1, unique=True))),
+        target_layers=draw(st.none() | layers), batch_size=draw(small),
+        learning_rate=draw(st.none() | positive_floats), max_steps=draw(st.integers(0, 10**9)),
+        loss_kind=draw(st.sampled_from((None,) + LOSS_KINDS)),
+        task=draw(st.sampled_from(["teacher", "parity"])),
+        teacher_rank=draw(st.none() | small), seq_len=draw(small),
+        output_dir=draw(st.text(max_size=12)),
+        seed_model=draw(st.integers(-2**70, 2**70)), seed_adapter=draw(st.integers(0, 2**64)),
+        seed_data=draw(st.integers(0, 2**64)),
+    )
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=300)
+@given(configs())
+def test_serialize_round_trips_every_valid_config_or_names_the_key(cfg):
+    out = cfg.output_dir
+    writable = "#" not in out and out == out.strip() and len(out.splitlines()) <= 1
+    if not writable:
+        with pytest.raises(ValueError, match="^cannot write output_dir = "):
+            serialize_config(cfg)
+        return
+    assert parse_config(serialize_config(cfg)) == cfg

@@ -318,8 +318,9 @@ def test_bench_throughput_minimum(small_weights):
     tc = TrainConfig(learning_rate=1e-2, max_steps=10**6, batch_size=4, seed=1)
     rate = trainer.bench_throughput(small_weights, spec, task, 1.0, tc, warmup=2)
     assert rate > 0
-    with pytest.raises(ValueError):
-        trainer.bench_throughput(small_weights, spec, task, 0.5, tc)
+    for seconds in (0.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="seconds must be finite and >= 1"):
+            trainer.bench_throughput(small_weights, spec, task, seconds, tc)
 
 
 # --- allocation ----------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: count-params, train, analyze, bench, gradcheck. Exit codes are
-stable for scripting: 0 success, 1 usage or configuration error, 2 numeric
-error (singular matrices, non-finite losses, failed gradient checks).
+stable for scripting: 0 success, 1 usage or configuration error (a model or
+batch too large to allocate included), 2 numeric error (singular matrices,
+non-finite losses, failed gradient checks).
 """
 
 from __future__ import annotations
@@ -162,6 +163,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    """Every grid, the baseline and the comparison are computed before the
+    first file is written, so a run that fails leaves the outputs of the
+    previous run as they were."""
     weights = model.load_model(args.model_ckpt)
     loaded = [adapters.load_adapter(path) for path in args.adapter_ckpts]
     if len(loaded) > 2:
@@ -169,33 +173,6 @@ def cmd_analyze(args) -> int:
     for adapter_params, adapter_spec in loaded:
         adapter_spec.validate_for(weights.config)
         adapters.check_shapes(adapter_params, adapter_spec, weights.config.d_model)
-    params, spec = loaded[0]
-    i = spec.rank if args.i_vectors is None else args.i_vectors
-    j = spec.rank if args.j_vectors is None else args.j_vectors
-    for flag, value in (("--i", i), ("--j", j)):
-        if not 1 <= value <= spec.rank:
-            raise UsageError(f"{flag} must be in [1, {spec.rank}] (the adapter rank), got {value}")
-    out = Path(args.output_dir or "analysis")
-    out.mkdir(parents=True, exist_ok=True)
-
-    for module in spec.target_modules:
-        for which in ("A", "B"):
-            grid = analysis.conversion_grid(
-                weights, params, spec, module, which,
-                i=i, j=j, side=args.side, pseudoinverse=args.pseudoinverse,
-            )
-            with matcore.atomic_write(out / f"conv_{which}_{module}.csv") as fh:
-                analysis.write_grid_csv(fh, grid)
-            print(f"conv_{which} {module} avg_offdiag={grid.average_offdiagonal:.6f}")
-
-    d = weights.config.d_model
-    baseline = analysis.random_baseline_grid(
-        d, spec.rank, len(spec.target_layers), i, j, side=args.side, seed=args.baseline_seed
-    )
-    with matcore.atomic_write(out / "random_baseline.csv") as fh:
-        analysis.write_grid_csv(fh, baseline)
-    print(f"random_baseline avg_offdiag={baseline.average_offdiagonal:.6f}")
-
     if len(loaded) == 2:
         by_method = {s.method: (p, s) for p, s in loaded}
         if set(by_method) != {"lora", "condlora"}:
@@ -206,7 +183,37 @@ def cmd_analyze(args) -> int:
             cond_spec.rank, cond_spec.target_modules, cond_spec.target_layers
         ):
             raise UsageError("adapter checkpoints target different shapes; cannot compare")
+    params, spec = loaded[0]
+    i = spec.rank if args.i_vectors is None else args.i_vectors
+    j = spec.rank if args.j_vectors is None else args.j_vectors
+    for flag, value in (("--i", i), ("--j", j)):
+        if not 1 <= value <= spec.rank:
+            raise UsageError(f"{flag} must be in [1, {spec.rank}] (the adapter rank), got {value}")
+
+    grids = []  # (file stem, printed label, grid)
+    for module in spec.target_modules:
+        for which in ("A", "B"):
+            grid = analysis.conversion_grid(
+                weights, params, spec, module, which,
+                i=i, j=j, side=args.side, pseudoinverse=args.pseudoinverse,
+            )
+            grids.append((f"conv_{which}_{module}", f"conv_{which} {module}", grid))
+    d = weights.config.d_model
+    baseline = analysis.random_baseline_grid(
+        d, spec.rank, len(spec.target_layers), i, j, side=args.side, seed=args.baseline_seed
+    )
+    grids.append(("random_baseline", "random_baseline", baseline))
+    rows = None
+    if len(loaded) == 2:
         rows = analysis.compare_lora_condlora(lora_params, cond_params, weights, lora_spec)
+
+    out = Path(args.output_dir or "analysis")
+    out.mkdir(parents=True, exist_ok=True)
+    for stem, label, grid in grids:
+        with matcore.atomic_write(out / f"{stem}.csv") as fh:
+            analysis.write_grid_csv(fh, grid)
+        print(f"{label} avg_offdiag={grid.average_offdiagonal:.6f}")
+    if rows is not None:
         with matcore.atomic_write(out / "comparison.csv") as fh:
             analysis.write_comparison_csv(fh, rows)
         mean_delta = float(np.mean([r.phi_delta for r in rows]))
@@ -296,6 +303,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
     except (ValueError, LookupError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # numpy names the failed allocation: size, shape, dtype
+        print(f"error: {exc or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -177,19 +177,69 @@ def validate_tokens(config: ModelConfig, tokens) -> np.ndarray:
 # The helpers below work in place on arrays their caller owns and write their
 # results and temporaries into the buffers they are given (``out=None`` lets
 # numpy allocate): at desk sizes a fresh temporary costs more than the
-# arithmetic that fills it.
+# arithmetic that fills it. Reductions over the short last axis go through
+# ``_row_sum`` and ``_row_max``, since numpy reduces such rows one at a time.
+
+def _row_sum(a: np.ndarray, out: np.ndarray | None = None,
+             ones: np.ndarray | None = None) -> np.ndarray:
+    """The sums over the last axis, keepdims, as the GEMV ``a @ ones``.
+
+    ``ones`` is a column of ones as long as the last axis (allocated when
+    None). An array of 3 or more axes goes as one GEMV per index of its first
+    axis, the batch, so an example's sums do not depend on its place in the
+    batch or on the batch size. BLAS adds in its own order, so a sum is within
+    n·eps·Σ|a| of the exact one but not the bits of ``np.sum``.
+    """
+    n = a.shape[-1]
+    ones = np.ones((n, 1)) if ones is None else ones
+    rows = a.reshape(a.shape[0], -1, n) if a.ndim > 2 else a
+    if out is None:
+        return np.matmul(rows, ones).reshape(a.shape[:-1] + (1,))
+    np.matmul(rows, ones, out=out.reshape(rows.shape[:-1] + (1,)))
+    return out
+
+
+def _row_max(z: np.ndarray, out: np.ndarray | None = None,
+             tmp: np.ndarray | None = None) -> np.ndarray:
+    """``np.max(z, axis=-1, keepdims=True)``, bit for bit, by folding halves.
+
+    The rows of z are the columns of its transposed (strided) view. The first
+    pass takes the ``np.maximum`` of their first and second halves into the
+    contiguous rows of ``tmp`` (half of z's size; allocated when None), and
+    each later pass folds ``tmp`` in place the same way; an odd length folds
+    its last column into the first. Max is exact, so the order of the folds
+    cannot change the result.
+    """
+    n = z.shape[-1]
+    src = z.reshape(-1, n).T
+    out = np.empty(z.shape[:-1] + (1,)) if out is None else out
+    flat = out.reshape(1, -1)
+    if n == 1:
+        np.copyto(flat, src)
+        return out
+    tmp = np.empty((n // 2, src.shape[1])) if tmp is None else tmp.reshape(n // 2, -1)
+    while n > 1:
+        h = n // 2
+        dst = flat if h == 1 else tmp[:h]
+        np.maximum(src[:h], src[h:2 * h], out=dst)
+        if n % 2:
+            np.maximum(dst[:1], src[2 * h:], out=dst[:1])
+        src, n = dst, h
+    return out
+
 
 def _layer_norm(u: np.ndarray, gain: np.ndarray, bias: np.ndarray,
-                inv: np.ndarray | None = None, out: np.ndarray | None = None):
+                inv: np.ndarray | None = None, out: np.ndarray | None = None,
+                ones: np.ndarray | None = None):
     """Layer norm over the last axis: (output, xhat, inv) with xhat = (u - mean) * inv.
 
     ``u`` is overwritten with xhat; ``out`` also serves as the temporary for u².
     """
     scale = 1.0 / u.shape[-1]
-    mean = np.sum(u, axis=-1, keepdims=True, out=inv)
+    mean = _row_sum(u, inv, ones)
     mean *= scale
     u -= mean
-    inv = np.sum(np.multiply(u, u, out=out), axis=-1, keepdims=True, out=inv)
+    inv = _row_sum(np.multiply(u, u, out=out), inv, ones)
     inv *= scale
     inv += LN_EPS
     inv **= -0.5
@@ -202,12 +252,13 @@ def _layer_norm(u: np.ndarray, gain: np.ndarray, bias: np.ndarray,
 def _layer_norm_backward(dy: np.ndarray, xhat: np.ndarray, inv: np.ndarray,
                          gain: np.ndarray, out: np.ndarray | None = None,
                          tmp: np.ndarray | None = None,
-                         rows: tuple[np.ndarray, np.ndarray] = (None, None)) -> np.ndarray:
+                         rows: tuple[np.ndarray, np.ndarray] = (None, None),
+                         ones: np.ndarray | None = None) -> np.ndarray:
     scale = 1.0 / xhat.shape[-1]
     dxhat = np.multiply(dy, gain, out=out)
-    dot = np.sum(np.multiply(dxhat, xhat, out=tmp), axis=-1, keepdims=True, out=rows[0])
+    dot = _row_sum(np.multiply(dxhat, xhat, out=tmp), rows[0], ones)
     dot *= scale
-    mean = np.sum(dxhat, axis=-1, keepdims=True, out=rows[1])
+    mean = _row_sum(dxhat, rows[1], ones)
     mean *= scale
     dxhat -= mean
     dxhat -= np.multiply(xhat, dot, out=tmp)
@@ -250,18 +301,20 @@ def _gelu_backward(dh: np.ndarray, a: np.ndarray, t: np.ndarray,
     return dh
 
 
-def _softmax(z: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+def _softmax(z: np.ndarray, rows: np.ndarray | None = None, tmp: np.ndarray | None = None,
+             ones: np.ndarray | None = None) -> np.ndarray:
     """Softmax over the last axis, numerically stabilized; ``z`` is overwritten."""
-    z -= np.max(z, axis=-1, keepdims=True, out=rows)
+    z -= _row_max(z, rows, tmp)
     np.exp(z, out=z)
-    z /= np.sum(z, axis=-1, keepdims=True, out=rows)
+    z /= _row_sum(z, rows, ones)
     return z
 
 
 def _softmax_backward(dp: np.ndarray, p: np.ndarray, tmp: np.ndarray | None = None,
-                      rows: np.ndarray | None = None) -> np.ndarray:
+                      rows: np.ndarray | None = None,
+                      ones: np.ndarray | None = None) -> np.ndarray:
     """dL/dz for p = softmax(z) over the last axis, given dL/dp; ``dp`` is overwritten."""
-    dp -= np.sum(np.multiply(dp, p, out=tmp), axis=-1, keepdims=True, out=rows)
+    dp -= _row_sum(np.multiply(dp, p, out=tmp), rows, ones)
     dp *= p
     return dp
 
@@ -302,7 +355,8 @@ class Cache:
     turn; from the second layer on, a layer's output overwrites its own
     input. With ``keep_layers``
     each layer keeps its own set for ``backward``, which also gets buffers of
-    its own here.
+    its own here. ``scratch`` also holds what the row helpers use: the fold
+    buffer of ``_row_max`` and the ones columns of ``_row_sum``.
 
     Buffers are allocated by the first pass and again only when the model
     geometry or the token shape changes; every array a pass returns is fresh.
@@ -326,11 +380,15 @@ class Cache:
         heads = (batch, config.n_heads, length, length)
         layer = dict(q=act, k=act, v=act, p=heads, ctx=act, xhat1=act, inv1=rows,
                      a=wide, t=wide, xhat2=act, inv2=rows, y=act)
-        scratch = dict(embed=act, y1=act, h=wide, head_rows=heads[:3] + (1,))
+        scratch = dict(embed=act, y1=act, h=wide, head_rows=heads[:3] + (1,),
+                       fold=heads[:3] + (length // 2,),
+                       ones_d=(config.d_model, 1), ones_len=(length, 1))
         grad = dict(dx=act, du=act, tmp=act, dctx=act, dm=act, da=wide, slope=wide,
                     dp=heads, dp_tmp=heads, dot=rows, mean=rows) if self.keep_layers else {}
         n = config.n_layers if self.keep_layers else 1
         *self.layers, self.scratch, self.grad = _carve([layer] * n + [scratch, grad])
+        self.scratch["ones_d"].fill(1.0)
+        self.scratch["ones_len"].fill(1.0)
 
 
 def forward_pass(
@@ -367,12 +425,12 @@ def forward_pass(
         q, k, v = (_split_heads(c[n], n_heads) for n in "qkv")
         p = np.matmul(q, k.swapaxes(-1, -2), out=c["p"])
         p *= scale
-        _softmax(p, s["head_rows"])
+        _softmax(p, s["head_rows"], s["fold"], s["ones_len"])
         np.matmul(p, v, out=_split_heads(c["ctx"], n_heads))
         u = np.matmul(c["ctx"], proj["output"], out=c["xhat1"])
         u += x
         y1, _, _ = _layer_norm(u, weights[f"layer{l}.ln1.gain"], weights[f"layer{l}.ln1.bias"],
-                               c["inv1"], s["y1"])
+                               c["inv1"], s["y1"], s["ones_d"])
         a = np.matmul(y1, weights[f"layer{l}.ffn.w1"], out=c["a"])
         a += weights[f"layer{l}.ffn.b1"]
         h, _ = _gelu(a, c["t"], s["h"])
@@ -380,7 +438,7 @@ def forward_pass(
         u += weights[f"layer{l}.ffn.b2"]
         u += y1
         x, _, _ = _layer_norm(u, weights[f"layer{l}.ln2.gain"], weights[f"layer{l}.ln2.bias"],
-                              c["inv2"], c["y"])
+                              c["inv2"], c["y"], s["ones_d"])
     return (x.sum(axis=1) * (1.0 / length)) @ weights["head.out"]
 
 
@@ -410,18 +468,18 @@ def backward(cache: Cache, dlogits: np.ndarray,
         c = cache.layers[l - 1]
         proj, p = c["proj"], c["p"]
         du2 = _layer_norm_backward(dx, c["xhat2"], c["inv2"], weights[f"layer{l}.ln2.gain"],
-                                   g["du"], g["tmp"], rows)
+                                   g["du"], g["tmp"], rows, s["ones_d"])
         da = np.matmul(du2, weights[f"layer{l}.ffn.w2"].T, out=g["da"])
         _gelu_backward(da, c["a"], c["t"], s["h"], g["slope"])
         du2 += np.matmul(da, weights[f"layer{l}.ffn.w1"].T, out=g["tmp"])
         du1 = _layer_norm_backward(du2, c["xhat1"], c["inv1"], weights[f"layer{l}.ln1.gain"],
-                                   g["dx"], g["tmp"], rows)
+                                   g["dx"], g["tmp"], rows, s["ones_d"])
         if ("output", l) in targets:
             grads[("output", l)] = c["ctx"].reshape(-1, d).T @ du1.reshape(-1, d)
         dctx = _split_heads(np.matmul(du1, proj["output"].T, out=g["dctx"]), n_heads)
         v = _split_heads(c["v"], n_heads)
         dscores = np.matmul(dctx, v.swapaxes(-1, -2), out=g["dp"])
-        _softmax_backward(dscores, p, g["dp_tmp"], s["head_rows"])
+        _softmax_backward(dscores, p, g["dp_tmp"], s["head_rows"], s["ones_len"])
         dscores *= scale
         q, k = _split_heads(c["q"], n_heads), _split_heads(c["k"], n_heads)
         x = c["x"].reshape(-1, d)

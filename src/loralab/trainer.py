@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import IO
 
 import numpy as np
@@ -165,33 +165,46 @@ def schedule_factor(step: int, max_steps: int) -> float:
 
 @dataclass
 class AdamState:
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    """Adam's moment estimates: one flat array each, in the order of the tensors."""
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
 
 
 def adam_step(tensors: dict[str, np.ndarray], grads: dict[str, np.ndarray],
               state: AdamState, step: int, config: TrainConfig) -> dict[str, np.ndarray]:
-    """One Adam update (bias-corrected); mutates state, returns new tensors."""
+    """One Adam update (bias-corrected); mutates state, returns new tensors.
+
+    The tensors and their gradients are concatenated once, so the update is a
+    few passes over two flat arrays, however many tensors there are. Every
+    element gets the per-tensor rule's operations in the same order,
+
+        m = b1·m + (1 - b1)·g,   v = b2·v + (1 - b2)·g²,
+        new = value - lr·(m / (1 - b1^step)) / (sqrt(v / (1 - b2^step)) + eps),
+
+    so the bits are those of the rule applied tensor by tensor. The returned
+    tensors are views into one fresh flat array.
+    """
     if step < 1:
         raise ValueError(f"step is 1-based, got {step}")
     lr = config.learning_rate * schedule_factor(step, config.max_steps)
     b1, b2 = config.beta1, config.beta2
+    params = np.concatenate([value.ravel() for value in tensors.values()])
+    g = np.concatenate([grads[key].ravel() for key in tensors])
+    if state.m is None:
+        state.m, state.v = np.zeros_like(params), np.zeros_like(params)
+    m, v = state.m, state.v
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * (g * g)
+    m_hat = m / (1.0 - b1 ** step)
+    v_hat = v / (1.0 - b2 ** step)
+    params -= lr * m_hat / (np.sqrt(v_hat) + config.eps)
     out: dict[str, np.ndarray] = {}
+    start = 0
     for key, value in tensors.items():
-        g = grads[key]
-        m = state.m.get(key)
-        if m is None:
-            m = np.zeros_like(value)
-            v = np.zeros_like(value)
-        else:
-            v = state.v[key]
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * (g * g)
-        state.m[key] = m
-        state.v[key] = v
-        m_hat = m / (1.0 - b1 ** step)
-        v_hat = v / (1.0 - b2 ** step)
-        out[key] = value - lr * m_hat / (np.sqrt(v_hat) + config.eps)
+        out[key] = params[start:start + value.size].reshape(value.shape)
+        start += value.size
     return out
 
 

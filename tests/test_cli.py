@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from loralab import adapters, analysis, model
+from loralab import adapters, analysis, matcore, model
+from loralab import config as config_module
 from loralab.cli import main
 
 TINY_CONFIG = """
@@ -320,3 +326,139 @@ def test_a_failed_output_write_keeps_the_old_file(tmp_path, trained_pair, capsys
     code, _, err = run_cli(capsys, *args, "--baseline-seed", "5")
     assert code == 1 and err == "error: disk full\n"
     assert {path.name: path.read_bytes() for path in out_dir.iterdir()} == before
+
+
+def _analyze_args(trained_pair, out_dir, first="lora", second="condlora"):
+    return ["analyze", "--model", str(trained_pair["lora"] / "model.ckpt"),
+            "--adapter", str(trained_pair[first] / "adapter.ckpt"),
+            "--adapter", str(trained_pair[second] / "adapter.ckpt"), "--out", str(out_dir)]
+
+
+def test_analyze_rejects_an_invalid_pair_before_writing_anything(tmp_path, trained_pair, capsys):
+    out_dir = tmp_path / "pair_analysis"
+    code, out, err = run_cli(capsys, *_analyze_args(trained_pair, out_dir, "lora", "lora"))
+    assert code == 1
+    assert err == "error: comparison needs one lora and one condlora checkpoint\n"
+    assert out == "" and not out_dir.exists()
+
+
+def test_a_failed_analyze_leaves_the_previous_outputs_byte_identical(
+        tmp_path, trained_pair, capsys, monkeypatch):
+    out_dir = tmp_path / "analysis"
+    args = _analyze_args(trained_pair, out_dir)
+    assert run_cli(capsys, *args, "--i", "2")[0] == 0
+    before = {path.name: path.read_bytes() for path in out_dir.iterdir()}
+    assert len(before) == 6
+
+    code, _, _ = run_cli(capsys, *_analyze_args(trained_pair, out_dir, "condlora", "condlora"),
+                         "--i", "1")
+    assert code == 1
+
+    def fail_at_the_comparison(*_args):
+        raise matcore.NumericError("comparison failed")
+
+    monkeypatch.setattr(analysis, "compare_lora_condlora", fail_at_the_comparison)
+    code, out, err = run_cli(capsys, *args, "--i", "1")
+    assert code == 2 and err == "numeric error: comparison failed\n" and out == ""
+    assert {path.name: path.read_bytes() for path in out_dir.iterdir()} == before
+
+
+def test_a_model_too_large_to_allocate_is_one_error_line(tmp_path, capsys):
+    # 2**50 columns: the first weight tensor needs 2**59 bytes, more than any
+    # address space, so the allocation fails at once and nothing is touched.
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(f"model.d_model = {2 ** 50}\n")
+    out_dir = tmp_path / "huge"
+    code, _, err = run_cli(capsys, "train", "--config", str(cfg), "--out", str(out_dir))
+    assert code == 1
+    assert err.count("\n") == 1, err
+    assert err.startswith("error: Unable to allocate ") and "float64" in err, err
+    assert not out_dir.exists()
+
+
+# --- fuzzing: malformed input is one stderr line, exit 0 or 1 --------------------
+
+def _main_quietly(argv):
+    """Exit code and stderr of cli.main(argv); an escaping exception fails the test."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert not caught, [str(w.message) for w in caught]
+    return code, err.getvalue()
+
+
+_CONFIG_VALUES = st.one_of(
+    st.integers(-2 ** 70, 2 ** 70).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "-0.0", "0", "1,,2", "1,", ",", "query,value",
+                     "lora", "condlora", "teacher", "parity", "mse", "cross_entropy", "",
+                     "9" * 5000, "1_0", " 3 "]),
+    st.text(max_size=12),
+)
+_CONFIG_LINES = st.one_of(
+    st.tuples(st.sampled_from(sorted(config_module._FIELDS) + ["model", "seeds.x", ""]),
+              _CONFIG_VALUES).map(lambda kv: f"{kv[0]} = {kv[1]}"),
+    st.text(max_size=20),
+)
+_CONFIG_FILES = st.one_of(
+    st.lists(_CONFIG_LINES, max_size=6).map(lambda lines: "\n".join(lines).encode()),
+    st.binary(max_size=40),
+)
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=200)
+@given(_CONFIG_FILES)
+def test_fuzzed_config_files_through_count_params(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz.cfg"
+    path.write_bytes(data)
+    code, err = _main_quietly(["count-params", "--config", str(path)])
+    assert code in (0, 1)
+    assert err.count("\n") == (code == 1), err
+
+
+def _text_that_is_not(valid):
+    """Flag values that must fail: text ``valid`` rejects (it raises or returns False)."""
+    def rejected(text):
+        try:
+            return not valid(text)
+        except (ValueError, OverflowError):
+            return True
+    return st.text(max_size=10).filter(rejected)
+
+
+# Every flag value here fails before any training, analysis or benchmark runs.
+_FAILING_FLAGS = st.one_of(
+    st.tuples(st.just(["train"]), st.just("--max-steps"),
+              st.integers(max_value=-1).map(str) | _text_that_is_not(lambda t: int(t) >= 0)),
+    st.tuples(st.just(["train"]),
+              st.sampled_from(["--seed-model", "--seed-adapter", "--seed-data"]),
+              _text_that_is_not(int)),
+    st.tuples(st.just(["train"]), st.just("--method"),
+              _text_that_is_not(lambda t: t in ("lora", "condlora"))),
+    st.tuples(st.just(["train"]), st.just("--task"),
+              _text_that_is_not(lambda t: t in ("teacher", "parity"))),
+    st.tuples(st.just(["bench"]), st.just("--seconds"),
+              st.floats(max_value=0.999).map(repr) | st.sampled_from(["nan", "inf", "-inf"])
+              | _text_that_is_not(float)),
+    st.tuples(st.just(["gradcheck"]), st.just("--trials"),
+              st.integers(max_value=0).map(str) | _text_that_is_not(int)),
+    st.tuples(st.just(["gradcheck"]), st.just("--method"),
+              _text_that_is_not(lambda t: t in ("lora", "condlora", "both"))),
+    st.tuples(st.just(["analyze", "--model", "m.ckpt", "--adapter", "a.ckpt"]),
+              st.sampled_from(["--i", "--j", "--baseline-seed"]), _text_that_is_not(int)),
+    st.tuples(st.just(["analyze", "--model", "m.ckpt", "--adapter", "a.ckpt"]),
+              st.just("--side"), _text_that_is_not(lambda t: t in analysis.SIDES)),
+)
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=120)
+@given(_FAILING_FLAGS)
+def test_fuzzed_flag_values_fail_with_one_line(tmp_path_factory, case):
+    command, flag, value = case
+    out_dir = tmp_path_factory.getbasetemp() / "fuzz_out"
+    code, err = _main_quietly(command + [f"{flag}={value}", "--out", str(out_dir)])
+    assert code == 1
+    assert err.count("\n") == 1 and err.startswith("error: "), err
+    assert not out_dir.exists()

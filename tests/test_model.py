@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -202,3 +204,52 @@ def test_checkpoint_header_errors_name_the_key(tmp_path, edit, message):
     with pytest.raises(ValueError, match=f"model.ckpt: line 1: .*{message}"):
         model.load_model(path)
 
+
+
+# --- row helpers ----------------------------------------------------------------
+
+def test_row_max_equals_np_max_with_nan_inf_and_signed_zeros():
+    rng = np.random.default_rng(0)
+    specials = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0])
+    for n in range(1, 34):
+        for shape in ((n,), (7, n), (3, 5, n), (2, 3, 4, n)):
+            z = rng.standard_normal(shape)
+            hit = rng.random(shape) < 0.25
+            z[hit] = rng.choice(specials, hit.sum())
+            z[..., -1] = specials[n % 5]  # a special value in the odd tail too
+            expected = np.max(z, axis=-1, keepdims=True)
+            got = model._row_max(z)
+            assert got.shape == expected.shape
+            assert np.array_equal(got, expected, equal_nan=True), (n, shape)
+            out, tmp = np.empty(expected.shape), np.empty(shape[:-1] + (n // 2,))
+            assert model._row_max(z, out, tmp) is out
+            assert np.array_equal(out, expected, equal_nan=True), (n, shape)
+
+
+def test_row_sum_is_within_n_eps_of_the_exact_sum():
+    rng = np.random.default_rng(1)
+    eps = np.finfo(np.float64).eps
+    for n in (1, 2, 3, 5, 8, 16, 17, 32, 33, 64):
+        for shape in ((n,), (9, n), (4, 6, n), (3, 4, 5, n)):
+            x = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+            got = model._row_sum(x)
+            assert got.shape == shape[:-1] + (1,)
+            out, ones = np.empty(got.shape), np.ones((n, 1))
+            assert model._row_sum(x, out, ones) is out
+            assert np.array_equal(out, got)
+            for index in np.ndindex(shape[:-1]):
+                row = x[index]
+                exact = math.fsum(row)
+                assert abs(got[index][0] - exact) <= n * eps * math.fsum(np.abs(row)), (n, index)
+
+
+def test_row_sums_do_not_depend_on_the_place_in_the_batch():
+    # One GEMV per example: BLAS may add a row differently by its position in
+    # one matrix, so a flat GEMV over the whole batch would break this.
+    rng = np.random.default_rng(2)
+    for shape in ((6, 7, 16), (5, 4, 7, 7), (9, 3, 33)):
+        x = rng.standard_normal(shape)
+        sums = model._row_sum(x)
+        perm = rng.permutation(shape[0])
+        assert np.array_equal(model._row_sum(x[perm]), sums[perm])
+        assert np.array_equal(model._row_sum(x[2:3]), sums[2:3])

@@ -241,6 +241,46 @@ def test_adam_first_step_closed_form():
     assert abs(abs(float(out["p"][0, 0])) - 0.1) < 1e-6
 
 
+def _adam_per_tensor(tensors, grads, moments, step, config):
+    """Adam applied tensor by tensor, as the reference the flat update must match."""
+    lr = config.learning_rate * trainer.schedule_factor(step, config.max_steps)
+    b1, b2 = config.beta1, config.beta2
+    out = {}
+    for key, value in tensors.items():
+        g = grads[key]
+        m, v = moments.get(key, (np.zeros_like(value), np.zeros_like(value)))
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * (g * g)
+        moments[key] = m, v
+        m_hat = m / (1.0 - b1 ** step)
+        v_hat = v / (1.0 - b2 ** step)
+        out[key] = value - lr * m_hat / (np.sqrt(v_hat) + config.eps)
+    return out
+
+
+@pytest.mark.parametrize("method", ["lora", "condlora"])
+def test_flat_adam_matches_the_per_tensor_rule_bit_for_bit(small_weights, method):
+    spec = small_spec(method)
+    config = TrainConfig(learning_rate=2e-2, max_steps=60, batch_size=4)
+    task = tasks.TeacherTask(small_weights, rank=2, seed=3, seq_len=8)
+    params = trainer.init_params(spec, SMALL.d_model, 0)
+    reference, moments, state = dict(params.tensors), {}, AdamState()
+    for step in range(1, config.max_steps + 1):
+        _, grads = trainer.loss_and_grads(small_weights, params, spec, task.batch(step, 4))
+        tensors = trainer.adam_step(params.tensors, grads, state, step, config)
+        reference = _adam_per_tensor(reference, grads, moments, step, config)
+        assert list(tensors) == list(reference)
+        for key, value in tensors.items():
+            assert value.shape == reference[key].shape
+            same_bits = np.array_equal(value.view(np.uint64), reference[key].view(np.uint64))
+            assert same_bits, (step, key)
+        params = type(params)(tensors)
+    flat_m = np.concatenate([m.ravel() for m, _ in moments.values()])
+    flat_v = np.concatenate([v.ravel() for _, v in moments.values()])
+    assert np.array_equal(state.m.view(np.uint64), flat_m.view(np.uint64))
+    assert np.array_equal(state.v.view(np.uint64), flat_v.view(np.uint64))
+
+
 def test_adam_step_requires_one_based():
     with pytest.raises(ValueError):
         trainer.adam_step({}, {}, AdamState(), 0, cfg())

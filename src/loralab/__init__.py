@@ -2,15 +2,14 @@
 
 __version__ = "0.1.0"
 
-from .adapters import AdapterSpec, CondLoraParams, LoraParams
+from .adapters import AdapterParams, AdapterSpec
 from .model import BaseWeights, ModelConfig, build_model
 from .trainer import TrainConfig, TrainReport
 
 __all__ = [
+    "AdapterParams",
     "AdapterSpec",
     "BaseWeights",
-    "CondLoraParams",
-    "LoraParams",
     "ModelConfig",
     "TrainConfig",
     "TrainReport",

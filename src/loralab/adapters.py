@@ -16,6 +16,11 @@ so its trainable parameter count does not grow with the number of layers.
 Both methods initialize the A-side factor with Gaussian entries (std 1/r)
 and the B-side factor with zeros, which makes every delta exactly zero at
 initialization: training starts from the frozen base model in both cases.
+
+One ``AdapterParams`` holds either method's tensors; the ``AdapterSpec`` it
+travels with says which. Training goes through ``adapted`` (tensors to
+factors to adapted projections) and its adjoint ``factor_grads``; ``delta_w``,
+``materialize_deltas`` and ``merge`` give the delta matrices themselves.
 """
 
 from __future__ import annotations
@@ -86,61 +91,44 @@ class AdapterSpec:
 
 
 @dataclass
-class LoraParams:
-    """Per-target factor pairs, keyed lora.<module>.<layer>.{A,B}."""
+class AdapterParams:
+    """The trainable tensors of one adapter, keyed by the names ``_keys`` writes.
+
+    Which method they parameterize is read from the AdapterSpec they travel with.
+    """
 
     tensors: dict[str, np.ndarray] = field(default_factory=dict)
 
-    def pair(self, module: str, layer: int) -> tuple[np.ndarray, np.ndarray]:
-        return self.tensors[f"lora.{module}.{layer}.A"], self.tensors[f"lora.{module}.{layer}.B"]
 
-
-@dataclass
-class CondLoraParams:
-    """Per-module shared parameters, keyed cond.<module>.{thetaA,thetaB}."""
-
-    tensors: dict[str, np.ndarray] = field(default_factory=dict)
-
-    def pair(self, module: str) -> tuple[np.ndarray, np.ndarray]:
-        return self.tensors[f"cond.{module}.thetaA"], self.tensors[f"cond.{module}.thetaB"]
-
-
-AdapterParams = LoraParams | CondLoraParams
+def _keys(spec: AdapterSpec, module: str, layer: int) -> tuple[str, str]:
+    """Names of the A-side and B-side tensors that one target's factors come from."""
+    if spec.method == "lora":
+        return f"lora.{module}.{layer}.A", f"lora.{module}.{layer}.B"
+    return f"cond.{module}.thetaA", f"cond.{module}.thetaB"
 
 
 def tensor_shapes(spec: AdapterSpec, d: int | str) -> dict[str, tuple]:
-    """Name -> shape of every tensor the spec's method keeps for projections of width d."""
+    """Name -> shape of every tensor the spec's method keeps for projections of width d.
+
+    The order, targets in spec order with A before B, is the order of the
+    tensors in a checkpoint file and in Adam's flat moment arrays.
+    """
     r = spec.rank
-    if spec.method == "lora":
-        return {f"lora.{m}.{l}.{x}": shape for m, l in spec.targets()
-                for x, shape in (("A", (r, d)), ("B", (d, r)))}
-    return {f"cond.{m}.{x}": (d, r) for m in spec.target_modules for x in ("thetaA", "thetaB")}
+    a_shape = (r, d) if spec.method == "lora" else (d, r)
+    shapes = {}
+    for m, l in spec.targets():
+        key_a, key_b = _keys(spec, m, l)
+        shapes[key_a], shapes[key_b] = a_shape, (d, r)
+    return shapes
 
 
-def _init_tensors(spec: AdapterSpec, d_model: int, seed: int) -> dict[str, np.ndarray]:
-    """A-side factors ~ N(0, 1/r), seeded by tensor name; B-side factors zero."""
-    return {
+def init_params(spec: AdapterSpec, d_model: int, seed: int) -> AdapterParams:
+    """A-side tensors ~ N(0, 1/r), seeded by tensor name; B-side tensors zero."""
+    return AdapterParams({
         name: matcore.gaussian(*shape, 0.0, 1.0 / spec.rank, _rng.derive_seed(seed, name))
         if name.endswith("A") else np.zeros(shape)
         for name, shape in tensor_shapes(spec, d_model).items()
-    }
-
-
-def init_lora(spec: AdapterSpec, d_model: int, seed: int) -> LoraParams:
-    """A ~ N(0, 1/r) per target, B = 0, so every delta starts at zero."""
-    _check_method(spec, "lora")
-    return LoraParams(_init_tensors(spec, d_model, seed))
-
-
-def init_condlora(spec: AdapterSpec, d_model: int, seed: int) -> CondLoraParams:
-    """theta_A ~ N(0, 1/r) per module, theta_B = 0; deltas start at zero."""
-    _check_method(spec, "condlora")
-    return CondLoraParams(_init_tensors(spec, d_model, seed))
-
-
-def _check_method(spec: AdapterSpec, expected: str) -> None:
-    if spec.method != expected:
-        raise ValueError(f"spec method is {spec.method!r}, expected {expected!r}")
+    })
 
 
 def cond_a(w0: np.ndarray, theta_a: np.ndarray) -> np.ndarray:
@@ -159,14 +147,47 @@ def adapter_factors(
     """The effective (A, B) pair for one target, materialized for condlora."""
     if not spec.is_target(module, layer):
         raise NotATargetError(f"({module}, layer {layer}) is not a target of this adapter")
+    key_a, key_b = _keys(spec, module, layer)
+    a, b = params.tensors[key_a], params.tensors[key_b]
     if spec.method == "lora":
-        if not isinstance(params, LoraParams):
-            raise ValueError("lora spec requires LoraParams")
-        return params.pair(module, layer)
-    if not isinstance(params, CondLoraParams):
-        raise ValueError("condlora spec requires CondLoraParams")
-    theta_a, theta_b = params.pair(module)
-    return cond_a(w0, theta_a), cond_b(w0, theta_b)
+        return a, b
+    return cond_a(w0, a), cond_b(w0, b)
+
+
+def adapted(weights: BaseWeights, params: AdapterParams, spec: AdapterSpec):
+    """Per target: the effective factors (A, B), and the projection W0 + s·B·A."""
+    s = spec.alpha / spec.rank
+    factors, projections = {}, {}
+    for m, l in spec.targets():
+        w0 = weights.projection(m, l)
+        a, b = factors[(m, l)] = adapter_factors(params, spec, w0, m, l)
+        projections[(m, l)] = w0 + s * (b @ a)
+    return factors, projections
+
+
+def factor_grads(weights: BaseWeights, params: AdapterParams, spec: AdapterSpec,
+                 factors, dws) -> dict[str, np.ndarray]:
+    """The adjoint of ``adapted``: dL/dW per target to dL/d(tensor) for every tensor.
+
+    ``factors`` is what ``adapted`` returned and ``dws`` maps a target to
+    dL/dW. The chain rule is closed form: for LoRA dA = s·Bᵀ·dW and
+    dB = s·dW·Aᵀ; for CondLoRA the same rule gives dA_c and dB_c for the
+    conditioned factors A_c = (W0·θ_A)ᵀ and B_c = W0ᵀ·θ_B, and
+    dθ_A = W0ᵀ·dA_cᵀ and dθ_B = W0·dB_c are summed over the layers that
+    share θ.
+    """
+    s = spec.alpha / spec.rank
+    grads = {key: np.zeros_like(value) for key, value in params.tensors.items()}
+    for (m, l), dw in dws.items():
+        a, b = factors[(m, l)]
+        da, db = s * (b.T @ dw), s * (dw @ a.T)
+        if spec.method == "condlora":
+            w0 = weights.projection(m, l)
+            da, db = w0.T @ da.T, w0 @ db
+        key_a, key_b = _keys(spec, m, l)
+        grads[key_a] += da
+        grads[key_b] += db
+    return grads
 
 
 def delta_w(
@@ -204,14 +225,9 @@ def forward_with_adapters(weights: BaseWeights, params: AdapterParams, spec: Ada
     return model.forward(weights, materialize_deltas(params, spec, weights), tokens)
 
 
-def count_trainable(spec: AdapterSpec, d1: int, d2: int | None = None) -> int:
-    """(d1*r + d2*r) * k * n_layers for lora; (d1*r + d2*r) * k for condlora."""
-    if d2 is None:
-        d2 = d1
-    per_pair = d1 * spec.rank + d2 * spec.rank
-    if spec.method == "lora":
-        return per_pair * spec.k * len(spec.target_layers)
-    return per_pair * spec.k
+def count_trainable(spec: AdapterSpec, d_model: int) -> int:
+    """The total size of the spec's tensors: 2·d·r·k·n_layers for lora, 2·d·r·k for condlora."""
+    return sum(rows * cols for rows, cols in tensor_shapes(spec, d_model).values())
 
 
 # --- checkpoint io ----------------------------------------------------------
@@ -247,8 +263,7 @@ def save_adapter(path, params: AdapterParams, spec: AdapterSpec) -> None:
 
 def load_adapter(path) -> tuple[AdapterParams, AdapterSpec]:
     spec, tensors = matcore.load_checkpoint(path, _CHECKPOINT)
-    params = LoraParams(tensors) if spec.method == "lora" else CondLoraParams(tensors)
-    return params, spec
+    return AdapterParams(tensors), spec
 
 
 def as_method(spec: AdapterSpec, method: str) -> AdapterSpec:

@@ -9,9 +9,11 @@ non-finite losses, failed gradient checks).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -164,8 +166,9 @@ def cmd_train(args) -> int:
 
 def cmd_analyze(args) -> int:
     """Every grid, the baseline and the comparison are computed before the
-    first file is written, so a run that fails leaves the outputs of the
-    previous run as they were."""
+    first file is written, and no file replaces its old version until all are
+    written, so a run that fails leaves the outputs of the previous run as
+    they were."""
     weights = model.load_model(args.model_ckpt)
     loaded = [adapters.load_adapter(path) for path in args.adapter_ckpts]
     if len(loaded) > 2:
@@ -209,13 +212,16 @@ def cmd_analyze(args) -> int:
 
     out = Path(args.output_dir or "analysis")
     out.mkdir(parents=True, exist_ok=True)
-    for stem, label, grid in grids:
-        with matcore.atomic_write(out / f"{stem}.csv") as fh:
+    with contextlib.ExitStack() as files:
+        for stem, _, grid in grids:
+            fh = files.enter_context(matcore.atomic_write(out / f"{stem}.csv"))
             analysis.write_grid_csv(fh, grid)
+        if rows is not None:
+            fh = files.enter_context(matcore.atomic_write(out / "comparison.csv"))
+            analysis.write_comparison_csv(fh, rows)
+    for _, label, grid in grids:
         print(f"{label} avg_offdiag={grid.average_offdiagonal:.6f}")
     if rows is not None:
-        with matcore.atomic_write(out / "comparison.csv") as fh:
-            analysis.write_comparison_csv(fh, rows)
         mean_delta = float(np.mean([r.phi_delta for r in rows]))
         print(f"comparison rows={len(rows)} mean_phi_dW={mean_delta:.6f}")
     return EXIT_OK
@@ -229,13 +235,7 @@ def cmd_bench(args) -> int:
     task = cfg.make_task(weights)
     for method in adapters.METHODS:
         spec = cfg.adapter_spec(method)
-        train_cfg = trainer.TrainConfig(
-            learning_rate=cfg.train_config(method).learning_rate,
-            max_steps=1_000_000,
-            batch_size=cfg.batch_size,
-            seed=cfg.seed_adapter,
-            loss_kind=cfg.resolved_loss_kind(),
-        )
+        train_cfg = replace(cfg.train_config(method), max_steps=1_000_000)
         rate = trainer.bench_throughput(weights, spec, task, args.seconds, train_cfg)
         print(f"{method} {rate:.3f} examples/s")
     return EXIT_OK

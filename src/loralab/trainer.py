@@ -1,16 +1,14 @@
 """Training loop for adapter parameters over a frozen encoder.
 
 Gradients are explicit. ``loss_and_grads`` builds every adapted projection
-W = W0 + s·B·A (s = alpha / r), runs one ``model.forward_pass`` into a
-``model.Cache(keep_layers=True)`` (``train_run`` reuses one for every step),
-takes dL/dlogits in closed form (MSE: 2(logits - y)/N over the N entries;
-cross-entropy: (softmax - onehot)/batch) and gets dL/dW per target from
-``model.backward``. The adapter chain rule is then closed form too: for LoRA
-dA = s·Bᵀ·dW and dB = s·dW·Aᵀ; for CondLoRA the same rule gives dA_c and dB_c
-for the conditioned factors A_c = (W0·θ_A)ᵀ and B_c = W0ᵀ·θ_B, and
-dθ_A = W0ᵀ·dA_cᵀ and dθ_B = W0·dB_c are summed over the layers that share θ.
-``finite_difference_check`` provides the independent oracle: it only ever
-evaluates ``loss_only``, the forward-only pass.
+W = W0 + s·B·A (s = alpha / r) with ``adapters.adapted``, runs one
+``model.forward_pass`` into a ``model.Cache(keep_layers=True)`` (``train_run``
+reuses one for every step), takes dL/dlogits in closed form (MSE:
+2(logits - y)/N over the N entries; cross-entropy: (softmax - onehot)/batch),
+gets dL/dW per target from ``model.backward`` and maps those onto the adapter
+tensors with ``adapters.factor_grads``. ``finite_difference_check`` provides
+the independent oracle: it only ever evaluates ``loss_only``, the forward-only
+pass.
 
 Optimization is Adam with bias correction and a linear-to-zero learning-rate
 schedule: the effective rate at step s (1-based) is lr * max(0, 1 - s/max_steps).
@@ -25,15 +23,8 @@ from typing import IO
 
 import numpy as np
 
-from . import _rng, matcore, model
-from .adapters import (
-    AdapterParams,
-    AdapterSpec,
-    adapter_factors,
-    count_trainable,
-    init_condlora,
-    init_lora,
-)
+from . import _rng, adapters, matcore, model
+from .adapters import AdapterParams, AdapterSpec
 from .model import BaseWeights
 
 LOSS_KINDS = ("mse", "cross_entropy")
@@ -79,17 +70,6 @@ class TrainReport:
     seed: int
 
 
-def _adapt(weights: BaseWeights, params: AdapterParams, spec: AdapterSpec):
-    """Per target: the effective factors (A, B), and the projection W0 + s·B·A."""
-    s = spec.alpha / spec.rank
-    factors, projections = {}, {}
-    for m, l in spec.targets():
-        w0 = weights.projection(m, l)
-        a, b = factors[(m, l)] = adapter_factors(params, spec, w0, m, l)
-        projections[(m, l)] = w0 + s * (b @ a)
-    return factors, projections
-
-
 def _loss(logits: np.ndarray, targets, loss_kind: str) -> tuple[float, np.ndarray]:
     """The batch loss and its gradient with respect to the logits."""
     if loss_kind == "mse":
@@ -119,7 +99,7 @@ def _loss(logits: np.ndarray, targets, loss_kind: str) -> tuple[float, np.ndarra
 def loss_only(weights: BaseWeights, params: AdapterParams, spec: AdapterSpec,
               batch, loss_kind: str = "mse") -> float:
     tokens, targets = batch
-    _, projections = _adapt(weights, params, spec)
+    _, projections = adapters.adapted(weights, params, spec)
     logits = model.forward_pass(weights, tokens, projections)
     return _loss(logits, targets, loss_kind)[0]
 
@@ -133,27 +113,15 @@ def loss_and_grads(weights: BaseWeights, params: AdapterParams, spec: AdapterSpe
     workspace; a caller that steps repeatedly passes the same one.
     """
     tokens, targets = batch
-    s = spec.alpha / spec.rank
-    factors, projections = _adapt(weights, params, spec)
+    factors, projections = adapters.adapted(weights, params, spec)
     if cache is None:
         cache = model.Cache(keep_layers=True)
     logits = model.forward_pass(weights, tokens, projections, cache)
     loss, dlogits = _loss(logits, targets, loss_kind)
     if not np.isfinite(loss):
         raise matcore.NumericError(f"non-finite loss {loss!r}")
-    grads = {key: np.zeros_like(value) for key, value in params.tensors.items()}
-    for (m, l), dw in model.backward(cache, dlogits, projections).items():
-        a, b = factors[(m, l)]
-        da, db = s * (b.T @ dw), s * (dw @ a.T)
-        if spec.method == "lora":
-            key_a, key_b = f"lora.{m}.{l}.A", f"lora.{m}.{l}.B"
-        else:
-            w0 = weights.projection(m, l)
-            da, db = w0.T @ da.T, w0 @ db
-            key_a, key_b = f"cond.{m}.thetaA", f"cond.{m}.thetaB"
-        grads[key_a] += da
-        grads[key_b] += db
-    return loss, grads
+    dws = model.backward(cache, dlogits, projections)
+    return loss, adapters.factor_grads(weights, params, spec, factors, dws)
 
 
 def schedule_factor(step: int, max_steps: int) -> float:
@@ -208,12 +176,6 @@ def adam_step(tensors: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     return out
 
 
-def init_params(spec: AdapterSpec, d_model: int, seed: int) -> AdapterParams:
-    if spec.method == "lora":
-        return init_lora(spec, d_model, seed)
-    return init_condlora(spec, d_model, seed)
-
-
 def generic_params(spec: AdapterSpec, d_model: int, seed: int, std: float = 0.2) -> AdapterParams:
     """Adapter parameters at a generic point, both factors nonzero.
 
@@ -221,7 +183,7 @@ def generic_params(spec: AdapterSpec, d_model: int, seed: int, std: float = 0.2)
     makes the A-side gradients identically zero; gradient verification must
     displace off that point to exercise every tensor.
     """
-    params = init_params(spec, d_model, seed)
+    params = adapters.init_params(spec, d_model, seed)
     tensors = {
         key: value + matcore.gaussian(
             *value.shape, 0.0, std, _rng.derive_seed(seed, "generic." + key)
@@ -240,7 +202,7 @@ def train_run(weights: BaseWeights, spec: AdapterSpec, task, config: TrainConfig
     values before each update.
     """
     spec.validate_for(weights.config)
-    params = init_params(spec, weights.config.d_model, config.seed)
+    params = adapters.init_params(spec, weights.config.d_model, config.seed)
     eval_batch = task.eval_batch(eval_batches * config.batch_size)
     initial_loss = loss_only(weights, params, spec, eval_batch, config.loss_kind)
     state = AdamState()
@@ -264,7 +226,7 @@ def train_run(weights: BaseWeights, spec: AdapterSpec, task, config: TrainConfig
         initial_loss=initial_loss,
         final_loss=final_loss,
         examples_per_second=rate,
-        trainable_param_count=count_trainable(spec, weights.config.d_model),
+        trainable_param_count=adapters.count_trainable(spec, weights.config.d_model),
         wall_clock_seconds=elapsed,
         seed=config.seed,
     )
@@ -276,7 +238,7 @@ def bench_throughput(weights: BaseWeights, spec: AdapterSpec, task, seconds: flo
     """Full training iterations per second times batch size; warm-up excluded."""
     if not 1 <= seconds < math.inf:
         raise ValueError(f"seconds must be finite and >= 1, got {seconds}")
-    params = init_params(spec, weights.config.d_model, config.seed)
+    params = adapters.init_params(spec, weights.config.d_model, config.seed)
     state = AdamState()
     cache = model.Cache(keep_layers=True)
     step = 0

@@ -163,7 +163,7 @@ def test_criterion_6_zero_init_equivalence(report, desk):
         base = model.forward(weights, None, tokens)
         for method in adapters.METHODS:
             spec = cfg.adapter_spec(method)
-            params = trainer.init_params(spec, cfg.d_model, seed=batch_seed)
+            params = adapters.init_params(spec, cfg.d_model, seed=batch_seed)
             adapted = adapters.forward_with_adapters(weights, params, spec, tokens)
             worst = max(worst, float(np.abs(adapted - base).max()))
     report(6, "zero-init equivalence", worst == 0.0, f"max |logit diff|={worst}")

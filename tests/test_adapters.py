@@ -19,20 +19,12 @@ def lora_spec(**kw):
     return AdapterSpec(**base)
 
 
-def random_lora(spec, d, seed=0):
-    params = adapters.init_lora(spec, d, seed)
-    tensors = {}
-    for i, (key, value) in enumerate(params.tensors.items()):
-        tensors[key] = matcore.gaussian(*value.shape, 0.0, 0.3, seed + 100 + i)
-    return adapters.LoraParams(tensors)
-
-
-def random_cond(spec, d, seed=0):
-    params = adapters.init_condlora(spec, d, seed)
-    tensors = {}
-    for i, (key, value) in enumerate(params.tensors.items()):
-        tensors[key] = matcore.gaussian(*value.shape, 0.0, 0.3, seed + 200 + i)
-    return adapters.CondLoraParams(tensors)
+def random_params(spec, d, seed=0):
+    offset = 100 if spec.method == "lora" else 200
+    return adapters.AdapterParams({
+        key: matcore.gaussian(*shape, 0.0, 0.3, seed + offset + i)
+        for i, (key, shape) in enumerate(adapters.tensor_shapes(spec, d).items())
+    })
 
 
 # --- spec validation -----------------------------------------------------------
@@ -60,11 +52,11 @@ def test_spec_validation():
 
 def test_init_lora_zero_b_and_seeded_a():
     spec = lora_spec()
-    p1 = adapters.init_lora(spec, DESK.d_model, seed=1)
-    p2 = adapters.init_lora(spec, DESK.d_model, seed=2)
+    p1 = adapters.init_params(spec, DESK.d_model, seed=1)
+    p2 = adapters.init_params(spec, DESK.d_model, seed=2)
     for m, l in spec.targets():
-        a1, b1 = p1.pair(m, l)
-        a2, b2 = p2.pair(m, l)
+        a1, b1 = p1.tensors[f"lora.{m}.{l}.A"], p1.tensors[f"lora.{m}.{l}.B"]
+        a2, b2 = p2.tensors[f"lora.{m}.{l}.A"], p2.tensors[f"lora.{m}.{l}.B"]
         assert np.array_equal(b1, np.zeros((32, 4)))
         assert np.array_equal(b1, b2)
         assert a1.shape == (4, 32)
@@ -74,9 +66,9 @@ def test_init_lora_zero_b_and_seeded_a():
 
 def test_init_condlora_shapes_and_zero_theta_b():
     spec = lora_spec(method="condlora")
-    p = adapters.init_condlora(spec, DESK.d_model, seed=7)
+    p = adapters.init_params(spec, DESK.d_model, seed=7)
     for m in spec.target_modules:
-        theta_a, theta_b = p.pair(m)
+        theta_a, theta_b = p.tensors[f"cond.{m}.thetaA"], p.tensors[f"cond.{m}.thetaB"]
         assert theta_a.shape == (32, 4)
         assert np.array_equal(theta_b, np.zeros((32, 4)))
     assert len(p.tensors) == 2 * spec.k
@@ -86,9 +78,7 @@ def test_init_deltas_are_zero_for_both_methods():
     w = desk_weights()
     for method in adapters.METHODS:
         spec = lora_spec(method=method)
-        params = (adapters.init_lora if method == "lora" else adapters.init_condlora)(
-            spec, DESK.d_model, seed=3
-        )
+        params = adapters.init_params(spec, DESK.d_model, seed=3)
         for dw in adapters.materialize_deltas(params, spec, w).values():
             assert np.array_equal(dw, np.zeros((32, 32)))
 
@@ -125,15 +115,15 @@ def test_cond_shape_errors():
 def test_delta_alpha_equals_rank_gives_unit_scale():
     w = desk_weights()
     spec = lora_spec(alpha=4.0)
-    params = random_lora(spec, 32, seed=4)
-    a, b = params.pair("query", 1)
+    params = random_params(spec, 32, seed=4)
+    a, b = params.tensors["lora.query.1.A"], params.tensors["lora.query.1.B"]
     dw = adapters.delta_w(params, spec, w.projection("query", 1), "query", 1)
     assert np.array_equal(dw, b @ a)
 
 
 def test_delta_scale_equivariance():
     w = desk_weights()
-    params = random_lora(lora_spec(), 32, seed=5)
+    params = random_params(lora_spec(), 32, seed=5)
     one = adapters.delta_w(params, lora_spec(alpha=4.0), w.projection("query", 1), "query", 1)
     two = adapters.delta_w(params, lora_spec(alpha=8.0), w.projection("query", 1), "query", 1)
     assert np.array_equal(two, 2.0 * one)
@@ -142,8 +132,8 @@ def test_delta_scale_equivariance():
 def test_delta_rank_bound_both_methods():
     w = desk_weights()
     w0 = w.projection("value", 2)
-    lora_p = random_lora(lora_spec(), 32, seed=6)
-    cond_p = random_cond(lora_spec(method="condlora"), 32, seed=6)
+    lora_p = random_params(lora_spec(), 32, seed=6)
+    cond_p = random_params(lora_spec(method="condlora"), 32, seed=6)
     for params, spec in ((lora_p, lora_spec()), (cond_p, lora_spec(method="condlora"))):
         dw = adapters.delta_w(params, spec, w0, "value", 2)
         s = matcore.svd(dw).s
@@ -152,7 +142,7 @@ def test_delta_rank_bound_both_methods():
 
 def test_delta_untargeted_raises():
     w = desk_weights()
-    params = random_lora(lora_spec(), 32)
+    params = random_params(lora_spec(), 32)
     with pytest.raises(adapters.NotATargetError):
         adapters.delta_w(params, lora_spec(), w.projection("key", 1), "key", 1)
 
@@ -161,9 +151,9 @@ def test_condlora_weight_tying_across_layers():
     # same theta with layer 3's W0 reproduces layer 3's delta exactly
     w = desk_weights()
     spec = lora_spec(method="condlora")
-    params = random_cond(spec, 32, seed=8)
+    params = random_params(spec, 32, seed=8)
     deltas = adapters.materialize_deltas(params, spec, w)
-    theta_a, theta_b = params.pair("value")
+    theta_a, theta_b = params.tensors["cond.value.thetaA"], params.tensors["cond.value.thetaB"]
     w0 = w.projection("value", 3)
     rebuilt = (spec.alpha / spec.rank) * (
         adapters.cond_b(w0, theta_b) @ adapters.cond_a(w0, theta_a)
@@ -176,7 +166,7 @@ def test_condlora_weight_tying_across_layers():
 def test_merge_zero_init_is_identity():
     w = desk_weights()
     spec = lora_spec()
-    params = adapters.init_lora(spec, 32, seed=9)
+    params = adapters.init_params(spec, 32, seed=9)
     merged = adapters.merge(w, params, spec)
     for name in w.names():
         assert np.array_equal(merged[name], w[name]), name
@@ -187,7 +177,7 @@ def test_merge_equivalence_with_adapter_forward():
     toks = np.arange(12).reshape(2, 6) % DESK.vocab_size
     for method in adapters.METHODS:
         spec = lora_spec(method=method)
-        params = random_lora(spec, 32, seed=10) if method == "lora" else random_cond(spec, 32, seed=10)
+        params = random_params(spec, 32, seed=10)
         via_adapter = adapters.forward_with_adapters(w, params, spec, toks)
         merged = model.forward(adapters.merge(w, params, spec), None, toks)
         assert np.abs(via_adapter - merged).max() < 1e-9
@@ -196,7 +186,7 @@ def test_merge_equivalence_with_adapter_forward():
 def test_merge_twice_is_additive():
     w = desk_weights()
     spec = lora_spec()
-    params = random_lora(spec, 32, seed=11)
+    params = random_params(spec, 32, seed=11)
     once = adapters.merge(w, params, spec)
     twice = adapters.merge(once, params, spec)
     dw = adapters.delta_w(params, spec, w.projection("query", 1), "query", 1)
@@ -233,12 +223,38 @@ def test_count_ratio_equals_layer_count():
         assert ratio == len(layers)
 
 
+@pytest.mark.parametrize("method", adapters.METHODS)
+@pytest.mark.parametrize("config, rank, layers", [
+    (DESK, 4, (1, 2, 3, 4)),
+    (ModelConfig(n_layers=3, d_model=16, n_heads=4, d_ff=32, vocab_size=32, max_len=16,
+                 n_outputs=4), 2, (1, 3)),
+])
+def test_every_tensor_dict_follows_tensor_shapes(tmp_path, method, config, rank, layers):
+    spec = AdapterSpec(method, rank, float(rank), ("query", "value"), layers)
+    d = config.d_model
+    layout = list(adapters.tensor_shapes(spec, d).items())
+
+    def layout_of(tensors):
+        return [(name, tensor.shape) for name, tensor in tensors.items()]
+
+    params = adapters.init_params(spec, d, seed=0)
+    assert layout_of(params.tensors) == layout
+    path = tmp_path / "adapter.ckpt"
+    adapters.save_adapter(path, params, spec)
+    assert layout_of(adapters.load_adapter(path)[0].tensors) == layout
+    weights = model.build_model(config)
+    factors, _ = adapters.adapted(weights, params, spec)
+    dws = {t: matcore.gaussian(d, d, 0.0, 1.0, i) for i, t in enumerate(spec.targets())}
+    assert layout_of(adapters.factor_grads(weights, params, spec, factors, dws)) == layout
+    assert adapters.count_trainable(spec, d) == sum(rows * cols for _, (rows, cols) in layout)
+
+
 # --- checkpoints ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("method", adapters.METHODS)
 def test_adapter_checkpoint_round_trip(tmp_path, method):
     spec = lora_spec(method=method, alpha=3.5)
-    params = random_lora(spec, 32, 12) if method == "lora" else random_cond(spec, 32, 12)
+    params = random_params(spec, 32, 12)
     path = tmp_path / "adapter.ckpt"
     adapters.save_adapter(path, params, spec)
     back_params, back_spec = adapters.load_adapter(path)
@@ -250,7 +266,7 @@ def test_adapter_checkpoint_round_trip(tmp_path, method):
 
 def test_load_adapter_rejects_missing_tensor(tmp_path):
     spec = lora_spec()
-    params = random_lora(spec, 32, 13)
+    params = random_params(spec, 32, 13)
     path = tmp_path / "adapter.ckpt"
     adapters.save_adapter(path, params, spec)
     lines = path.read_text().splitlines(keepends=True)
@@ -271,7 +287,7 @@ def test_load_adapter_rejects_missing_tensor(tmp_path):
 def test_adapter_header_errors_name_the_key(tmp_path, edit, message):
     spec = lora_spec()
     path = tmp_path / "adapter.ckpt"
-    adapters.save_adapter(path, random_lora(spec, 32, 14), spec)
+    adapters.save_adapter(path, random_params(spec, 32, 14), spec)
     header, rest = path.read_text().split("\n", 1)
     path.write_text(edit(header) + "\n" + rest)
     with pytest.raises(ValueError, match=f"adapter.ckpt: line 1: .*{message}"):

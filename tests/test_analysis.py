@@ -215,12 +215,12 @@ def spec_pair():
 
 def random_params(method, seed):
     spec = adapters.as_method(spec_pair(), method)
-    init = (adapters.init_lora if method == "lora" else adapters.init_condlora)(spec, 32, seed)
+    init = adapters.init_params(spec, 32, seed)
     tensors = {
         key: matcore.gaussian(*value.shape, 0.0, 0.25, seed + 31 + i)
         for i, (key, value) in enumerate(init.tensors.items())
     }
-    return (adapters.LoraParams if method == "lora" else adapters.CondLoraParams)(tensors)
+    return adapters.AdapterParams(tensors)
 
 
 def test_compare_lora_condlora_shape(desk_weights):
@@ -245,7 +245,7 @@ def test_compare_self_similarity_is_one(desk_weights):
         mirrored[f"lora.{m}.{l}.A"] = a
         mirrored[f"lora.{m}.{l}.B"] = b
     rows = analysis.compare_lora_condlora(
-        adapters.LoraParams(mirrored), cond, desk_weights, lora_spec
+        adapters.AdapterParams(mirrored), cond, desk_weights, lora_spec
     )
     for row in rows:
         assert row.phi_a == pytest.approx(1.0, abs=1e-9)

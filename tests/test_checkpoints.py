@@ -32,7 +32,7 @@ FUZZ = settings(deadline=None, derandomize=True, database=None,
 def write_pair(directory, spec=TINY_SPEC, d=16):
     paths = {"model": directory / "model.ckpt", "adapter": directory / "adapter.ckpt"}
     model.save_model(paths["model"], model.build_model(TINY))
-    params = adapters.init_lora(spec, d, 0)
+    params = adapters.init_params(spec, d, 0)
     params.tensors = {k: v + 0.25 for k, v in params.tensors.items()}
     adapters.save_adapter(paths["adapter"], params, spec)
     return paths
@@ -109,7 +109,7 @@ def test_absurd_layer_count_fails_fast(tmp_path):
 # --- atomic saves ----------------------------------------------------------------
 
 def bad_params():
-    params = adapters.init_lora(TINY_SPEC, 16, 0)
+    params = adapters.init_params(TINY_SPEC, 16, 0)
     params.tensors["has space"] = np.ones((1, 1))  # write_matrix rejects the name
     return params
 
@@ -149,7 +149,7 @@ def test_failed_first_save_leaves_nothing(tmp_path):
 
 def test_load_adapter_rejects_a_factor_of_the_wrong_rank(tmp_path):
     spec = AdapterSpec("lora", 4, 4.0, ("query",), (1,))
-    params = adapters.init_lora(spec, 32, 0)
+    params = adapters.init_params(spec, 32, 0)
     params.tensors["lora.query.1.A"] = np.ones((3, 32))
     path = tmp_path / "adapter.ckpt"
     adapters.save_adapter(path, params, spec)
@@ -160,7 +160,7 @@ def test_load_adapter_rejects_a_factor_of_the_wrong_rank(tmp_path):
 
 def test_load_adapter_rejects_tensors_of_different_widths(tmp_path):
     spec = AdapterSpec("condlora", 4, 4.0, ("value",), (1, 2))
-    params = adapters.init_condlora(spec, 32, 0)
+    params = adapters.init_params(spec, 32, 0)
     params.tensors["cond.value.thetaB"] = np.zeros((16, 4))
     path = tmp_path / "adapter.ckpt"
     adapters.save_adapter(path, params, spec)
@@ -170,7 +170,7 @@ def test_load_adapter_rejects_tensors_of_different_widths(tmp_path):
 
 def test_analyze_rejects_an_adapter_of_another_width(tmp_path, capsys):
     paths = write_pair(tmp_path)
-    adapters.save_adapter(paths["adapter"], adapters.init_lora(TINY_SPEC, 8, 0), TINY_SPEC)
+    adapters.save_adapter(paths["adapter"], adapters.init_params(TINY_SPEC, 8, 0), TINY_SPEC)
     code, err = analyze(capsys, paths, tmp_path / "out")
     assert code == 1
     assert err.splitlines() == [
@@ -210,7 +210,7 @@ def adapter_pairs(draw):
     d = draw(st.integers(1, 4))
     tensors = {name: draw(arrays(np.float64, shape, elements=finite))
                for name, shape in adapters.tensor_shapes(spec, d).items()}
-    params = adapters.LoraParams(tensors) if spec.method == "lora" else adapters.CondLoraParams(tensors)
+    params = adapters.AdapterParams(tensors)
     return params, spec
 
 
@@ -247,7 +247,7 @@ def desk_files(tmp_path_factory):
     """A desk model checkpoint and a trained-looking condlora adapter for it."""
     directory = tmp_path_factory.mktemp("desk")
     spec = AdapterSpec("condlora", 4, 4.0, ("query", "value"), (1, 2, 3, 4))
-    params = adapters.init_condlora(spec, 32, 1)
+    params = adapters.init_params(spec, 32, 1)
     params.tensors = {k: v + matcore.gaussian(*v.shape, 0.0, 0.1, 7)
                       for k, v in params.tensors.items()}
     model.save_model(directory / "model.ckpt", model.build_model(ModelConfig()))

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import warnings
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loralab import adapters, analysis, matcore, model
+from loralab import adapters, analysis, matcore, model, trainer
 from loralab import config as config_module
 from loralab.cli import main
 
@@ -207,7 +208,7 @@ def test_analyze_malformed_header_names_the_key(tmp_path, capsys, which, edit, m
     spec = adapters.AdapterSpec("lora", 2, 2.0, ("query", "value"), (1, 2))
     paths = {"model": tmp_path / "model.ckpt", "adapter": tmp_path / "adapter.ckpt"}
     model.save_model(paths["model"], model.build_model(config))
-    adapters.save_adapter(paths["adapter"], adapters.init_lora(spec, 16, 0), spec)
+    adapters.save_adapter(paths["adapter"], adapters.init_params(spec, 16, 0), spec)
     header, rest = paths[which].read_text().split("\n", 1)
     paths[which].write_text(edit(header) + "\n" + rest)
     code, _, err = run_cli(capsys, "analyze", "--model", str(paths["model"]),
@@ -292,6 +293,23 @@ def test_bench_rejects_non_finite_seconds(capsys, seconds):
     assert err == f"error: --seconds must be finite and >= 1, got {float(seconds)}\n"
 
 
+def test_bench_runs_each_method_with_its_train_config(tmp_path, capsys, monkeypatch):
+    path = write_tiny_config(tmp_path)
+    cfg = config_module.load_config(path)
+    seen = {}
+
+    def fake_throughput(weights, spec, task, seconds, config):
+        seen[spec.method] = config
+        return 12.5
+
+    monkeypatch.setattr(trainer, "bench_throughput", fake_throughput)
+    code, out, _ = run_cli(capsys, "bench", "--config", str(path), "--seconds", "1")
+    assert code == 0
+    assert out == "lora 12.500 examples/s\ncondlora 12.500 examples/s\n"
+    assert seen == {method: dataclasses.replace(cfg.train_config(method), max_steps=1_000_000)
+                    for method in adapters.METHODS}
+
+
 @pytest.mark.parametrize("line, key", [
     ("adapter.alpha = nan", "adapter.alpha"),
     ("adapter.alpha = inf", "adapter.alpha"),
@@ -360,6 +378,22 @@ def test_a_failed_analyze_leaves_the_previous_outputs_byte_identical(
     monkeypatch.setattr(analysis, "compare_lora_condlora", fail_at_the_comparison)
     code, out, err = run_cli(capsys, *args, "--i", "1")
     assert code == 2 and err == "numeric error: comparison failed\n" and out == ""
+    assert {path.name: path.read_bytes() for path in out_dir.iterdir()} == before
+
+
+def test_a_failed_comparison_write_replaces_no_file(tmp_path, trained_pair, capsys, monkeypatch):
+    out_dir = tmp_path / "analysis"
+    args = _analyze_args(trained_pair, out_dir)
+    assert run_cli(capsys, *args, "--i", "2")[0] == 0
+    before = {path.name: path.read_bytes() for path in out_dir.iterdir()}
+
+    def disk_full(fh, rows):
+        fh.write("module,layer")
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(analysis, "write_comparison_csv", disk_full)
+    code, out, err = run_cli(capsys, *args, "--i", "1")
+    assert code == 1 and err == "error: [Errno 28] No space left on device\n" and out == ""
     assert {path.name: path.read_bytes() for path in out_dir.iterdir()} == before
 
 

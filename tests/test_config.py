@@ -117,7 +117,7 @@ def test_config_and_header_errors_share_one_wording(tmp_path, config_text, heade
     assert str(info.value).startswith("line 1: " + problem.format(key=config_text.split()[0]))
     path = tmp_path / "adapter.ckpt"
     spec = AdapterSpec("lora", 2, 2.0, ("query",), (1,))
-    adapters.save_adapter(path, adapters.init_lora(spec, 4, 0), spec)
+    adapters.save_adapter(path, adapters.init_params(spec, 4, 0), spec)
     key = header_text.split("=")[0]
     header, rest = path.read_text().split("\n", 1)
     items = [item for item in header.split() if not item.startswith(key + "=")] + [header_text]

@@ -26,12 +26,12 @@ def small_spec(method="lora", layers=(1, 2)):
 
 
 def displaced_params(spec, seed=0):
-    params = trainer.init_params(spec, SMALL.d_model, seed)
+    params = adapters.init_params(spec, SMALL.d_model, seed)
     tensors = {
         key: value + matcore.gaussian(*value.shape, 0.0, 0.2, seed + 50 + i)
         for i, (key, value) in enumerate(params.tensors.items())
     }
-    return type(params)(tensors)
+    return adapters.AdapterParams(tensors)
 
 
 def small_batch(weights, seed=0, batch=4):
@@ -123,15 +123,16 @@ def test_key_and_output_modules_trainable(small_weights):
         assert np.abs(via_adapter - direct).max() < 1e-9
 
 
-def test_condlora_gradient_accumulates_over_layers(small_weights):
-    # dL/dtheta is the sum over layers of <dL/dW_l, d(delta_l)/dtheta>. delta_l
-    # is linear in each theta with the other held fixed, so each layer's share
+@pytest.mark.parametrize("method", adapters.METHODS)
+def test_factor_grads_accumulate_over_layers(small_weights, method):
+    # dL/dtensor is the sum over layers of <dL/dW_l, d(delta_l)/dtensor>. delta_l
+    # is linear in each tensor with the others held fixed, so each layer's share
     # is read off adapters.delta_w on unit tensors, independent of the
-    # trainer's closed-form chain rule.
-    spec = small_spec(method="condlora")
+    # closed-form chain rule. A LoRA tensor feeds one layer; a CondLoRA theta
+    # feeds every layer.
+    spec = small_spec(method=method)
     params = displaced_params(spec, seed=6)
     tokens, targets = small_batch(small_weights, seed=7)
-    _, full = trainer.loss_and_grads(small_weights, params, spec, (tokens, targets), "mse")
 
     deltas = adapters.materialize_deltas(params, spec, small_weights)
     projections = {t: small_weights.projection(*t) + dw for t, dw in deltas.items()}
@@ -139,19 +140,27 @@ def test_condlora_gradient_accumulates_over_layers(small_weights):
     logits = model.forward_pass(small_weights, tokens, projections, cache)
     dlogits = 2.0 * (logits - targets) / logits.size
     dws = model.backward(cache, dlogits, spec.targets())
+    factors, _ = adapters.adapted(small_weights, params, spec)
+    full = adapters.factor_grads(small_weights, params, spec, factors, dws)
 
     shares = {l: {key: np.zeros_like(v) for key, v in params.tensors.items()}
               for l in spec.target_layers}
     for (m, l), dw in dws.items():
         w0 = small_weights.projection(m, l)
-        for key in (f"cond.{m}.thetaA", f"cond.{m}.thetaB"):
-            for index in np.ndindex(params.tensors[key].shape):
-                unit = np.zeros_like(params.tensors[key])
+        for key, value in params.tensors.items():
+            zero = adapters.delta_w(
+                adapters.AdapterParams({**params.tensors, key: np.zeros_like(value)}),
+                spec, w0, m, l)
+            for index in np.ndindex(value.shape):
+                unit = np.zeros_like(value)
                 unit[index] = 1.0
-                probe = adapters.CondLoraParams({**params.tensors, key: unit})
-                shares[l][key][index] = np.sum(dw * adapters.delta_w(probe, spec, w0, m, l))
+                probe = adapters.AdapterParams({**params.tensors, key: unit})
+                share = adapters.delta_w(probe, spec, w0, m, l) - zero
+                shares[l][key][index] += np.sum(dw * share)
+    assert list(full) == list(params.tensors)
     for key in full:
-        assert all(np.abs(shares[l][key]).max() > 1e-6 for l in spec.target_layers), key
+        feeding = [l for l in spec.target_layers if np.abs(shares[l][key]).max() > 1e-6]
+        assert len(feeding) == (len(spec.target_layers) if method == "condlora" else 1), key
         combined = sum(shares[l][key] for l in spec.target_layers)
         assert np.allclose(full[key], combined, rtol=1e-9, atol=1e-12), key
 
@@ -263,7 +272,7 @@ def test_flat_adam_matches_the_per_tensor_rule_bit_for_bit(small_weights, method
     spec = small_spec(method)
     config = TrainConfig(learning_rate=2e-2, max_steps=60, batch_size=4)
     task = tasks.TeacherTask(small_weights, rank=2, seed=3, seq_len=8)
-    params = trainer.init_params(spec, SMALL.d_model, 0)
+    params = adapters.init_params(spec, SMALL.d_model, 0)
     reference, moments, state = dict(params.tensors), {}, AdamState()
     for step in range(1, config.max_steps + 1):
         _, grads = trainer.loss_and_grads(small_weights, params, spec, task.batch(step, 4))
@@ -311,7 +320,7 @@ def test_train_run_zero_steps(small_weights):
     task = tasks.TeacherTask(small_weights, rank=2, seed=5, seq_len=8)
     tc = TrainConfig(learning_rate=1e-2, max_steps=0, batch_size=4, seed=1)
     params, report = trainer.train_run(small_weights, spec, task, tc)
-    init = trainer.init_params(spec, SMALL.d_model, 1)
+    init = adapters.init_params(spec, SMALL.d_model, 1)
     for key in params.tensors:
         assert np.array_equal(params.tensors[key], init.tensors[key])
     assert report.losses == []

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import IO
 
 import numpy as np
 
@@ -257,8 +258,13 @@ _CHECKPOINT = matcore.CheckpointFormat(
 )
 
 
+def write_adapter(fh: IO[str], params: AdapterParams, spec: AdapterSpec) -> None:
+    matcore.write_checkpoint(fh, _CHECKPOINT, spec, params.tensors)
+
+
 def save_adapter(path, params: AdapterParams, spec: AdapterSpec) -> None:
-    matcore.save_checkpoint(path, _CHECKPOINT, spec, params.tensors)
+    with matcore.atomic_write(path) as fh:
+        write_adapter(fh, params, spec)
 
 
 def load_adapter(path) -> tuple[AdapterParams, AdapterSpec]:

@@ -138,10 +138,6 @@ def cmd_train(args) -> int:
     params, report = trainer.train_run(weights, spec, task, train_cfg)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    model.save_model(out / "model.ckpt", weights)
-    adapters.save_adapter(out / "adapter.ckpt", params, spec)
-    with matcore.atomic_write(out / "report.csv") as fh:
-        trainer.write_report(fh, report)
     summary = {
         "method": spec.method,
         "task": cfg.task,
@@ -153,9 +149,15 @@ def cmd_train(args) -> int:
         "wall_clock_seconds": report.wall_clock_seconds,
         "seeds": {"model": cfg.seed_model, "adapter": cfg.seed_adapter, "data": cfg.seed_data},
     }
-    with matcore.atomic_write(out / "run.json") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    with contextlib.ExitStack() as files:  # no file is replaced until all four are written
+        model_fh, adapter_fh, report_fh, run_fh = (
+            files.enter_context(matcore.atomic_write(out / name))
+            for name in ("model.ckpt", "adapter.ckpt", "report.csv", "run.json"))
+        model.write_model(model_fh, weights)
+        adapters.write_adapter(adapter_fh, params, spec)
+        trainer.write_report(report_fh, report)
+        json.dump(summary, run_fh, indent=2)
+        run_fh.write("\n")
     print(
         f"{spec.method}: params={report.trainable_param_count} "
         f"initial_loss={report.initial_loss:.6g} final_loss={report.final_loss:.6g} "

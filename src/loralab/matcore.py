@@ -18,11 +18,11 @@ the operations that carry correctness contracts:
 A plain text serialization (header line ``MATRIX <name> <rows> <cols>``
 followed by rows of 17-significant-digit values) round-trips float64 values
 bit-exactly. Model and adapter checkpoints are one ``<TAG> key=value ...``
-header line followed by MATRIX blocks; ``save_checkpoint`` writes them
-through ``atomic_write`` and ``load_checkpoint`` streams them line by line,
-checking every block against the layout the header implies. Each caller
-describes its file with one ``CheckpointFormat``, whose header is a
-``Fields`` table as the experiment file's is; ``read_fields`` reads both.
+header line followed by MATRIX blocks; ``write_checkpoint`` writes them to an
+open file and ``load_checkpoint`` streams them line by line, checking every
+block against the layout the header implies. Each caller describes its file
+with one ``CheckpointFormat``, whose header is a ``Fields`` table as the
+experiment file's is; ``read_fields`` reads both.
 """
 
 from __future__ import annotations
@@ -237,25 +237,14 @@ def write_matrix(fh: IO[str], name: str, a) -> None:
         fh.write(row_format % tuple(row.tolist()))
 
 
-def read_matrix(fh: IO[str]) -> tuple[str, np.ndarray] | None:
-    """Read one MATRIX block; None at end of stream."""
-    return next(iter_matrices(fh), None)
-
-
-def iter_matrices(fh: IO[str]) -> Iterator[tuple[str, np.ndarray]]:
-    """Stream MATRIX blocks; errors name the line, counted from the current position."""
-    return _read_blocks(fh, 1, None)
-
-
-def _read_blocks(
-    fh: IO[str], first_line: int, layout: dict[str, tuple] | None
-) -> Iterator[tuple[str, np.ndarray]]:
+def _read_blocks(fh: IO[str], first_line: int,
+                 layout: dict[str, tuple]) -> Iterator[tuple[str, np.ndarray]]:
     """(name, matrix) per MATRIX block of fh, whose next line is numbered first_line.
 
     Errors are ValueErrors starting ``line <n>: `` and name the tensor once its
     header is read. Entries must parse and be finite; names must be unique.
-    With a layout ({name: (rows, cols)}, see CheckpointFormat), every name
-    must be in it with its shape, and a missing one is an error at end of file.
+    Every name must be in the layout ({name: (rows, cols)}, see
+    CheckpointFormat) with its shape, and a missing one is an error at end of file.
     """
     lines = enumerate(fh, first_line)
     lineno = first_line - 1
@@ -274,13 +263,12 @@ def _read_blocks(
             raise ValueError(f"{where}: bad dimensions in {line.rstrip()!r}")
         if name in seen:
             raise ValueError(f"{where}: duplicate tensor name")
-        if layout is not None:
-            if name not in layout:
-                raise ValueError(f"{where}: not a tensor of this checkpoint")
-            want = [bound.setdefault(n, got) if isinstance(n, str) else n
-                    for n, got in zip(layout[name], (rows, cols))]
-            if [rows, cols] != want:
-                raise ValueError(f"{where}: shape {rows}x{cols}, expected {want[0]}x{want[1]}")
+        if name not in layout:
+            raise ValueError(f"{where}: not a tensor of this checkpoint")
+        want = [bound.setdefault(n, got) if isinstance(n, str) else n
+                for n, got in zip(layout[name], (rows, cols))]
+        if [rows, cols] != want:
+            raise ValueError(f"{where}: shape {rows}x{cols}, expected {want[0]}x{want[1]}")
         try:
             data = np.empty((rows, cols))
         except MemoryError:
@@ -303,7 +291,7 @@ def _read_blocks(
             raise ValueError(f"line {start + 1 + i}: tensor {name}: non-finite entry {data[i, j]}")
         seen.add(name)
         yield name, data
-    missing = [name for name in layout or () if name not in seen]
+    missing = [name for name in layout if name not in seen]
     if missing:
         raise ValueError(f"line {lineno + 1}: end of file, missing tensor {missing[0]}")
 
@@ -428,13 +416,13 @@ def _read_header(line: str, fmt: CheckpointFormat):
         raise ValueError(f"line 1: {exc}") from None
 
 
-def save_checkpoint(path, fmt: CheckpointFormat, header, tensors: Mapping[str, np.ndarray]) -> None:
-    """Write header's fields and one MATRIX block per tensor through ``atomic_write``."""
+def write_checkpoint(fh: IO[str], fmt: CheckpointFormat, header,
+                     tensors: Mapping[str, np.ndarray]) -> None:
+    """Write header's fields as the tag line, then one MATRIX block per tensor."""
     values = " ".join(f"{key}={text}" for key, text in format_fields(header, fmt.fields))
-    with atomic_write(path) as fh:
-        fh.write(f"{fmt.tag} {values}\n")
-        for name, a in tensors.items():
-            write_matrix(fh, name, a)
+    fh.write(f"{fmt.tag} {values}\n")
+    for name, a in tensors.items():
+        write_matrix(fh, name, a)
 
 
 def load_checkpoint(path, fmt: CheckpointFormat) -> tuple[object, dict[str, np.ndarray]]:

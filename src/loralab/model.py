@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Iterator
+from typing import IO, Iterator
 
 import numpy as np
 
@@ -520,9 +520,14 @@ _CHECKPOINT = matcore.CheckpointFormat(
 )
 
 
-def save_model(path, weights: BaseWeights) -> None:
+def write_model(fh: IO[str], weights: BaseWeights) -> None:
     tensors = {name: weights[name] for name in weights.names()}
-    matcore.save_checkpoint(path, _CHECKPOINT, weights.config, tensors)
+    matcore.write_checkpoint(fh, _CHECKPOINT, weights.config, tensors)
+
+
+def save_model(path, weights: BaseWeights) -> None:
+    with matcore.atomic_write(path) as fh:
+        write_model(fh, weights)
 
 
 def load_model(path) -> BaseWeights:

@@ -41,15 +41,14 @@ def _token_batch(config, seed: int, label: str, batch_size: int, seq_len: int) -
 class TeacherTask:
     loss_kind = "mse"
 
-    def __init__(self, weights: BaseWeights, rank: int, seed: int, seq_len: int = 16,
-                 delta_scale: float | None = None):
+    def __init__(self, weights: BaseWeights, rank: int, seed: int, seq_len: int = 16):
         config = weights.config
         if not 1 <= seq_len <= config.max_len:
             raise ValueError(f"seq_len {seq_len} outside [1, {config.max_len}]")
         if rank < 0 or rank > config.d_model:
             raise ValueError(f"teacher rank {rank} outside [0, {config.d_model}]")
         d = config.d_model
-        scale = 0.5 / math.sqrt(d) if delta_scale is None else delta_scale
+        scale = 0.5 / math.sqrt(d)
         updates: dict[str, np.ndarray] = {}
         for m in ("query", "value"):
             if rank == 0:
@@ -102,10 +101,9 @@ class ParityTask:
         return self.batch("eval", batch_size)
 
 
-def build_task(kind: str, weights: BaseWeights, seed: int, rank: int = 4,
-               seq_len: int = 16, delta_scale: float | None = None):
+def build_task(kind: str, weights: BaseWeights, seed: int, rank: int = 4, seq_len: int = 16):
     if kind == "teacher":
-        return TeacherTask(weights, rank, seed, seq_len, delta_scale)
+        return TeacherTask(weights, rank, seed, seq_len)
     if kind == "parity":
         return ParityTask(weights, seed, seq_len)
     raise ValueError(f"unknown task kind {kind!r}, expected one of {TASK_KINDS}")

@@ -2,7 +2,7 @@
 
 Gradients are explicit. ``loss_and_grads`` builds every adapted projection
 W = W0 + s·B·A (s = alpha / r) with ``adapters.adapted``, runs one
-``model.forward_pass`` into a ``model.Cache(keep_layers=True)`` (``train_run``
+``model.forward_pass`` into a ``model.Cache(keep_layers=True)`` (``_steps``
 reuses one for every step), takes dL/dlogits in closed form (MSE:
 2(logits - y)/N over the N entries; cross-entropy: (softmax - onehot)/batch),
 gets dL/dW per target from ``model.backward`` and maps those onto the adapter
@@ -16,10 +16,11 @@ schedule: the effective rate at step s (1-based) is lr * max(0, 1 - s/max_steps)
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, replace
-from typing import IO
+from typing import IO, Iterator
 
 import numpy as np
 
@@ -97,10 +98,10 @@ def _loss(logits: np.ndarray, targets, loss_kind: str) -> tuple[float, np.ndarra
 
 
 def loss_only(weights: BaseWeights, params: AdapterParams, spec: AdapterSpec,
-              batch, loss_kind: str = "mse") -> float:
+              batch, loss_kind: str = "mse", cache: model.Cache | None = None) -> float:
     tokens, targets = batch
     _, projections = adapters.adapted(weights, params, spec)
-    logits = model.forward_pass(weights, tokens, projections)
+    logits = model.forward_pass(weights, tokens, projections, cache)
     return _loss(logits, targets, loss_kind)[0]
 
 
@@ -193,6 +194,25 @@ def generic_params(spec: AdapterSpec, d_model: int, seed: int, std: float = 0.2)
     return replace(params, tensors=tensors)
 
 
+def _steps(weights: BaseWeights, spec: AdapterSpec, task, config: TrainConfig,
+           params: AdapterParams) -> Iterator[tuple[float, AdapterParams]]:
+    """Each next() takes one training step from params on and yields (loss, params).
+
+    The loss is the batch's before the update; a numeric error names the 1-based
+    step. Closing the generator frees its ``AdamState`` and kept ``Cache``.
+    """
+    state = AdamState()
+    cache = model.Cache(keep_layers=True)
+    for step in itertools.count(1):
+        batch = task.batch(step, config.batch_size)
+        try:
+            loss, grads = loss_and_grads(weights, params, spec, batch, config.loss_kind, cache)
+        except matcore.NumericError as exc:
+            raise matcore.NumericError(f"step {step}: {exc}") from exc
+        params = replace(params, tensors=adam_step(params.tensors, grads, state, step, config))
+        yield loss, params
+
+
 def train_run(weights: BaseWeights, spec: AdapterSpec, task, config: TrainConfig,
               eval_batches: int = 4) -> tuple[AdapterParams, TrainReport]:
     """Adapter training; deterministic given (model, adapter, data) seeds.
@@ -205,20 +225,13 @@ def train_run(weights: BaseWeights, spec: AdapterSpec, task, config: TrainConfig
     params = adapters.init_params(spec, weights.config.d_model, config.seed)
     eval_batch = task.eval_batch(eval_batches * config.batch_size)
     initial_loss = loss_only(weights, params, spec, eval_batch, config.loss_kind)
-    state = AdamState()
-    cache = model.Cache(keep_layers=True)
+    steps = _steps(weights, spec, task, config, params)
     losses: list[float] = []
     started = time.perf_counter()
-    for step in range(1, config.max_steps + 1):
-        batch = task.batch(step, config.batch_size)
-        try:
-            loss, grads = loss_and_grads(weights, params, spec, batch, config.loss_kind, cache)
-        except matcore.NumericError as exc:
-            raise matcore.NumericError(f"step {step}: {exc}") from exc
+    for loss, params in itertools.islice(steps, config.max_steps):
         losses.append(loss)
-        params = replace(params, tensors=adam_step(params.tensors, grads, state, step, config))
     elapsed = time.perf_counter() - started
-    del cache  # free the training workspace before loss_only builds its own
+    steps.close()  # free the training workspace before loss_only builds its own
     final_loss = loss_only(weights, params, spec, eval_batch, config.loss_kind)
     rate = (config.max_steps * config.batch_size / elapsed) if config.max_steps and elapsed > 0 else 0.0
     report = TrainReport(
@@ -234,29 +247,16 @@ def train_run(weights: BaseWeights, spec: AdapterSpec, task, config: TrainConfig
 
 
 def bench_throughput(weights: BaseWeights, spec: AdapterSpec, task, seconds: float,
-                     config: TrainConfig, warmup: int = 10) -> float:
-    """Full training iterations per second times batch size; warm-up excluded."""
+                     config: TrainConfig) -> float:
+    """Full training iterations per second times batch size, after 10 warm-up steps."""
     if not 1 <= seconds < math.inf:
         raise ValueError(f"seconds must be finite and >= 1, got {seconds}")
-    params = adapters.init_params(spec, weights.config.d_model, config.seed)
-    state = AdamState()
-    cache = model.Cache(keep_layers=True)
-    step = 0
-
-    def iterate():
-        nonlocal params, step
-        step += 1
-        batch = task.batch(step, config.batch_size)
-        _, grads = loss_and_grads(weights, params, spec, batch, config.loss_kind, cache)
-        params = replace(params, tensors=adam_step(params.tensors, grads, state, step, config))
-
-    for _ in range(warmup):
-        iterate()
-    count = 0
+    steps = _steps(weights, spec, task, config,
+                   adapters.init_params(spec, weights.config.d_model, config.seed))
+    for _ in range(10):
+        next(steps)
     started = time.perf_counter()
-    while True:
-        iterate()
-        count += 1
+    for count, _ in enumerate(steps, 1):
         elapsed = time.perf_counter() - started
         if elapsed >= seconds:
             break
@@ -269,6 +269,7 @@ def fd_gradients(weights: BaseWeights, params: AdapterParams, spec: AdapterSpec,
 
     Only ever evaluates the loss, so it is independent of the backward pass.
     """
+    cache = model.Cache()
     out: dict[str, np.ndarray] = {}
     for key, tensor in params.tensors.items():
         flat = tensor.ravel()
@@ -276,9 +277,9 @@ def fd_gradients(weights: BaseWeights, params: AdapterParams, spec: AdapterSpec,
         for i in range(flat.size):
             original = flat[i]
             flat[i] = original + eps
-            up = loss_only(weights, params, spec, batch, loss_kind)
+            up = loss_only(weights, params, spec, batch, loss_kind, cache)
             flat[i] = original - eps
-            down = loss_only(weights, params, spec, batch, loss_kind)
+            down = loss_only(weights, params, spec, batch, loss_kind, cache)
             flat[i] = original
             fd[i] = (up - down) / (2.0 * eps)
         out[key] = fd.reshape(tensor.shape)

@@ -76,6 +76,8 @@ def set_value(line_no, value):
      "line 2: tensor lora.query.1.A: bad dimensions in 'MATRIX lora.query.1.A x 16'"),
     ("adapter", lambda lines: lines + lines[1:4],
      "tensor lora.query.1.A: duplicate tensor name"),
+    ("adapter", lambda lines: lines[:1] + ["NOTMATRIX lora.query.1.A 2 16\n"] + lines[2:],
+     "line 2: expected MATRIX header"),
 ])
 def test_malformed_block_names_file_line_and_tensor(tmp_path, capsys, which, edit, message):
     paths = write_pair(tmp_path)

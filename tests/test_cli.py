@@ -346,6 +346,26 @@ def test_a_failed_output_write_keeps_the_old_file(tmp_path, trained_pair, capsys
     assert {path.name: path.read_bytes() for path in out_dir.iterdir()} == before
 
 
+def test_a_failed_train_write_replaces_no_file(tmp_path, capsys, monkeypatch):
+    cfg = write_tiny_config(tmp_path)
+    out_dir = tmp_path / "run"
+    args = ["train", "--config", str(cfg), "--method", "lora", "--out", str(out_dir)]
+    assert run_cli(capsys, *args)[0] == 0
+    before = {path.name: path.read_bytes() for path in out_dir.iterdir()}
+    assert sorted(before) == ["adapter.ckpt", "model.ckpt", "report.csv", "run.json"]
+
+    def disk_full(fh, report):
+        fh.write("step,loss\n")
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(trainer, "write_report", disk_full)
+    code, out, err = run_cli(capsys, *args, "--seed-model", "7", "--seed-adapter", "8",
+                             "--max-steps", "5")
+    assert code == 1 and err == "error: [Errno 28] No space left on device\n" and out == ""
+    assert {path.name: path.read_bytes() for path in out_dir.iterdir()} == before
+    assert not list(out_dir.glob("*.tmp"))
+
+
 def _analyze_args(trained_pair, out_dir, first="lora", second="condlora"):
     return ["analyze", "--model", str(trained_pair["lora"] / "model.ckpt"),
             "--adapter", str(trained_pair[first] / "adapter.ckpt"),

@@ -257,16 +257,18 @@ def test_pseudo_invert_rank_deficient():
 
 # --- serialization -----------------------------------------------------------
 
-def test_matrix_round_trip_bit_exact():
+def test_matrix_round_trip_bit_exact(tmp_path):
     a = matcore.gaussian(7, 5, 0.0, 3.7, 13)
     a[0, 0] = -0.0
     a[1, 1] = 1e-300
     a[2, 2] = 1.7976931348623157e308
-    buf = io.StringIO()
-    matcore.write_matrix(buf, "layer3.value", a)
-    buf.seek(0)
-    name, back = matcore.read_matrix(buf)
-    assert name == "layer3.value"
+    fmt = matcore.CheckpointFormat("EDGES", {}, dict, lambda header: [("layer3.value", (7, 5))])
+    path = tmp_path / "edges.ckpt"
+    with open(path, "w") as fh:
+        matcore.write_checkpoint(fh, fmt, {}, {"layer3.value": a})
+    _, tensors = matcore.load_checkpoint(path, fmt)
+    assert list(tensors) == ["layer3.value"]
+    back = tensors["layer3.value"]
     assert back.shape == a.shape
     assert np.array_equal(back, a)
     assert np.signbit(back[0, 0])
@@ -289,19 +291,15 @@ def test_write_matrix_bytes_are_pinned():
     assert buf.getvalue() == "MATRIX normals 200 768\n" + expected
 
 
-def test_iter_matrices_multiple_blocks():
-    buf = io.StringIO()
-    matcore.write_matrix(buf, "first", np.ones((2, 2)))
-    matcore.write_matrix(buf, "second", np.zeros((1, 3)))
-    buf.seek(0)
-    items = list(matcore.iter_matrices(buf))
-    assert [name for name, _ in items] == ["first", "second"]
-    assert items[1][1].shape == (1, 3)
-
-
-def test_read_matrix_rejects_bad_header():
-    with pytest.raises(ValueError):
-        matcore.read_matrix(io.StringIO("NOTMATRIX a 1 1\n0\n"))
+def test_iter_matrices_multiple_blocks(tmp_path):
+    layout = [("first", (2, 2)), ("second", (1, 3))]
+    fmt = matcore.CheckpointFormat("BLOCKS", {}, dict, lambda header: layout)
+    path = tmp_path / "blocks.ckpt"
+    with open(path, "w") as fh:
+        matcore.write_checkpoint(fh, fmt, {}, {"first": np.ones((2, 2)), "second": np.zeros((1, 3))})
+    _, tensors = matcore.load_checkpoint(path, fmt)
+    assert list(tensors) == ["first", "second"]
+    assert tensors["second"].shape == (1, 3)
 
 
 def test_write_matrix_rejects_bad_name():

@@ -1,3 +1,7 @@
+import ast
+import sys
+from pathlib import Path
+
 import loralab
 
 
@@ -5,3 +9,21 @@ def test_every_public_name_imports():
     namespace = {}
     exec("from loralab import *", namespace)
     assert set(loralab.__all__) <= set(namespace)
+
+
+def test_modules_import_only_the_standard_library_numpy_and_loralab():
+    # numpy is the one runtime dependency. Another package that happens to be
+    # installed (scipy, say) would pass every other test, so read the imports.
+    allowed = set(sys.stdlib_module_names) | {"numpy", "loralab"}
+    modules = sorted(Path(loralab.__file__).parent.glob("*.py"))
+    assert modules
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue  # relative imports stay inside loralab
+            for name in names:
+                assert name.split(".")[0] in allowed, f"{path.name} imports {name}"

@@ -191,7 +191,8 @@ def test_non_finite_loss_raises(small_weights):
         trainer.loss_and_grads(small_weights, params, spec, (toks, bad_targets), "mse")
 
 
-def test_train_run_numeric_abort_names_step(small_weights):
+@pytest.mark.parametrize("run", ["train_run", "bench_throughput"])
+def test_train_run_numeric_abort_names_step(small_weights, run):
     class PoisonedTask:
         loss_kind = "mse"
 
@@ -209,8 +210,11 @@ def test_train_run_numeric_abort_names_step(small_weights):
 
     task = PoisonedTask(tasks.TeacherTask(small_weights, rank=2, seed=5, seq_len=8))
     tc = TrainConfig(learning_rate=1e-2, max_steps=10, batch_size=4, seed=1)
-    with pytest.raises(matcore.NumericError, match="step 3"):
-        trainer.train_run(small_weights, small_spec(), task, tc)
+    with pytest.raises(matcore.NumericError, match="^step 3: non-finite loss"):
+        if run == "train_run":
+            trainer.train_run(small_weights, small_spec(), task, tc)
+        else:
+            trainer.bench_throughput(small_weights, small_spec(), task, 1.0, tc)
 
 
 def test_cross_entropy_rejects_bad_labels(small_weights):
@@ -365,7 +369,7 @@ def test_bench_throughput_minimum(small_weights):
     spec = small_spec()
     task = tasks.TeacherTask(small_weights, rank=2, seed=5, seq_len=8)
     tc = TrainConfig(learning_rate=1e-2, max_steps=10**6, batch_size=4, seed=1)
-    rate = trainer.bench_throughput(small_weights, spec, task, 1.0, tc, warmup=2)
+    rate = trainer.bench_throughput(small_weights, spec, task, 1.0, tc)
     assert rate > 0
     for seconds in (0.5, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="seconds must be finite and >= 1"):

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import adapters, analysis, matcore, model, trainer
+from . import adapters, analysis, matcore, model, tasks, trainer
 from .config import ConfigError, ExperimentConfig, load_config
 
 EXIT_OK = 0
@@ -62,7 +62,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("train", help="train one adapter and write its checkpoint")
     _add_common(p)
     p.add_argument("--method", choices=adapters.METHODS)
-    p.add_argument("--task", choices=("teacher", "parity"))
+    p.add_argument("--task", choices=tasks.TASK_KINDS)
     p.add_argument("--max-steps", type=int, dest="max_steps")
     p.set_defaults(func=cmd_train)
 
@@ -171,13 +171,16 @@ def cmd_analyze(args) -> int:
     first file is written, and no file replaces its old version until all are
     written, so a run that fails leaves the outputs of the previous run as
     they were."""
+    if len(args.adapter_ckpts) > 2:
+        raise UsageError("at most two adapter checkpoints are supported")
     weights = model.load_model(args.model_ckpt)
     loaded = [adapters.load_adapter(path) for path in args.adapter_ckpts]
-    if len(loaded) > 2:
-        raise UsageError("at most two adapter checkpoints are supported")
-    for adapter_params, adapter_spec in loaded:
+    for path, (adapter_params, adapter_spec) in zip(args.adapter_ckpts, loaded):
         adapter_spec.validate_for(weights.config)
         adapters.check_shapes(adapter_params, adapter_spec, weights.config.d_model)
+        if len(adapter_spec.target_layers) < 2:
+            raise UsageError(f"{path}: analyze needs an adapter on at least 2 layers, "
+                             f"this one has only layer {adapter_spec.target_layers[0]}")
     if len(loaded) == 2:
         by_method = {s.method: (p, s) for p, s in loaded}
         if set(by_method) != {"lora", "condlora"}:
@@ -265,7 +268,6 @@ def cmd_gradcheck(args) -> int:
     if args.trials < 1:
         raise UsageError(f"--trials must be >= 1, got {args.trials}")
     weights = model.build_model(cfg.model_config())
-    loss_kind = cfg.resolved_loss_kind()
     methods = adapters.METHODS if args.method == "both" else (args.method,)
     worst = 0.0
     for method in methods:
@@ -274,12 +276,12 @@ def cmd_gradcheck(args) -> int:
             task = cfg.make_task(weights)
             params = trainer.generic_params(spec, cfg.d_model, cfg.seed_adapter + trial)
             batch = task.batch(f"gradcheck.{trial}", 4)
-            _, grads = trainer.loss_and_grads(weights, params, spec, batch, loss_kind)
+            _, grads = trainer.loss_and_grads(weights, params, spec, batch)
             if args.perturb:
                 first = next(iter(grads))
                 grads[first] = grads[first].copy()
                 grads[first].flat[0] += 1.0 + abs(grads[first]).max()
-            fd = trainer.fd_gradients(weights, params, spec, batch, loss_kind)
+            fd = trainer.fd_gradients(weights, params, spec, batch)
             errors = trainer.gradient_errors(grads, fd)
             for key, err in errors.items():
                 print(f"{method} trial={trial} {key} rel_err={err:.3e}")

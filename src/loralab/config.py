@@ -4,8 +4,10 @@ Files hold ``key = value`` pairs with dotted keys (``model.d_model = 32``)
 and ``#`` comments. ``_FIELDS`` is a ``matcore.Fields`` table, as for the
 checkpoint headers, and ``matcore.read_fields`` reads it. Optional fields are
 omitted when unset and resolved to method- or task-appropriate defaults at use
-time. ``serialize_config`` refuses a value it could not read back, so
-``parse_config(serialize_config(cfg)) == cfg`` for every valid config.
+time. No key picks the loss: the task's targets do (see ``trainer``).
+``parse_config`` checks the task settings against the model too, so a bad value
+fails when the file is read. ``serialize_config`` refuses a value it could not
+read back, so ``parse_config(serialize_config(cfg)) == cfg`` for every valid config.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Iterator
 from . import matcore
 from .adapters import AdapterSpec
 from .model import ModelConfig
-from .tasks import build_task
+from .tasks import build_task, check_task
 from .trainer import DEFAULT_LEARNING_RATE, TrainConfig
 
 
@@ -49,7 +51,6 @@ class ExperimentConfig:
     batch_size: int = 16
     learning_rate: float | None = None
     max_steps: int = 2000
-    loss_kind: str | None = None
     # task
     task: str = "teacher"
     teacher_rank: int | None = None
@@ -76,11 +77,6 @@ class ExperimentConfig:
         spec.validate_for(self.model_config())
         return spec
 
-    def resolved_loss_kind(self) -> str:
-        if self.loss_kind is not None:
-            return self.loss_kind
-        return "cross_entropy" if self.task == "parity" else "mse"
-
     def train_config(self, method: str | None = None) -> TrainConfig:
         method = method or self.method
         lr = self.learning_rate
@@ -91,12 +87,14 @@ class ExperimentConfig:
             max_steps=self.max_steps,
             batch_size=self.batch_size,
             seed=self.seed_adapter,
-            loss_kind=self.resolved_loss_kind(),
         )
 
+    def resolved_teacher_rank(self) -> int:
+        return self.rank if self.teacher_rank is None else self.teacher_rank
+
     def make_task(self, weights):
-        rank = self.rank if self.teacher_rank is None else self.teacher_rank
-        return build_task(self.task, weights, self.seed_data, rank=rank, seq_len=self.seq_len)
+        return build_task(self.task, weights, self.seed_data,
+                          rank=self.resolved_teacher_rank(), seq_len=self.seq_len)
 
 
 # key -> (field, parser, formatter), the table type of the checkpoint headers
@@ -110,7 +108,6 @@ _FIELDS: matcore.Fields = {
     "train.batch_size": ("batch_size", int, str),
     "train.learning_rate": ("learning_rate", matcore.positive_float, matcore.format_float),
     "train.max_steps": ("max_steps", int, str),
-    "train.loss_kind": ("loss_kind", str, str),
     "task": ("task", str, str),
     "task.teacher_rank": ("teacher_rank", int, str),
     "task.seq_len": ("seq_len", int, str),
@@ -150,13 +147,12 @@ def parse_config(text: str) -> ExperimentConfig:
     defaults = vars(ExperimentConfig())
     try:
         cfg = ExperimentConfig(**matcore.read_fields(_entries(text), _FIELDS, defaults))
-        cfg.model_config()
+        model_config = cfg.model_config()
         cfg.adapter_spec()
         cfg.train_config()
+        check_task(cfg.task, model_config, cfg.seq_len, cfg.resolved_teacher_rank())
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if cfg.task not in ("teacher", "parity"):
-        raise ConfigError(f"unknown task {cfg.task!r}")
     return cfg
 
 

@@ -2,7 +2,7 @@
 
 TeacherTask hides low-rank deltas inside a copy of the base model's query and
 value projections and asks the student to match the perturbed model's logits
-(MSE). The hidden delta for module m at layer l is
+(MSE, on its float logits). The hidden delta for module m at layer l is
 
     delta* = scale * (W0^T theta_B*) (W0 theta_A*)^T,   scale = 0.5 / sqrt(d)
 
@@ -13,8 +13,10 @@ a single shared linear map can fit it, and weight-space analysis of a trained
 run has an actual commonality to detect. Independent per-layer deltas would
 make the layer-similarity analysis a pure noise measurement.
 
-ParityTask is a sanity classification task: label 1 when a designated marker
-token appears an even number of times (zero included), else 0.
+ParityTask is a sanity classification task (cross-entropy, on its integer
+labels): label 1 when a designated marker token appears an even number of times
+(zero included), else 0. ``check_task`` holds every check of a task's settings
+against the model, so a config file is checked when it is read.
 
 Both tasks draw batches statelessly from counter-derived streams, so batch t
 of a given task is a pure function of (seed, t).
@@ -27,9 +29,21 @@ import math
 import numpy as np
 
 from . import _rng, model
-from .model import BaseWeights
+from .model import BaseWeights, ModelConfig
 
 TASK_KINDS = ("teacher", "parity")
+
+
+def check_task(kind: str, config: ModelConfig, seq_len: int, rank: int = 0) -> None:
+    """Raise ValueError unless a ``kind`` task fits config; only the teacher has a rank."""
+    if kind not in TASK_KINDS:
+        raise ValueError(f"unknown task kind {kind!r}, expected one of {TASK_KINDS}")
+    if not 1 <= seq_len <= config.max_len:
+        raise ValueError(f"seq_len {seq_len} outside [1, {config.max_len}]")
+    if kind == "teacher" and not 0 <= rank <= config.d_model:
+        raise ValueError(f"teacher rank {rank} outside [0, {config.d_model}]")
+    if kind == "parity" and config.n_outputs < 2:
+        raise ValueError(f"parity needs n_outputs >= 2, got {config.n_outputs}")
 
 
 def _token_batch(config, seed: int, label: str, batch_size: int, seq_len: int) -> np.ndarray:
@@ -39,14 +53,9 @@ def _token_batch(config, seed: int, label: str, batch_size: int, seq_len: int) -
 
 
 class TeacherTask:
-    loss_kind = "mse"
-
     def __init__(self, weights: BaseWeights, rank: int, seed: int, seq_len: int = 16):
         config = weights.config
-        if not 1 <= seq_len <= config.max_len:
-            raise ValueError(f"seq_len {seq_len} outside [1, {config.max_len}]")
-        if rank < 0 or rank > config.d_model:
-            raise ValueError(f"teacher rank {rank} outside [0, {config.d_model}]")
+        check_task("teacher", config, seq_len, rank)
         d = config.d_model
         scale = 0.5 / math.sqrt(d)
         updates: dict[str, np.ndarray] = {}
@@ -78,16 +87,11 @@ class TeacherTask:
 
 
 class ParityTask:
-    loss_kind = "cross_entropy"
     marker_token = 0
 
     def __init__(self, weights: BaseWeights, seed: int, seq_len: int = 16):
-        config = weights.config
-        if config.n_outputs < 2:
-            raise ValueError(f"parity needs n_outputs >= 2, got {config.n_outputs}")
-        if not 1 <= seq_len <= config.max_len:
-            raise ValueError(f"seq_len {seq_len} outside [1, {config.max_len}]")
-        self._config = config
+        check_task("parity", weights.config, seq_len)
+        self._config = weights.config
         self.seed = seed
         self.seq_len = seq_len
 
@@ -102,8 +106,7 @@ class ParityTask:
 
 
 def build_task(kind: str, weights: BaseWeights, seed: int, rank: int = 4, seq_len: int = 16):
+    check_task(kind, weights.config, seq_len, rank)
     if kind == "teacher":
         return TeacherTask(weights, rank, seed, seq_len)
-    if kind == "parity":
-        return ParityTask(weights, seed, seq_len)
-    raise ValueError(f"unknown task kind {kind!r}, expected one of {TASK_KINDS}")
+    return ParityTask(weights, seed, seq_len)

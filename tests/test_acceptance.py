@@ -146,7 +146,7 @@ def test_criterion_5_gradient_oracle(report):
         for method in adapters.METHODS:
             spec = adapters.AdapterSpec(method, 2, 2.0, ("query", "value"), (1, 2))
             params = trainer.generic_params(spec, config.d_model, seed)
-            errors = trainer.finite_difference_check(weights, params, spec, batch, "mse")
+            errors = trainer.finite_difference_check(weights, params, spec, batch)
             worst = max(worst, max(errors.values()))
     elapsed = time.perf_counter() - started
     ok = worst < 1e-4 and elapsed < 120.0

@@ -64,10 +64,10 @@ def test_logsumexp_grad_and_stability():
     # Cross-entropy is the batch mean of logsumexp(z) - z[label].
     logits = matcore.gaussian(3, 4, 0.0, 2.0, 41)
     labels = np.array([0, 3, 1])
-    _, dlogits = trainer._loss(logits, labels, "cross_entropy")
-    fd = central_difference(lambda v: trainer._loss(v, labels, "cross_entropy")[0], logits)
+    _, dlogits = trainer._loss(logits, labels)
+    fd = central_difference(lambda v: trainer._loss(v, labels)[0], logits)
     assert np.abs(dlogits - fd).max() < 1e-8
-    loss, dlogits = trainer._loss(logits + 1e3, labels, "cross_entropy")
+    loss, dlogits = trainer._loss(logits + 1e3, labels)
     assert np.isfinite(loss) and np.isfinite(dlogits).all()
 
 

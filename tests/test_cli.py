@@ -233,6 +233,38 @@ def test_analyze_rejects_out_of_range_vector_counts(tmp_path, trained_pair, caps
     assert not out_dir.exists()  # rejected before any grid work
 
 
+def test_analyze_rejects_a_third_adapter_before_reading_any_file(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    adapter_flags = [arg for name in ("a", "b", "c")
+                     for arg in ("--adapter", str(tmp_path / f"{name}.ckpt"))]
+    code, out, err = run_cli(capsys, "analyze", "--model", str(tmp_path / "missing.ckpt"),
+                             *adapter_flags, "--out", str(out_dir))
+    assert code == 1 and out == ""
+    assert err == "error: at most two adapter checkpoints are supported\n"
+    assert not out_dir.exists()
+
+
+def test_analyze_rejects_a_single_layer_adapter_before_any_solve(tmp_path, capsys, monkeypatch):
+    config = model.ModelConfig(n_layers=2, d_model=16, n_heads=4, d_ff=32, vocab_size=32,
+                               max_len=16, n_outputs=4)
+    spec = adapters.AdapterSpec("lora", 2, 2.0, ("query", "value"), (2,))
+    model_path, adapter_path = tmp_path / "model.ckpt", tmp_path / "adapter.ckpt"
+    model.save_model(model_path, model.build_model(config))
+    adapters.save_adapter(adapter_path, adapters.init_params(spec, 16, 0), spec)
+
+    def no_solve(*_args, **_kwargs):
+        raise AssertionError("a conversion grid was solved")
+
+    monkeypatch.setattr(analysis, "conversion_grid", no_solve)
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(capsys, "analyze", "--model", str(model_path),
+                             "--adapter", str(adapter_path), "--out", str(out_dir))
+    assert code == 1 and out == ""
+    assert err == (f"error: {adapter_path}: analyze needs an adapter on at least 2 layers, "
+                   "this one has only layer 2\n")
+    assert not out_dir.exists()
+
+
 # --- gradcheck -----------------------------------------------------------------------
 
 def test_gradcheck_passes(capsys):
@@ -279,6 +311,32 @@ def test_config_errors_name_the_file(tmp_path, capsys):
     cfg.write_bytes(b"\xff\xfe")
     code, _, err = run_cli(capsys, "count-params", "--config", str(cfg))
     assert code == 1 and err.startswith(f"config error: cannot read config {cfg}: ")
+
+
+def test_a_loss_kind_line_is_an_unknown_key(tmp_path, capsys):
+    cfg = write_tiny_config(tmp_path, "train.loss_kind = mse\n")
+    lineno = cfg.read_text().splitlines().index("train.loss_kind = mse") + 1
+    code, out, err = run_cli(capsys, "train", "--config", str(cfg), "--out", str(tmp_path / "run"))
+    assert code == 1 and out == ""
+    assert err == f"config error: {cfg}: line {lineno}: unknown key 'train.loss_kind'\n"
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("old, new, problem", [
+    ("task.seq_len = 8", "task.seq_len = 100", "seq_len 100 outside [1, 16]"),
+    ("task.seq_len = 8", "task.seq_len = 0", "seq_len 0 outside [1, 16]"),
+    ("task.seq_len = 8", "task.seq_len = 8\ntask.teacher_rank = 99",
+     "teacher rank 99 outside [0, 16]"),
+    ("model.n_outputs = 4", "model.n_outputs = 1\ntask = parity",
+     "parity needs n_outputs >= 2, got 1"),
+])
+def test_task_settings_are_checked_when_the_file_is_read(tmp_path, capsys, old, new, problem):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(TINY_CONFIG.replace(old, new))
+    code, out, err = run_cli(capsys, "train", "--config", str(cfg), "--out", str(tmp_path / "run"))
+    assert code == 1 and out == ""
+    assert err == f"config error: {cfg}: {problem}\n"
+    assert not (tmp_path / "run").exists()
 
 
 def test_bench_rejects_sub_second(capsys):

@@ -2,11 +2,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loralab import adapters, matcore
+from loralab import adapters, matcore, tasks
 from loralab.adapters import METHODS, AdapterSpec
 from loralab.config import ConfigError, ExperimentConfig, parse_config, serialize_config
 from loralab.model import ATTENTION_MODULES
-from loralab.trainer import LOSS_KINDS, TrainConfig
+from loralab.trainer import TrainConfig
 
 
 def test_round_trip_defaults():
@@ -19,7 +19,7 @@ def test_round_trip_fully_specified():
         n_layers=2, d_model=16, n_heads=2, d_ff=24, vocab_size=16, max_len=12, n_outputs=3,
         method="condlora", rank=2, alpha=1.5, target_modules=("query", "key", "value"),
         target_layers=(1, 2), batch_size=4, learning_rate=0.004, max_steps=17,
-        loss_kind="mse", task="parity", teacher_rank=2, seq_len=6,
+        task="parity", teacher_rank=2, seq_len=6,
         output_dir="runs/x", seed_model=7, seed_adapter=8, seed_data=9,
     )
     assert parse_config(serialize_config(cfg)) == cfg
@@ -91,10 +91,10 @@ def test_defaults_resolution():
     spec = cfg.adapter_spec()
     assert spec.alpha == spec.rank == 4
     assert spec.target_layers == (1, 2, 3, 4)
-    assert cfg.resolved_loss_kind() == "mse"
+    assert cfg.resolved_teacher_rank() == cfg.rank == 4
     assert cfg.train_config().learning_rate == 0.02
-    cfg.task = "parity"
-    assert cfg.resolved_loss_kind() == "cross_entropy"
+    cfg.teacher_rank = 0
+    assert cfg.resolved_teacher_rank() == 0
     cfg.learning_rate = 0.001
     assert cfg.train_config().learning_rate == 0.001
 
@@ -167,18 +167,20 @@ def configs(draw):
     d_model = n_heads * draw(st.integers(1, 8))
     layers = st.lists(st.integers(1, n_layers), min_size=1, unique=True).map(tuple)
     small = st.integers(1, 10**6)
+    task = draw(st.sampled_from(tasks.TASK_KINDS))
+    max_len = draw(small)
     return ExperimentConfig(
         n_layers=n_layers, d_model=d_model, n_heads=n_heads, d_ff=draw(small),
-        vocab_size=draw(small), max_len=draw(small), n_outputs=draw(small),
+        vocab_size=draw(small), max_len=max_len,
+        n_outputs=draw(st.integers(2 if task == "parity" else 1, 10**6)),
         method=draw(st.sampled_from(METHODS)), rank=draw(st.integers(1, d_model)),
         alpha=draw(st.none() | positive_floats),
         target_modules=tuple(draw(st.lists(st.sampled_from(ATTENTION_MODULES),
                                            min_size=1, unique=True))),
         target_layers=draw(st.none() | layers), batch_size=draw(small),
         learning_rate=draw(st.none() | positive_floats), max_steps=draw(st.integers(0, 10**9)),
-        loss_kind=draw(st.sampled_from((None,) + LOSS_KINDS)),
-        task=draw(st.sampled_from(["teacher", "parity"])),
-        teacher_rank=draw(st.none() | small), seq_len=draw(small),
+        task=task, teacher_rank=draw(st.none() | st.integers(0, d_model)),
+        seq_len=draw(st.integers(1, max_len)),
         output_dir=draw(st.text(max_size=12)),
         seed_model=draw(st.integers(-2**70, 2**70)), seed_adapter=draw(st.integers(0, 2**64)),
         seed_data=draw(st.integers(0, 2**64)),

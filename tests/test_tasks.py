@@ -41,7 +41,7 @@ def test_teacher_zero_rank_means_zero_initial_loss(weights):
     task = tasks.TeacherTask(weights, rank=0, seed=2, seq_len=8)
     spec = adapters.AdapterSpec("lora", 2, 2.0, ("query", "value"), (1, 2))
     params = adapters.init_params(spec, SMALL.d_model, seed=0)
-    loss = trainer.loss_only(weights, params, spec, task.batch(1, 8), "mse")
+    loss = trainer.loss_only(weights, params, spec, task.batch(1, 8))
     assert loss == 0.0
 
 
@@ -49,7 +49,7 @@ def test_teacher_default_initial_loss_positive(weights):
     task = tasks.TeacherTask(weights, rank=2, seed=2, seq_len=8)
     spec = adapters.AdapterSpec("lora", 2, 2.0, ("query", "value"), (1, 2))
     params = adapters.init_params(spec, SMALL.d_model, seed=0)
-    loss = trainer.loss_only(weights, params, spec, task.eval_batch(16), "mse")
+    loss = trainer.loss_only(weights, params, spec, task.eval_batch(16))
     assert loss > 0.0
 
 
@@ -86,6 +86,6 @@ def test_parity_deterministic_and_trainable_signature(weights):
     assert np.array_equal(t1[0], t2[0]) and np.array_equal(t1[1], t2[1])
     spec = adapters.AdapterSpec("condlora", 2, 2.0, ("query", "value"), (1, 2))
     params = adapters.init_params(spec, SMALL.d_model, seed=1)
-    loss, grads = trainer.loss_and_grads(weights, params, spec, t1, "cross_entropy")
+    loss, grads = trainer.loss_and_grads(weights, params, spec, t1)
     assert np.isfinite(loss)
     assert any(np.abs(g).max() > 0 for g in grads.values())

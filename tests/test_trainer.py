@@ -46,7 +46,7 @@ def test_zero_signal_gives_zero_grads(small_weights):
     params = displaced_params(spec, seed=1)
     toks = small_batch(small_weights, seed=2)[0]
     logits = adapters.forward_with_adapters(small_weights, params, spec, toks)
-    loss, grads = trainer.loss_and_grads(small_weights, params, spec, (toks, logits), "mse")
+    loss, grads = trainer.loss_and_grads(small_weights, params, spec, (toks, logits))
     assert loss == 0.0
     for key, g in grads.items():
         assert np.abs(g).max() < 1e-12, key
@@ -55,22 +55,23 @@ def test_zero_signal_gives_zero_grads(small_weights):
 def test_gradients_cover_exactly_the_trainable_tensors(small_weights):
     spec = small_spec(method="condlora")
     params = displaced_params(spec, seed=3)
-    _, grads = trainer.loss_and_grads(small_weights, params, spec, small_batch(small_weights), "mse")
+    _, grads = trainer.loss_and_grads(small_weights, params, spec, small_batch(small_weights))
     assert set(grads) == {"cond.query.thetaA", "cond.query.thetaB",
                           "cond.value.thetaA", "cond.value.thetaB"}
 
 
+# A task's targets pick its loss, so the oracle runs once per task; the test id
+# names the loss that task's targets select.
+TASK_LOSS = {"teacher": "mse", "parity": "cross_entropy"}
+
+
 @pytest.mark.parametrize("method", adapters.METHODS)
-@pytest.mark.parametrize("loss_kind", trainer.LOSS_KINDS)
-def test_finite_difference_oracle(small_weights, method, loss_kind):
+@pytest.mark.parametrize("task_kind", tasks.TASK_KINDS, ids=TASK_LOSS.get)
+def test_finite_difference_oracle(small_weights, method, task_kind):
     spec = small_spec(method=method)
     params = displaced_params(spec, seed=4)
-    if loss_kind == "mse":
-        batch = small_batch(small_weights, seed=5)
-    else:
-        task = tasks.ParityTask(small_weights, seed=5, seq_len=8)
-        batch = task.batch("test", 4)
-    errors = trainer.finite_difference_check(small_weights, params, spec, batch, loss_kind)
+    batch = tasks.build_task(task_kind, small_weights, seed=5, rank=2, seq_len=8).batch("test", 4)
+    errors = trainer.finite_difference_check(small_weights, params, spec, batch)
     assert max(errors.values()) < 1e-4, errors
 
 
@@ -84,18 +85,15 @@ def three_layer_weights():
 
 
 @pytest.mark.parametrize("method", adapters.METHODS)
-@pytest.mark.parametrize("loss_kind", trainer.LOSS_KINDS)
+@pytest.mark.parametrize("task_kind", tasks.TASK_KINDS, ids=TASK_LOSS.get)
 @pytest.mark.parametrize("layers", [(2, 3), (1,)])
-def test_finite_difference_oracle_partial_layers(three_layer_weights, method, loss_kind, layers):
+def test_finite_difference_oracle_partial_layers(three_layer_weights, method, task_kind, layers):
     # (2, 3): the backward stops above layer 1; (1,): it passes through two
     # untargeted layers first. All four projections are targeted at once.
     spec = AdapterSpec(method, 2, 3.0, adapters.ATTENTION_MODULES, layers)
     params = trainer.generic_params(spec, THREE.d_model, seed=21)
-    if loss_kind == "mse":
-        batch = tasks.TeacherTask(three_layer_weights, rank=2, seed=22, seq_len=6).batch("fd", 3)
-    else:
-        batch = tasks.ParityTask(three_layer_weights, seed=22, seq_len=6).batch("fd", 3)
-    errors = trainer.finite_difference_check(three_layer_weights, params, spec, batch, loss_kind)
+    task = tasks.build_task(task_kind, three_layer_weights, seed=22, rank=2, seq_len=6)
+    errors = trainer.finite_difference_check(three_layer_weights, params, spec, task.batch("fd", 3))
     assert max(errors.values()) < 1e-4, errors
 
 
@@ -115,7 +113,7 @@ def test_key_and_output_modules_trainable(small_weights):
         spec = AdapterSpec(method, 2, 2.0, ("key", "output"), (1, 2))
         params = trainer.generic_params(spec, SMALL.d_model, seed=13)
         batch = small_batch(small_weights, seed=14)
-        errors = trainer.finite_difference_check(small_weights, params, spec, batch, "mse")
+        errors = trainer.finite_difference_check(small_weights, params, spec, batch)
         assert max(errors.values()) < 1e-4, (method, errors)
         merged = adapters.merge(small_weights, params, spec)
         via_adapter = adapters.forward_with_adapters(small_weights, params, spec, batch[0])
@@ -169,16 +167,16 @@ def test_mse_dlogits_match_finite_differences_and_stay_finite():
     # The cross-entropy counterpart is test_autodiff::test_logsumexp_grad_and_stability.
     logits = matcore.gaussian(3, 4, 0.0, 2.0, 41)
     targets = matcore.gaussian(3, 4, 0.0, 1.0, 42)
-    _, dlogits = trainer._loss(logits, targets, "mse")
+    _, dlogits = trainer._loss(logits, targets)
     fd = np.zeros_like(logits)
     for index in np.ndindex(logits.shape):
         up, down = logits.copy(), logits.copy()
         up[index] += 1e-6
         down[index] -= 1e-6
-        fd[index] = (trainer._loss(up, targets, "mse")[0]
-                     - trainer._loss(down, targets, "mse")[0]) / 2e-6
+        fd[index] = (trainer._loss(up, targets)[0]
+                     - trainer._loss(down, targets)[0]) / 2e-6
     assert np.abs(dlogits - fd).max() < 1e-8
-    loss, dlogits = trainer._loss(logits + 1e3, targets + 1e3, "mse")
+    loss, dlogits = trainer._loss(logits + 1e3, targets + 1e3)
     assert np.isfinite(loss) and np.isfinite(dlogits).all()
 
 
@@ -188,14 +186,12 @@ def test_non_finite_loss_raises(small_weights):
     toks = small_batch(small_weights)[0]
     bad_targets = np.full((4, SMALL.n_outputs), np.inf)
     with pytest.raises(matcore.NumericError):
-        trainer.loss_and_grads(small_weights, params, spec, (toks, bad_targets), "mse")
+        trainer.loss_and_grads(small_weights, params, spec, (toks, bad_targets))
 
 
 @pytest.mark.parametrize("run", ["train_run", "bench_throughput"])
 def test_train_run_numeric_abort_names_step(small_weights, run):
     class PoisonedTask:
-        loss_kind = "mse"
-
         def __init__(self, inner):
             self.inner = inner
 
@@ -223,7 +219,47 @@ def test_cross_entropy_rejects_bad_labels(small_weights):
     toks = small_batch(small_weights)[0]
     with pytest.raises(ValueError):
         trainer.loss_and_grads(small_weights, params, spec,
-                               (toks, np.array([0, 1, 2, SMALL.n_outputs])), "cross_entropy")
+                               (toks, np.array([0, 1, 2, SMALL.n_outputs])))
+
+
+def _reference_mse(logits, targets):
+    diff = logits - np.asarray(targets, dtype=np.float64)
+    return float((diff * diff).sum() * (1.0 / diff.size)), diff * (2.0 / diff.size)
+
+
+def _reference_cross_entropy(logits, labels):
+    batch = logits.shape[0]
+    onehot = np.zeros(logits.shape)
+    onehot[np.arange(batch), labels] = 1.0
+    top = logits.max(axis=-1)
+    lse = top + np.log(np.exp(logits - top[:, None]).sum(axis=-1))
+    loss = (lse - (logits * onehot).sum(axis=-1)).sum() * (1.0 / batch)
+    return float(loss), (np.exp(logits - lse[:, None]) - onehot) * (1.0 / batch)
+
+
+@pytest.mark.parametrize("targets, reference", [
+    (matcore.gaussian(5, 4, 0.0, 1.0, 43), _reference_mse),
+    (matcore.gaussian(5, 4, 0.0, 1.0, 43).astype(np.float32), _reference_mse),
+    (np.array([0, 3, 1, 1, 2]), _reference_cross_entropy),
+    (np.array([0, 3, 1, 1, 2], dtype=np.int32), _reference_cross_entropy),
+])
+def test_the_targets_pick_the_loss_with_unchanged_bits(targets, reference):
+    # Integer labels get cross-entropy and float targets MSE, bit for bit the
+    # reference expressions above.
+    logits = matcore.gaussian(5, 4, 0.0, 2.0, 44)
+    loss, dlogits = trainer._loss(logits, targets)
+    expected_loss, expected_dlogits = reference(logits, targets)
+    assert loss.hex() == expected_loss.hex()
+    assert dlogits.tobytes() == expected_dlogits.tobytes()
+
+
+@pytest.mark.parametrize("targets, message", [
+    (np.zeros((5, 4), dtype=np.int64), r"cross_entropy labels shape \(5, 4\) does not match batch 5"),
+    (np.zeros(5), r"mse targets shape \(5,\) does not match logits \(5, 4\)"),
+])
+def test_targets_of_the_wrong_shape_for_their_loss_raise(targets, message):
+    with pytest.raises(matcore.ShapeError, match=message):
+        trainer._loss(matcore.gaussian(5, 4, 0.0, 1.0, 45), targets)
 
 
 # --- adam ------------------------------------------------------------------------
@@ -257,7 +293,7 @@ def test_adam_first_step_closed_form():
 def _adam_per_tensor(tensors, grads, moments, step, config):
     """Adam applied tensor by tensor, as the reference the flat update must match."""
     lr = config.learning_rate * trainer.schedule_factor(step, config.max_steps)
-    b1, b2 = config.beta1, config.beta2
+    b1, b2 = 0.9, 0.999
     out = {}
     for key, value in tensors.items():
         g = grads[key]
@@ -267,7 +303,7 @@ def _adam_per_tensor(tensors, grads, moments, step, config):
         moments[key] = m, v
         m_hat = m / (1.0 - b1 ** step)
         v_hat = v / (1.0 - b2 ** step)
-        out[key] = value - lr * m_hat / (np.sqrt(v_hat) + config.eps)
+        out[key] = value - lr * m_hat / (np.sqrt(v_hat) + 1e-8)
     return out
 
 

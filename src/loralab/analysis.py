@@ -14,6 +14,11 @@ grids of phi between conversion matrices, together with a random-matrix
 baseline grid of matching shape, quantify how much cross-layer structure a
 trained adapter carries. Non-square W0 is rejected: a true inverse is
 required, with an SVD pseudoinverse available only behind an explicit flag.
+
+Work runs per stack of layers, not per layer: a grid's conversions come from
+one stacked ``matcore.solve`` and its bases from one stacked ``matcore.svd``,
+and the comparison takes one SVD per side over every target of both methods.
+Each matrix gets the bits it would get alone.
 """
 
 from __future__ import annotations
@@ -31,27 +36,31 @@ from .model import BaseWeights
 SIDES = ("left", "right")
 
 
+def _check_count(shape: tuple[int, ...], count: int) -> None:
+    rows, cols = shape[-2:]
+    if not 1 <= count <= min(rows, cols):
+        raise ValueError(
+            f"requested {count} singular vectors, {rows}x{cols} has {min(rows, cols)}"
+        )
+
+
 def _basis(x: np.ndarray, count: int, side: str) -> np.ndarray:
-    """Top ``count`` singular vectors as columns of an orthonormal matrix."""
+    """Top ``count`` singular vectors of each matrix of x (…, rows, cols), as columns."""
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}, got {side!r}")
-    x = matcore.as_matrix(x)
-    available = min(x.shape)
-    if not 1 <= count <= available:
-        raise ValueError(
-            f"requested {count} singular vectors, {x.shape[0]}x{x.shape[1]} has {available}"
-        )
+    _check_count(x.shape, count)
     result = matcore.svd(x)
     if side == "left":
-        return result.u[:, :count]
-    return result.vt[:count, :].T
+        return result.u[..., :count]
+    return result.vt[..., :count, :].swapaxes(-1, -2)
 
 
 def _delta_basis(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Top-r left singular vectors of B @ A (d x r), without forming the d x d product.
+    """Top-r left singular vectors of every B @ A (d x r), without forming the d x d products.
 
-    With B = Q R, B @ A = Q (R @ A), so the left singular vectors of B @ A are
-    Q times those of the r x d matrix R @ A.
+    a and b are stacks (…, r, d) and (…, d, r). With B = Q R, B @ A = Q (R @ A),
+    so the left singular vectors of B @ A are Q times those of the r x d
+    matrix R @ A.
     """
     q, r = np.linalg.qr(b)
     return q @ matcore.svd(r @ a).u
@@ -67,8 +76,8 @@ def _phi(bx: np.ndarray, by: np.ndarray, i: int, j: int) -> float:
 
 def subspace_similarity(x, y, i: int, j: int, side: str = "left") -> float:
     """phi(X, Y, i, j) over top singular-vector subspaces; clamped to [0, 1]."""
-    bx = _basis(x, i, side)
-    by = _basis(y, j, side)
+    bx = _basis(matcore.as_matrix(x), i, side)
+    by = _basis(matcore.as_matrix(y), j, side)
     if bx.shape[0] != by.shape[0]:
         raise ShapeError(
             f"{side} singular vectors live in different spaces: "
@@ -117,7 +126,11 @@ class SimilarityGrid:
 
 def layer_similarity_grid(matrices, i: int, j: int, side: str = "left",
                           labels: list[str] | None = None) -> SimilarityGrid:
-    """Pairwise phi over an ordered list of same-shape matrices."""
+    """Pairwise phi over an ordered list (or a stack) of same-shape matrices.
+
+    One SVD of the whole stack gives every basis; the i- and j-column bases
+    of a matrix are both slices of its one factorization.
+    """
     mats = [matcore.as_matrix(m) for m in matrices]
     if len(mats) < 1:
         raise ValueError("need at least one matrix")
@@ -125,13 +138,13 @@ def layer_similarity_grid(matrices, i: int, j: int, side: str = "left",
     for m in mats[1:]:
         if m.shape != shape:
             raise ShapeError(f"grid matrices must share a shape: {shape} vs {m.shape}")
-    bases = [_basis(m, i, side) for m in mats]
-    bases_j = bases if i == j else [_basis(m, j, side) for m in mats]
+    _check_count(shape, min(i, j))
+    bases = _basis(np.stack(mats), max(i, j), side)
     n = len(mats)
     values = np.empty((n, n))
     for p in range(n):
         for q in range(n):
-            values[p, q] = _phi(bases[p], bases_j[q], i, j)
+            values[p, q] = _phi(bases[p, :, :i], bases[q, :, :j], i, j)
     if labels is None:
         labels = [str(idx + 1) for idx in range(n)]
     return SimilarityGrid(list(labels), values, side, i, j)
@@ -152,22 +165,30 @@ def random_baseline_grid(rows: int, cols: int, n: int, i: int, j: int,
 def conversion_grid(weights: BaseWeights, params: AdapterParams, spec: AdapterSpec,
                     module: str, which: str, i: int | None = None, j: int | None = None,
                     side: str = "left", pseudoinverse: bool = False) -> SimilarityGrid:
-    """Layer-pair grid of phi between one module's conversion matrices."""
+    """Layer-pair grid of phi between one module's conversion matrices.
+
+    All target layers' conversions come from one stacked ``matcore.solve``; a
+    W0 it rejects is named as its tensor, such as ``layer1.value``.
+    """
     if which not in ("A", "B"):
         raise ValueError(f"which must be 'A' or 'B', got {which!r}")
     i = spec.rank if i is None else i
     j = spec.rank if j is None else j
-    mats = []
-    labels = []
-    for layer in spec.target_layers:
-        w0 = weights.projection(module, layer)
+    layers = spec.target_layers
+    w0s = [weights.projection(module, layer) for layer in layers]
+    rhs = []
+    for w0, layer in zip(w0s, layers):
         a, b = adapter_factors(params, spec, w0, module, layer)
-        if which == "A":
-            mats.append(conversion_a(w0, a, pseudoinverse))
-        else:
-            mats.append(conversion_b(w0, b, pseudoinverse))
-        labels.append(str(layer))
-    return layer_similarity_grid(mats, i, j, side, labels)
+        rhs.append(a.T if which == "A" else b)
+    if pseudoinverse:
+        mats = [_conversion(w0, x, True) for w0, x in zip(w0s, rhs)]
+    else:
+        try:
+            mats = matcore.solve(w0s, np.stack(rhs))
+        except matcore.SingularMatrixError as exc:
+            raise matcore.SingularMatrixError(
+                exc.condition, exc.index, f"layer{layers[exc.index]}.{module}") from None
+    return layer_similarity_grid(mats, i, j, side, [str(layer) for layer in layers])
 
 
 @dataclass
@@ -185,29 +206,36 @@ def compare_lora_condlora(lora_params, cond_params, weights: BaseWeights,
                           spec: AdapterSpec) -> list[ComparisonRow]:
     """Per-target similarity rows: A on the right side, B and delta on the left.
 
-    The delta subspaces come from the factors (see ``_delta_basis``); the
-    d x d deltas are never formed. Whenever A has full row rank r, the column
-    space of B·A is that of B, so ``phi_delta`` repeats ``phi_b`` up to
-    rounding; it differs only for rank-deficient A.
+    The factors of every target of both methods form one stack per side, so
+    one SVD gives every A basis, one every B basis, and one QR and one SVD
+    every delta basis. The delta subspaces come from the factors (see
+    ``_delta_basis``); the d x d deltas are never formed. Whenever A has full
+    row rank r, the column space of B·A is that of B, so ``phi_delta``
+    repeats ``phi_b`` up to rounding; it differs only for rank-deficient A.
     """
-    lora_spec = as_method(spec, "lora")
-    cond_spec = as_method(spec, "condlora")
-    r = spec.rank
-    rows = []
-    for m, l in spec.targets():
-        w0 = weights.projection(m, l)
-        a_l, b_l = adapter_factors(lora_params, lora_spec, w0, m, l)
-        a_c, b_c = adapter_factors(cond_params, cond_spec, w0, m, l)
-        rows.append(
-            ComparisonRow(
-                module=m,
-                layer=l,
-                phi_a=subspace_similarity(a_l, a_c, r, r, side="right"),
-                phi_b=subspace_similarity(b_l, b_c, r, r, side="left"),
-                phi_delta=_phi(_delta_basis(a_l, b_l), _delta_basis(a_c, b_c), r, r),
-            )
+    targets = list(spec.targets())
+    factors = [
+        adapter_factors(params, method_spec, weights.projection(m, l), m, l)
+        for params, method_spec in ((lora_params, as_method(spec, "lora")),
+                                    (cond_params, as_method(spec, "condlora")))
+        for m, l in targets
+    ]
+    a = np.stack([f[0] for f in factors])
+    b = np.stack([f[1] for f in factors])
+    r, n = spec.rank, len(targets)
+    bases_a = _basis(a, r, "right")
+    bases_b = _basis(b, r, "left")
+    bases_delta = _delta_basis(a, b)
+    return [
+        ComparisonRow(
+            module=m,
+            layer=l,
+            phi_a=_phi(bases_a[k], bases_a[n + k], r, r),
+            phi_b=_phi(bases_b[k], bases_b[n + k], r, r),
+            phi_delta=_phi(bases_delta[k], bases_delta[n + k], r, r),
         )
-    return rows
+        for k, (m, l) in enumerate(targets)
+    ]
 
 
 # --- csv output ---------------------------------------------------------------

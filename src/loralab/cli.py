@@ -176,8 +176,11 @@ def cmd_analyze(args) -> int:
     weights = model.load_model(args.model_ckpt)
     loaded = [adapters.load_adapter(path) for path in args.adapter_ckpts]
     for path, (adapter_params, adapter_spec) in zip(args.adapter_ckpts, loaded):
-        adapter_spec.validate_for(weights.config)
-        adapters.check_shapes(adapter_params, adapter_spec, weights.config.d_model)
+        try:
+            adapter_spec.validate_for(weights.config)
+            adapters.check_shapes(adapter_params, adapter_spec, weights.config.d_model)
+        except ValueError as exc:
+            raise UsageError(f"{path}: {exc}") from None
         if len(adapter_spec.target_layers) < 2:
             raise UsageError(f"{path}: analyze needs an adapter on at least 2 layers, "
                              f"this one has only layer {adapter_spec.target_layers[0]}")

@@ -1,17 +1,20 @@
 """Dense float64 matrix primitives with explicit error contracts.
 
 Everything downstream (the encoder, adapters, the similarity toolkit) moves
-matrices around as 2-D C-contiguous float64 numpy arrays. This module owns
+matrices around as 2-D C-contiguous float64 numpy arrays, or stacks of them. This module owns
 the operations that carry correctness contracts:
 
 * ``matmul`` rejects mismatched shapes, naming both operands.
 * ``solve(a, rhs)`` runs one right-looking blocked partial-pivot LU of ``a``
   (panels of ``_LU_BLOCK`` columns, one GEMM trailing update per panel), refuses
   matrices whose pivot-ratio condition estimate exceeds ``COND_LIMIT`` (1e12),
-  and substitutes on the columns of ``rhs`` only. ``invert(a)`` is
-  ``solve(a, I)``; ``condition_estimate`` reads the pivots of the same LU.
-* ``svd`` returns factors with a deterministic sign convention: the
-  largest-magnitude entry of every left singular vector is non-negative.
+  and substitutes on the columns of ``rhs`` only. ``a`` may be a stack of
+  matrices: every step then runs once over the stack, chunks of which fit in
+  ``_LU_WORKSPACE`` bytes, and each matrix gets the bits of its own 2-D solve.
+  ``invert(a)`` is ``solve(a, I)``; ``condition_estimate`` reads the pivots of
+  the same LU.
+* ``svd`` factors one matrix or a stack, with a deterministic sign convention:
+  the largest-magnitude entry of every left singular vector is non-negative.
 * ``gaussian`` draws from the counter-based generator in ``_rng`` so that a
   (seed, shape) pair always produces bit-identical matrices.
 
@@ -40,6 +43,7 @@ from . import _rng
 
 COND_LIMIT = 1e12
 _LU_BLOCK = 64
+_LU_WORKSPACE = 8 << 20  # bytes of LU workspace per chunk of a stacked solve
 
 
 class ShapeError(ValueError):
@@ -51,13 +55,21 @@ class NumericError(ArithmeticError):
 
 
 class SingularMatrixError(NumericError):
-    """Inversion rejected: pivot-ratio condition estimate too large."""
+    """Inversion rejected: pivot-ratio condition estimate too large.
 
-    def __init__(self, condition: float):
+    ``index`` is the rejected matrix's place in a stacked solve (None for one
+    matrix); ``name``, or else the index, labels the message.
+    """
+
+    def __init__(self, condition: float, index: int | None = None, name: str | None = None):
+        if name is None and index is not None:
+            name = f"matrix {index}"
         super().__init__(
-            f"singular matrix: condition estimate {condition:.3e} exceeds {COND_LIMIT:.0e}"
+            ("" if name is None else f"{name}: ")
+            + f"singular matrix: condition estimate {condition:.3e} exceeds {COND_LIMIT:.0e}"
         )
         self.condition = condition
+        self.index = index
 
 
 def as_matrix(obj, name: str = "matrix") -> np.ndarray:
@@ -101,50 +113,77 @@ def gaussian(rows: int, cols: int, mean: float = 0.0, std: float = 1.0, seed: in
     return g
 
 
+def _rows(a: np.ndarray) -> np.ndarray:
+    """View of a stack (k, n, m) whose [i] is row i of every matrix, shaped (k, 1, m)."""
+    return a.swapaxes(0, 1)[:, :, None]
+
+
 def _unit_lower_solve(l: np.ndarray, x: np.ndarray) -> None:
-    """Overwrite x with L^{-1} x, L unit lower triangular (its diagonal is not read)."""
-    for i in range(1, x.shape[0]):
-        x[i] -= l[i, :i] @ x[:i]
+    """Overwrite every x[s] with L[s]^{-1} x[s], L[s] unit lower triangular (diagonal not read)."""
+    l_rows, x_rows = _rows(l), _rows(x)
+    for i in range(1, x.shape[1]):
+        row = x_rows[i]
+        row -= l_rows[i, :, :, :i] @ x[:, :i]
 
 
 def _upper_solve(u: np.ndarray, x: np.ndarray) -> None:
-    """Overwrite x with U^{-1} x, U upper triangular."""
-    for i in range(x.shape[0] - 1, -1, -1):
-        x[i] = (x[i] - u[i, i + 1 :] @ x[i + 1 :]) / u[i, i]
+    """Overwrite every x[s] with U[s]^{-1} x[s], U[s] upper triangular."""
+    u_rows, x_rows = _rows(u), _rows(x)
+    for i in range(x.shape[1] - 1, -1, -1):
+        row = x_rows[i]
+        row -= u_rows[i, :, :, i + 1 :] @ x[:, i + 1 :]
+        row /= u_rows[i, :, :, i : i + 1]
 
 
-def _lu_decompose(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Right-looking blocked partial-pivot LU. Returns (packed LU, row permutation).
+def _lu_factor(lu: np.ndarray) -> np.ndarray:
+    """Right-looking blocked partial-pivot LU of a C-contiguous stack (k, n, n), in place.
+
+    Returns the row permutations (k, n).
 
     Golub & Van Loan, Matrix Computations, section 3.2: factor a panel of
     _LU_BLOCK columns with rank-1 updates confined to the panel, solve the
     unit-lower block for U12, then update the trailing matrix with one GEMM.
     The pivot is the largest-magnitude entry of the column, as in the
-    unblocked algorithm, so both produce the same permutation.
+    unblocked algorithm, so both produce the same permutation. Each step runs
+    on the whole stack, and gives every matrix the bits it would get alone.
+    An exact zero pivot raises SingularMatrixError with its matrix's index.
     """
-    lu = np.array(a, dtype=np.float64)
-    n = lu.shape[0]
-    perm = np.arange(n)
+    count, n = lu.shape[:2]
+    rows = lu.reshape(count * n, n)  # the rows of every matrix, end to end
+    first = np.arange(count) * n  # row k of matrix s is rows[first[s] + k]
+    perm = np.tile(np.arange(n), count)
     for k0 in range(0, n, _LU_BLOCK):
         k1 = min(k0 + _LU_BLOCK, n)
         for k in range(k0, k1):
-            p = k + int(np.argmax(np.abs(lu[k:, k])))
-            if lu[p, k] == 0.0:
-                raise SingularMatrixError(math.inf)
-            if p != k:
-                lu[[k, p]] = lu[[p, k]]
-                perm[[k, p]] = perm[[p, k]]
-            lu[k + 1 :, k] /= lu[k, k]
-            lu[k + 1 :, k + 1 : k1] -= np.outer(lu[k + 1 :, k], lu[k, k + 1 : k1])
+            q = first + k
+            p = q + np.abs(lu[:, k:, k]).argmax(axis=1)
+            pivot_rows = rows[p]
+            rows[p] = lu[:, k]
+            lu[:, k] = pivot_rows
+            perm[q], perm[p] = perm[p], perm[q]
+            pivots = lu[:, k, k]
+            if np.count_nonzero(pivots) < count:
+                raise SingularMatrixError(math.inf, int(np.argmin(pivots != 0.0)))
+            col = lu[:, k + 1 :, k]
+            col /= pivots[:, None]
+            panel = lu[:, k + 1 :, k + 1 : k1]
+            panel -= col[:, :, None] * lu[:, k, None, k + 1 : k1]
         if k1 < n:
-            _unit_lower_solve(lu[k0:k1, k0:k1], lu[k0:k1, k1:])
-            lu[k1:, k1:] -= lu[k1:, k0:k1] @ lu[k0:k1, k1:]
-    return lu, perm
+            _unit_lower_solve(lu[:, k0:k1, k0:k1], lu[:, k0:k1, k1:])
+            trailing = lu[:, k1:, k1:]
+            trailing -= lu[:, k1:, k0:k1] @ lu[:, k0:k1, k1:]
+    return perm.reshape(count, n)
 
 
-def _pivot_ratio(lu: np.ndarray) -> float:
-    diag = np.abs(np.diag(lu))
-    return float(diag.max() / diag.min())
+def _lu_decompose(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(packed LU, row permutation) of one square matrix; see _lu_factor."""
+    lu = np.array(a, dtype=np.float64, order="C")
+    return lu, _lu_factor(lu[None])[0]
+
+
+def _pivot_ratios(lu: np.ndarray) -> np.ndarray:
+    diag = np.abs(np.diagonal(lu, axis1=-2, axis2=-1))
+    return diag.max(axis=-1) / diag.min(axis=-1)
 
 
 def condition_estimate(a) -> float:
@@ -155,33 +194,75 @@ def condition_estimate(a) -> float:
         lu, _ = _lu_decompose(a)
     except SingularMatrixError:
         return math.inf
-    return _pivot_ratio(lu)
+    return float(_pivot_ratios(lu))
+
+
+def _as_stack(a) -> tuple[np.ndarray | list[np.ndarray], bool]:
+    """(stack, single): a as an indexable stack of equal-shape float64 matrices.
+
+    One 2-D matrix is a stack of one, and single is True. A 3-D array is a
+    stack as it is; a sequence of 2-D arrays stays a list, so that no copy of
+    the whole stack is made.
+    """
+    if isinstance(a, (list, tuple)) and a and np.ndim(a[0]) == 2:
+        mats = [as_matrix(m) for m in a]
+        for m in mats[1:]:
+            if m.shape != mats[0].shape:
+                raise ShapeError(f"stack mixes {mats[0].shape} and {m.shape} matrices")
+        return mats, False
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim not in (2, 3):
+        raise ShapeError(f"matrix must be 2-D or a stack of 2-D matrices, got {a.ndim}-D")
+    return (a[None], True) if a.ndim == 2 else (a, False)
 
 
 def solve(a, rhs) -> np.ndarray:
     """x with a @ x = rhs, through one LU of a and substitution on rhs's columns.
 
-    Rejects a whose pivot-ratio condition estimate exceeds COND_LIMIT.
+    ``a`` is one (n, n) matrix and ``rhs`` (n, r), giving x (n, r); or ``a``
+    is a stack of k such matrices (a 3-D array or a sequence of 2-D arrays)
+    and ``rhs`` (k, n, r), giving x (k, n, r). A stack is factored and
+    substituted as a whole, one chunk at a time: a chunk's LU workspace holds
+    at most _LU_WORKSPACE bytes, or one matrix where that is larger. Every
+    matrix gets the bits its own 2-D solve gives.
+
+    Rejects a matrix whose pivot-ratio condition estimate exceeds COND_LIMIT;
+    for a stack the error carries the matrix's index.
     """
-    a = as_matrix(a)
-    rhs = as_matrix(rhs, "right-hand side")
-    _require_square(a, "solve")
-    if rhs.shape[0] != a.shape[0]:
+    a, single = _as_stack(a)
+    _require_square(a[0], "solve")
+    rhs = np.asarray(rhs, dtype=np.float64)
+    if rhs.ndim != 3 - single:
+        raise ShapeError(f"right-hand side must be {3 - single}-D, got {rhs.ndim}-D")
+    if single:
+        rhs = rhs[None]
+    count, n = len(a), a[0].shape[0]
+    if rhs.shape[:2] != (count, n):
         raise ShapeError(
-            f"cannot solve {a.shape[0]}x{a.shape[1]} system for "
-            f"{rhs.shape[0]}x{rhs.shape[1]} right-hand side"
+            f"cannot solve {'x'.join(map(str, (count, n, n)[single:]))} system for "
+            f"{'x'.join(map(str, rhs.shape[single:]))} right-hand side"
         )
-    _require_finite(a, "solve input")
-    _require_finite(rhs, "solve right-hand side")
-    lu, perm = _lu_decompose(a)
-    cond = _pivot_ratio(lu)
-    if cond > COND_LIMIT:
-        raise SingularMatrixError(cond)
-    x = rhs[perm]
-    _unit_lower_solve(lu, x)
-    _upper_solve(lu, x)
-    _require_finite(x, "solve result")
-    return x
+    x = np.empty(rhs.shape)
+    chunk = max(1, _LU_WORKSPACE // (8 * n * n))
+    for c0 in range(0, count, chunk):
+        lu = np.array(a[c0 : c0 + chunk], dtype=np.float64, order="C")
+        b = rhs[c0 : c0 + chunk]
+        _require_finite(lu, "solve input")
+        _require_finite(b, "solve right-hand side")
+        try:
+            perm = _lu_factor(lu)
+        except SingularMatrixError as exc:
+            raise SingularMatrixError(math.inf, None if single else c0 + exc.index) from None
+        cond = _pivot_ratios(lu)
+        if (cond > COND_LIMIT).any():
+            s = int(np.argmax(cond > COND_LIMIT))
+            raise SingularMatrixError(float(cond[s]), None if single else c0 + s)
+        out = x[c0 : c0 + chunk]
+        out[...] = b[np.arange(len(b))[:, None], perm]
+        _unit_lower_solve(lu, out)
+        _upper_solve(lu, out)
+        _require_finite(out, "solve result")
+    return x[0] if single else x
 
 
 def invert(a) -> np.ndarray:
@@ -210,7 +291,10 @@ class SvdResult:
 
 
 def svd(a) -> SvdResult:
-    a = as_matrix(a)
+    """Thin SVD of one matrix, or of every matrix of a stack (…, m, n) in one call."""
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim < 2:
+        raise ShapeError(f"svd input must be 2-D or a stack of 2-D matrices, got {a.ndim}-D")
     _require_finite(a, "svd input")
     try:
         u, s, vt = np.linalg.svd(a, full_matrices=False)
@@ -218,10 +302,10 @@ def svd(a) -> SvdResult:
         raise NumericError(f"svd did not converge: {exc}") from exc
     # Sign convention: make the largest-magnitude entry of each left singular
     # vector non-negative so repeated factorizations are reproducible.
-    idx = np.argmax(np.abs(u), axis=0)
-    signs = np.where(u[idx, np.arange(u.shape[1])] < 0.0, -1.0, 1.0)
+    peaks = np.take_along_axis(u, np.abs(u).argmax(axis=-2)[..., None, :], axis=-2)
+    signs = np.where(peaks < 0.0, -1.0, 1.0)
     u = u * signs
-    vt = vt * signs[:, None]
+    vt = vt * signs.swapaxes(-1, -2)
     return SvdResult(u, s, vt)
 
 

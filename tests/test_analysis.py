@@ -327,3 +327,81 @@ def test_compare_delta_repeats_b_when_a_has_full_row_rank(desk_weights):
                                               desk_weights, spec_pair())
         for row in rows:
             assert abs(row.phi_delta - row.phi_b) <= 1e-12, (seed, row)
+
+
+# --- stacked analysis against a per-layer reference --------------------------------
+
+@pytest.mark.parametrize("method", adapters.METHODS)
+@pytest.mark.parametrize("which", ["A", "B"])
+@pytest.mark.parametrize("side, i, j", [("left", 4, 4), ("right", 2, 3)])
+def test_conversion_grid_equals_a_per_layer_reference(desk_weights, method, which, side, i, j):
+    spec = adapters.as_method(spec_pair(), method)
+    params = random_params(method, 11)
+    grid = analysis.conversion_grid(desk_weights, params, spec, "value", which, i, j, side)
+    convs = []
+    for layer in spec.target_layers:
+        w0 = desk_weights.projection("value", layer)
+        a, b = adapters.adapter_factors(params, spec, w0, "value", layer)
+        convs.append(analysis.conversion_a(w0, a) if which == "A"
+                     else analysis.conversion_b(w0, b))
+    n = len(convs)
+    reference = np.array([[analysis.subspace_similarity(convs[p], convs[q], i, j, side)
+                           for q in range(n)] for p in range(n)])
+    assert grid.values.tobytes() == reference.tobytes()
+
+
+def test_compare_equals_a_per_layer_reference(desk_weights):
+    geometry = spec_pair()
+    lora_spec = adapters.as_method(geometry, "lora")
+    cond_spec = adapters.as_method(geometry, "condlora")
+    lora, cond = random_params("lora", 12), random_params("condlora", 13)
+    r = geometry.rank
+    rows = analysis.compare_lora_condlora(lora, cond, desk_weights, geometry)
+    assert [(row.module, row.layer) for row in rows] == list(geometry.targets())
+    for row in rows:
+        w0 = desk_weights.projection(row.module, row.layer)
+        a_l, b_l = adapters.adapter_factors(lora, lora_spec, w0, row.module, row.layer)
+        a_c, b_c = adapters.adapter_factors(cond, cond_spec, w0, row.module, row.layer)
+        assert row.phi_a == analysis.subspace_similarity(a_l, a_c, r, r, side="right")
+        assert row.phi_b == analysis.subspace_similarity(b_l, b_c, r, r, side="left")
+        delta_l, delta_c = analysis._delta_basis(a_l, b_l), analysis._delta_basis(a_c, b_c)
+        assert row.phi_delta == analysis._phi(delta_l, delta_c, r, r)
+
+
+def test_grid_takes_one_svd_and_a_conversion_grid_one_solve(desk_weights, monkeypatch):
+    calls = {"svd": 0, "solve": 0}
+    for name in calls:
+        real = getattr(matcore, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(matcore, name, counted)
+    mats = [matcore.gaussian(12, 4, 0, 1, seed) for seed in range(3)]
+    analysis.layer_similarity_grid(mats, 2, 3)
+    assert calls == {"svd": 1, "solve": 0}
+    spec = spec_pair()
+    analysis.conversion_grid(desk_weights, random_params("lora", 14), spec, "query", "B", 1, 4)
+    assert calls == {"svd": 2, "solve": 1}
+
+
+@pytest.mark.parametrize("i, j", [(0, 2), (2, 0), (5, 2), (2, 5)])
+def test_grid_rejects_a_bad_i_or_j(i, j):
+    mats = [matcore.gaussian(12, 4, 0, 1, seed) for seed in range(3)]
+    with pytest.raises(ValueError, match="singular vectors"):
+        analysis.layer_similarity_grid(mats, i, j)
+
+
+def test_conversion_grid_names_a_singular_projection(desk_weights):
+    spec = spec_pair()
+    singular = np.zeros((32, 32))
+    singular[0, 0] = 1.0
+    broken = desk_weights.replace({"layer3.query": singular})
+    with pytest.raises(matcore.SingularMatrixError,
+                       match=r"^layer3\.query: singular matrix: condition estimate inf") as info:
+        analysis.conversion_grid(broken, random_params("lora", 15), spec, "query", "A")
+    assert info.value.index == 2
+    grid = analysis.conversion_grid(broken, random_params("lora", 15), spec, "query", "A",
+                                    pseudoinverse=True)
+    assert grid.values.shape == (4, 4)

@@ -176,8 +176,10 @@ def test_analyze_rejects_an_adapter_of_another_width(tmp_path, capsys):
     code, err = analyze(capsys, paths, tmp_path / "out")
     assert code == 1
     assert err.splitlines() == [
-        "error: adapter tensor lora.query.1.A is 2x8, expected 2x16 for d_model 16"
+        f"error: {paths['adapter']}: "
+        "adapter tensor lora.query.1.A is 2x8, expected 2x16 for d_model 16"
     ]
+    assert not (tmp_path / "out").exists()
 
 
 # --- round trips -----------------------------------------------------------------

@@ -192,6 +192,8 @@ def test_analyze_singular_projection_exit_two(tmp_path, trained_pair, capsys):
     code, _, err = run_cli(capsys, *args)
     assert code == 2
     assert "singular" in err
+    assert err.startswith("numeric error: layer1.value: singular matrix: condition estimate ")
+    assert err.count("\n") == 1
     code, _, _ = run_cli(capsys, *args, "--pseudoinverse")
     assert code == 0
 
@@ -262,6 +264,21 @@ def test_analyze_rejects_a_single_layer_adapter_before_any_solve(tmp_path, capsy
     assert code == 1 and out == ""
     assert err == (f"error: {adapter_path}: analyze needs an adapter on at least 2 layers, "
                    "this one has only layer 2\n")
+    assert not out_dir.exists()
+
+
+def test_analyze_names_the_adapter_on_a_layer_the_model_lacks(tmp_path, capsys):
+    config = model.ModelConfig(n_layers=2, d_model=16, n_heads=4, d_ff=32, vocab_size=32,
+                               max_len=16, n_outputs=4)
+    spec = adapters.AdapterSpec("lora", 2, 2.0, ("query", "value"), (1, 3))
+    model_path, adapter_path = tmp_path / "model.ckpt", tmp_path / "adapter.ckpt"
+    model.save_model(model_path, model.build_model(config))
+    adapters.save_adapter(adapter_path, adapters.init_params(spec, 16, 0), spec)
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(capsys, "analyze", "--model", str(model_path),
+                             "--adapter", str(adapter_path), "--out", str(out_dir))
+    assert code == 1 and out == ""
+    assert err == f"error: {adapter_path}: target layer 3 exceeds n_layers 2\n"
     assert not out_dir.exists()
 
 

@@ -163,6 +163,85 @@ def test_solve_rejects_nonfinite_and_bad_shapes():
         matcore.solve(np.eye(3), np.ones((4, 1)))
 
 
+# --- stacked solve ------------------------------------------------------------
+
+def _stack_case(n, count, seed=0):
+    mats = [matcore.gaussian(n, n, 0, 1, 400 + n + 10 * s + seed) for s in range(count)]
+    rhs = np.stack([matcore.gaussian(n, 3, 0, 1, 900 + n + 10 * s + seed) for s in range(count)])
+    return mats, rhs
+
+
+@pytest.mark.parametrize("n, count", [(n, count) for n in LU_SIZES
+                                      for count in ((2,) if n == 768 else (1, 3))])
+def test_stacked_solve_equals_each_2d_solve_bit_for_bit(n, count):
+    mats, rhs = _stack_case(n, count)
+    each = [matcore.solve(m, b) for m, b in zip(mats, rhs)]
+    for stack in (np.stack(mats), mats):
+        x = matcore.solve(stack, rhs)
+        assert x.shape == (count, n, 3)
+        for s in range(count):
+            assert x[s].tobytes() == each[s].tobytes(), s
+
+
+def test_solve_bits_do_not_depend_on_memory_layout():
+    # the LU swaps rows through a flat view of its workspace, which must be C-ordered
+    mats, rhs = _stack_case(BLOCK + 6, 2)
+    stack = np.stack(mats)
+    want = matcore.solve(stack, rhs)
+    assert matcore.solve(np.asfortranarray(stack), rhs).tobytes() == want.tobytes()
+    assert matcore.solve(np.asfortranarray(mats[1]), rhs[1]).tobytes() == want[1].tobytes()
+
+
+def test_stacked_solve_in_small_chunks_gives_the_same_bits(monkeypatch):
+    n, count = 20, 7
+    mats, rhs = _stack_case(n, count)
+    whole = matcore.solve(mats, rhs)
+    chunks = []
+    factor = matcore._lu_factor
+
+    def counting_factor(lu):
+        chunks.append(len(lu))
+        return factor(lu)
+
+    monkeypatch.setattr(matcore, "_lu_factor", counting_factor)
+    monkeypatch.setattr(matcore, "_LU_WORKSPACE", 3 * 8 * n * n + 5)
+    assert matcore.solve(mats, rhs).tobytes() == whole.tobytes()
+    assert chunks == [3, 3, 1]
+
+
+@pytest.mark.parametrize("per_chunk", [None, 1])
+@pytest.mark.parametrize("kind", ["zero pivot", "near singular"])
+def test_stacked_solve_names_the_singular_member(monkeypatch, kind, per_chunk):
+    n = BLOCK + 9
+    mats, _ = _stack_case(n, 4, seed=3)
+    bad = mats[2].copy()
+    if kind == "zero pivot":
+        bad[:, BLOCK + 4] = 0.0
+    else:
+        bad[n - 1] = bad[n - 2] + 1e-14 * bad[3]
+    mats[2] = bad
+    if per_chunk is not None:
+        monkeypatch.setattr(matcore, "_LU_WORKSPACE", per_chunk * 8 * n * n)
+    with pytest.raises(matcore.SingularMatrixError, match="^matrix 2: singular matrix") as info:
+        matcore.solve(mats, np.ones((4, n, 1)))
+    assert info.value.index == 2
+    assert info.value.condition > matcore.COND_LIMIT
+    with pytest.raises(matcore.SingularMatrixError, match="^singular matrix") as info:
+        matcore.solve(bad, np.ones((n, 1)))
+    assert info.value.index is None
+
+
+def test_stacked_solve_rejects_bad_shapes():
+    with pytest.raises(matcore.ShapeError, match="stack mixes"):
+        matcore.solve([np.eye(3), np.eye(4)], np.ones((2, 3, 1)))
+    with pytest.raises(matcore.ShapeError, match="2x3x3.*3x3x1"):
+        matcore.solve(np.stack([np.eye(3)] * 2), np.ones((3, 3, 1)))
+    with pytest.raises(matcore.ShapeError, match="right-hand side must be 3-D"):
+        matcore.solve(np.stack([np.eye(3)] * 2), np.ones((3, 1)))
+    with pytest.raises(matcore.ShapeError, match="right-hand side must be 2-D"):
+        matcore.solve(np.eye(3), np.ones((1, 3, 1)))
+
+
 # --- svd ---------------------------------------------------------------------
 
 def test_svd_diagonal():
@@ -213,6 +292,18 @@ def test_svd_sign_convention():
     for col in range(4):
         peak = np.argmax(np.abs(r2.u[:, col]))
         assert r2.u[peak, col] >= 0
+
+
+@pytest.mark.parametrize("shape", [(3, 10, 4), (2, 4, 10), (2, 3, 6, 5)])
+def test_stacked_svd_equals_each_svd_with_its_signs(shape):
+    half = matcore.gaussian(int(np.prod(shape[:-1])) // 2, shape[-1], 0, 1, 17)
+    a = np.concatenate([half, -half]).reshape(shape)  # negated twins flip the signs
+    stacked = matcore.svd(a)
+    for idx in np.ndindex(*shape[:-2]):
+        one = matcore.svd(a[idx])
+        for got, want in ((stacked.u[idx], one.u), (stacked.s[idx], one.s),
+                          (stacked.vt[idx], one.vt)):
+            assert got.tobytes() == want.tobytes(), idx
 
 
 def test_svd_rejects_nonfinite():

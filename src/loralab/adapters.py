@@ -31,7 +31,7 @@ from typing import IO
 
 import numpy as np
 
-from . import _rng, matcore
+from . import _rng, matcore, model
 from .model import ATTENTION_MODULES, BaseWeights, ModelConfig
 
 METHODS = ("lora", "condlora")
@@ -221,8 +221,6 @@ def merge(weights: BaseWeights, params: AdapterParams, spec: AdapterSpec) -> Bas
 
 
 def forward_with_adapters(weights: BaseWeights, params: AdapterParams, spec: AdapterSpec, tokens):
-    from . import model
-
     return model.forward(weights, materialize_deltas(params, spec, weights), tokens)
 
 

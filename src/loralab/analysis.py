@@ -12,8 +12,9 @@ Conversion matrices relate a frozen square projection W0 to trained low-rank
 factors: conv_A = W0^{-1} A^T and conv_B = W0^{-1} B, each d x r. Layer-wise
 grids of phi between conversion matrices, together with a random-matrix
 baseline grid of matching shape, quantify how much cross-layer structure a
-trained adapter carries. Non-square W0 is rejected: a true inverse is
-required, with an SVD pseudoinverse available only behind an explicit flag.
+trained adapter carries. W0 must be square and invertible: ``_convert`` is
+the one place it is inverted, by a stacked ``matcore.solve`` that rejects an
+ill-conditioned W0 and names it.
 
 Work runs per stack of layers, not per layer: a grid's conversions come from
 one stacked ``matcore.solve`` and its bases from one stacked ``matcore.svd``,
@@ -86,25 +87,30 @@ def subspace_similarity(x, y, i: int, j: int, side: str = "left") -> float:
     return _phi(bx, by, i, j)
 
 
-def _conversion(w0: np.ndarray, rhs: np.ndarray, pseudoinverse: bool) -> np.ndarray:
-    w0 = matcore.as_matrix(w0, "W0")
-    if w0.shape[0] != w0.shape[1]:
-        raise ShapeError(f"conversion requires square W0, got {w0.shape[0]}x{w0.shape[1]}")
-    if pseudoinverse:
-        return matcore.matmul(matcore.pseudo_invert(w0), rhs)
-    return matcore.solve(w0, rhs)
+def _convert(w0s: list, rhs: list, names: list[str]) -> np.ndarray:
+    """W0^{-1} X for every (W0, X) pair, through one stacked ``matcore.solve``.
+
+    Every W0 must be square. A W0 the solve rejects is re-raised under its
+    entry of names, such as ``layer3.query: singular matrix: ...``.
+    """
+    w0s = [matcore.as_matrix(w0, "W0") for w0 in w0s]
+    rows, cols = w0s[0].shape
+    if rows != cols:
+        raise ShapeError(f"conversion requires square W0, got {rows}x{cols}")
+    try:
+        return matcore.solve(w0s, np.stack(rhs))
+    except matcore.SingularMatrixError as exc:
+        raise matcore.SingularMatrixError(exc.condition, exc.index, names[exc.index]) from None
 
 
-def conversion_a(w0, a, pseudoinverse: bool = False) -> np.ndarray:
+def conversion_a(w0, a) -> np.ndarray:
     """W0^{-1} A^T, the map satisfying W0 @ result = A^T."""
-    a = matcore.as_matrix(a, "A")
-    return _conversion(w0, a.T, pseudoinverse)
+    return _convert([w0], [matcore.as_matrix(a, "A").T], ["W0"])[0]
 
 
-def conversion_b(w0, b, pseudoinverse: bool = False) -> np.ndarray:
+def conversion_b(w0, b) -> np.ndarray:
     """W0^{-1} B, the map satisfying W0 @ result = B."""
-    b = matcore.as_matrix(b, "B")
-    return _conversion(w0, b, pseudoinverse)
+    return _convert([w0], [matcore.as_matrix(b, "B")], ["W0"])[0]
 
 
 @dataclass
@@ -164,11 +170,11 @@ def random_baseline_grid(rows: int, cols: int, n: int, i: int, j: int,
 
 def conversion_grid(weights: BaseWeights, params: AdapterParams, spec: AdapterSpec,
                     module: str, which: str, i: int | None = None, j: int | None = None,
-                    side: str = "left", pseudoinverse: bool = False) -> SimilarityGrid:
+                    side: str = "left") -> SimilarityGrid:
     """Layer-pair grid of phi between one module's conversion matrices.
 
-    All target layers' conversions come from one stacked ``matcore.solve``; a
-    W0 it rejects is named as its tensor, such as ``layer1.value``.
+    All target layers' conversions come from one stacked solve (``_convert``);
+    a W0 it rejects is named as its tensor, such as ``layer1.value``.
     """
     if which not in ("A", "B"):
         raise ValueError(f"which must be 'A' or 'B', got {which!r}")
@@ -180,14 +186,7 @@ def conversion_grid(weights: BaseWeights, params: AdapterParams, spec: AdapterSp
     for w0, layer in zip(w0s, layers):
         a, b = adapter_factors(params, spec, w0, module, layer)
         rhs.append(a.T if which == "A" else b)
-    if pseudoinverse:
-        mats = [_conversion(w0, x, True) for w0, x in zip(w0s, rhs)]
-    else:
-        try:
-            mats = matcore.solve(w0s, np.stack(rhs))
-        except matcore.SingularMatrixError as exc:
-            raise matcore.SingularMatrixError(
-                exc.condition, exc.index, f"layer{layers[exc.index]}.{module}") from None
+    mats = _convert(w0s, rhs, [f"layer{layer}.{module}" for layer in layers])
     return layer_similarity_grid(mats, i, j, side, [str(layer) for layer in layers])
 
 

@@ -74,8 +74,6 @@ def build_parser() -> _Parser:
     p.add_argument("--side", choices=analysis.SIDES, default="left")
     p.add_argument("--i", type=int, dest="i_vectors")
     p.add_argument("--j", type=int, dest="j_vectors")
-    p.add_argument("--pseudoinverse", action="store_true",
-                   help="allow SVD pseudoinverse for ill-conditioned projections")
     p.add_argument("--baseline-seed", type=int, default=0)
     p.set_defaults(func=cmd_analyze)
 
@@ -204,10 +202,8 @@ def cmd_analyze(args) -> int:
     grids = []  # (file stem, printed label, grid)
     for module in spec.target_modules:
         for which in ("A", "B"):
-            grid = analysis.conversion_grid(
-                weights, params, spec, module, which,
-                i=i, j=j, side=args.side, pseudoinverse=args.pseudoinverse,
-            )
+            grid = analysis.conversion_grid(weights, params, spec, module, which,
+                                            i=i, j=j, side=args.side)
             grids.append((f"conv_{which}_{module}", f"conv_{which} {module}", grid))
     d = weights.config.d_model
     baseline = analysis.random_baseline_grid(

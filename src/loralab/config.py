@@ -6,8 +6,9 @@ checkpoint headers, and ``matcore.read_fields`` reads it. Optional fields are
 omitted when unset and resolved to method- or task-appropriate defaults at use
 time. No key picks the loss: the task's targets do (see ``trainer``).
 ``parse_config`` checks the task settings against the model too, so a bad value
-fails when the file is read. ``serialize_config`` refuses a value it could not
-read back, so ``parse_config(serialize_config(cfg)) == cfg`` for every valid config.
+fails when the file is read, and so does a key the file's task does not read
+(``_TASK_KEYS``). ``serialize_config`` refuses a value it could not read back,
+so ``parse_config(serialize_config(cfg)) == cfg`` for every valid config.
 """
 
 from __future__ import annotations
@@ -116,6 +117,10 @@ _FIELDS: matcore.Fields = {
 }
 
 
+# the keys only one task reads: key -> that task
+_TASK_KEYS = {"task.teacher_rank": "teacher"}
+
+
 def _entries(text: str) -> Iterator[tuple[int, str, str]]:
     """(line number, key, value) per ``key = value`` line; ``#`` starts a comment."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -146,11 +151,16 @@ def serialize_config(cfg: ExperimentConfig) -> str:
 def parse_config(text: str) -> ExperimentConfig:
     defaults = vars(ExperimentConfig())
     try:
-        cfg = ExperimentConfig(**matcore.read_fields(_entries(text), _FIELDS, defaults))
+        entries = list(_entries(text))
+        cfg = ExperimentConfig(**matcore.read_fields(entries, _FIELDS, defaults))
         model_config = cfg.model_config()
         cfg.adapter_spec()
         cfg.train_config()
         check_task(cfg.task, model_config, cfg.seq_len, cfg.resolved_teacher_rank())
+        for lineno, key, _ in entries:
+            if _TASK_KEYS.get(key, cfg.task) != cfg.task:
+                raise ValueError(f"line {lineno}: {key} is read only by task "
+                                 f"{_TASK_KEYS[key]}, not by task {cfg.task}")
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return cfg

@@ -175,12 +175,6 @@ def _lu_factor(lu: np.ndarray) -> np.ndarray:
     return perm.reshape(count, n)
 
 
-def _lu_decompose(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(packed LU, row permutation) of one square matrix; see _lu_factor."""
-    lu = np.array(a, dtype=np.float64, order="C")
-    return lu, _lu_factor(lu[None])[0]
-
-
 def _pivot_ratios(lu: np.ndarray) -> np.ndarray:
     diag = np.abs(np.diagonal(lu, axis1=-2, axis2=-1))
     return diag.max(axis=-1) / diag.min(axis=-1)
@@ -190,8 +184,9 @@ def condition_estimate(a) -> float:
     """|largest pivot| / |smallest pivot| from the LU factorization."""
     a = as_matrix(a)
     _require_square(a, "condition_estimate")
+    lu = np.array(a, order="C")
     try:
-        lu, _ = _lu_decompose(a)
+        _lu_factor(lu[None])
     except SingularMatrixError:
         return math.inf
     return float(_pivot_ratios(lu))
@@ -269,16 +264,6 @@ def invert(a) -> np.ndarray:
     a = as_matrix(a)
     _require_square(a, "invert")
     return solve(a, np.eye(a.shape[0]))
-
-
-def pseudo_invert(a, rel_tol: float = 1e-10) -> np.ndarray:
-    """SVD pseudoinverse, truncating singular values below rel_tol * s_max."""
-    r = svd(a)
-    if r.s.size == 0 or r.s[0] == 0.0:
-        return np.zeros((a.shape[1], a.shape[0]))
-    cut = rel_tol * r.s[0]
-    inv_s = np.where(r.s > cut, 1.0 / np.where(r.s > cut, r.s, 1.0), 0.0)
-    return r.vt.T @ (inv_s[:, None] * r.u.T)
 
 
 @dataclass(frozen=True)

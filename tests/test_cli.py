@@ -1,15 +1,18 @@
+import argparse
 import contextlib
 import dataclasses
 import io
 import json
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loralab import adapters, analysis, matcore, model, trainer
+from loralab import adapters, analysis, cli, matcore, model, trainer
 from loralab import config as config_module
 from loralab.cli import main
 
@@ -194,8 +197,9 @@ def test_analyze_singular_projection_exit_two(tmp_path, trained_pair, capsys):
     assert "singular" in err
     assert err.startswith("numeric error: layer1.value: singular matrix: condition estimate ")
     assert err.count("\n") == 1
-    code, _, _ = run_cli(capsys, *args, "--pseudoinverse")
-    assert code == 0
+    code, _, err = run_cli(capsys, *args, "--pseudoinverse")  # not a flag
+    assert code == 1
+    assert err.startswith("error: ") and "--pseudoinverse" in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("which, edit, message", [
@@ -307,6 +311,35 @@ def test_gradcheck_rejects_large_model(tmp_path, capsys):
 
 # --- usage ---------------------------------------------------------------------------
 
+def readme_usage() -> dict[str, set[str]]:
+    """{subcommand: the flags it shows} from README's "Command line" block."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    usage: dict[str, set[str]] = {}
+    for line in block.splitlines():
+        words = line.split()
+        if words[:1] == ["loralab"]:
+            command = words[1]
+            usage[command] = set()
+        if words:
+            usage[command] |= set(re.findall(r"--[a-z][a-z-]*", line))
+    return usage
+
+
+def test_readme_command_line_matches_the_parser():
+    subcommands = next(action.choices for action in cli.build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    common = cli._Parser()
+    cli._add_common(common)
+    usage = readme_usage()
+    assert set(usage) == set(subcommands)
+    for command, parser in subcommands.items():
+        flags = {flag for flag in parser._option_string_actions if flag.startswith("--")}
+        assert usage[command] <= flags - {"--help"}, f"README shows a flag {command} lacks"
+        assert flags - set(common._option_string_actions) <= usage[command], (
+            f"README omits a flag of {command}")
+
+
 def test_unknown_command_usage_error(capsys):
     code, _, err = run_cli(capsys, "frobnicate")
     assert code == 1
@@ -346,6 +379,8 @@ def test_a_loss_kind_line_is_an_unknown_key(tmp_path, capsys):
      "teacher rank 99 outside [0, 16]"),
     ("model.n_outputs = 4", "model.n_outputs = 1\ntask = parity",
      "parity needs n_outputs >= 2, got 1"),
+    ("task.seq_len = 8", "task.seq_len = 8\ntask = parity\ntask.teacher_rank = 2",
+     "line 14: task.teacher_rank is read only by task teacher, not by task parity"),
 ])
 def test_task_settings_are_checked_when_the_file_is_read(tmp_path, capsys, old, new, problem):
     cfg = tmp_path / "exp.cfg"

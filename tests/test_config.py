@@ -19,7 +19,7 @@ def test_round_trip_fully_specified():
         n_layers=2, d_model=16, n_heads=2, d_ff=24, vocab_size=16, max_len=12, n_outputs=3,
         method="condlora", rank=2, alpha=1.5, target_modules=("query", "key", "value"),
         target_layers=(1, 2), batch_size=4, learning_rate=0.004, max_steps=17,
-        task="parity", teacher_rank=2, seq_len=6,
+        task="teacher", teacher_rank=2, seq_len=6,
         output_dir="runs/x", seed_model=7, seed_adapter=8, seed_data=9,
     )
     assert parse_config(serialize_config(cfg)) == cfg
@@ -84,6 +84,16 @@ def test_parse_rejects_invalid_combination():
         parse_config("adapter.rank = 64\n")  # exceeds default d_model 32
     with pytest.raises(ConfigError):
         parse_config("task = mystery\n")
+
+
+def test_parse_rejects_a_key_its_task_does_not_read():
+    problem = "task.teacher_rank is read only by task teacher, not by task parity"
+    for text, lineno in (("task = parity\ntask.teacher_rank = 99\n", 2),
+                         ("task.teacher_rank = 2\n\ntask = parity\n", 1)):
+        with pytest.raises(ConfigError, match=f"^line {lineno}: {problem}$"):
+            parse_config(text)
+    assert parse_config("task = parity\n").teacher_rank is None
+    assert parse_config("task = teacher\ntask.teacher_rank = 2\n").teacher_rank == 2
 
 
 def test_defaults_resolution():
@@ -195,5 +205,9 @@ def test_serialize_round_trips_every_valid_config_or_names_the_key(cfg):
     if not writable:
         with pytest.raises(ValueError, match="^cannot write output_dir = "):
             serialize_config(cfg)
+        return
+    if cfg.task != "teacher" and cfg.teacher_rank is not None:
+        with pytest.raises(ConfigError, match=r"^line \d+: task\.teacher_rank is read only by "):
+            parse_config(serialize_config(cfg))
         return
     assert parse_config(serialize_config(cfg)) == cfg

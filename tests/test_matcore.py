@@ -109,7 +109,8 @@ def _rel(x, ref):
 @pytest.mark.parametrize("n", LU_SIZES)
 def test_blocked_lu_reconstructs_and_solves(n):
     a = matcore.gaussian(n, n, 0, 1, 400 + n)
-    lu, perm = matcore._lu_decompose(a)
+    lu = a.copy()
+    perm = matcore._lu_factor(lu[None])[0]
     lower = np.tril(lu, -1) + np.eye(n)
     assert _rel(lower @ np.triu(lu), a[perm]) <= 1e-12
     ref_lu, ref_perm = _rank1_lu(a)
@@ -332,18 +333,6 @@ def test_gaussian_scales_the_stream_bit_for_bit():
 def test_gaussian_rejects_negative_std():
     with pytest.raises(ValueError):
         matcore.gaussian(2, 2, 0.0, -1.0, 0)
-
-
-def test_pseudo_invert_matches_invert_when_well_conditioned():
-    a = matcore.gaussian(6, 6, 0, 1, 21)
-    assert np.allclose(matcore.pseudo_invert(a), matcore.invert(a), atol=1e-10)
-
-
-def test_pseudo_invert_rank_deficient():
-    a = np.zeros((3, 3))
-    a[0, 0] = 2.0
-    p = matcore.pseudo_invert(a)
-    assert np.allclose(a @ p @ a, a, atol=1e-12)
 
 
 # --- serialization -----------------------------------------------------------

@@ -256,12 +256,12 @@ _CHECKPOINT = matcore.CheckpointFormat(
 )
 
 
-def write_adapter(fh: IO[str], params: AdapterParams, spec: AdapterSpec) -> None:
+def write_adapter(fh: IO[bytes], params: AdapterParams, spec: AdapterSpec) -> None:
     matcore.write_checkpoint(fh, _CHECKPOINT, spec, params.tensors)
 
 
 def save_adapter(path, params: AdapterParams, spec: AdapterSpec) -> None:
-    with matcore.atomic_write(path) as fh:
+    with matcore.atomic_write(path, "wb") as fh:
         write_adapter(fh, params, spec)
 
 

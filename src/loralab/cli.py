@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import adapters, analysis, matcore, model, tasks, trainer
-from .config import ConfigError, ExperimentConfig, load_config
+from .config import ConfigError, ExperimentConfig, keys_unread_by, load_config
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -95,6 +95,11 @@ def build_parser() -> _Parser:
 
 def _load_experiment(args) -> ExperimentConfig:
     cfg = load_config(args.config) if getattr(args, "config", None) else ExperimentConfig()
+    task = getattr(args, "task", None)
+    unread = [] if task is None else keys_unread_by(cfg, task)
+    if unread:
+        raise UsageError(f"--task {task}: {args.config} sets {unread[0]}, "
+                         f"which task {task} does not read")
     _override(cfg, args, ("method", "task", "max_steps", "seed_model", "seed_adapter",
                           "seed_data", "output_dir"))
     return cfg
@@ -149,8 +154,9 @@ def cmd_train(args) -> int:
     }
     with contextlib.ExitStack() as files:  # no file is replaced until all four are written
         model_fh, adapter_fh, report_fh, run_fh = (
-            files.enter_context(matcore.atomic_write(out / name))
-            for name in ("model.ckpt", "adapter.ckpt", "report.csv", "run.json"))
+            files.enter_context(matcore.atomic_write(out / name, mode))
+            for name, mode in (("model.ckpt", "wb"), ("adapter.ckpt", "wb"),
+                               ("report.csv", "w"), ("run.json", "w")))
         model.write_model(model_fh, weights)
         adapters.write_adapter(adapter_fh, params, spec)
         trainer.write_report(report_fh, report)

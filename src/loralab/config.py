@@ -7,7 +7,8 @@ omitted when unset and resolved to method- or task-appropriate defaults at use
 time. No key picks the loss: the task's targets do (see ``trainer``).
 ``parse_config`` checks the task settings against the model too, so a bad value
 fails when the file is read, and so does a key the file's task does not read
-(``_TASK_KEYS``). ``serialize_config`` refuses a value it could not read back,
+(``keys_unread_by``, which the CLI also applies to a ``--task`` flag).
+``serialize_config`` refuses a value it could not read back,
 so ``parse_config(serialize_config(cfg)) == cfg`` for every valid config.
 """
 
@@ -121,6 +122,12 @@ _FIELDS: matcore.Fields = {
 _TASK_KEYS = {"task.teacher_rank": "teacher"}
 
 
+def keys_unread_by(cfg: ExperimentConfig, task: str) -> list[str]:
+    """The keys of _TASK_KEYS that cfg sets and task does not read."""
+    return [key for key, reader in _TASK_KEYS.items()
+            if reader != task and getattr(cfg, _FIELDS[key][0]) is not None]
+
+
 def _entries(text: str) -> Iterator[tuple[int, str, str]]:
     """(line number, key, value) per ``key = value`` line; ``#`` starts a comment."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -157,8 +164,9 @@ def parse_config(text: str) -> ExperimentConfig:
         cfg.adapter_spec()
         cfg.train_config()
         check_task(cfg.task, model_config, cfg.seq_len, cfg.resolved_teacher_rank())
+        unread = keys_unread_by(cfg, cfg.task)
         for lineno, key, _ in entries:
-            if _TASK_KEYS.get(key, cfg.task) != cfg.task:
+            if key in unread:
                 raise ValueError(f"line {lineno}: {key} is read only by task "
                                  f"{_TASK_KEYS[key]}, not by task {cfg.task}")
     except ValueError as exc:

@@ -18,14 +18,18 @@ the operations that carry correctness contracts:
 * ``gaussian`` draws from the counter-based generator in ``_rng`` so that a
   (seed, shape) pair always produces bit-identical matrices.
 
-A plain text serialization (header line ``MATRIX <name> <rows> <cols>``
-followed by rows of 17-significant-digit values) round-trips float64 values
-bit-exactly. Model and adapter checkpoints are one ``<TAG> key=value ...``
-header line followed by MATRIX blocks; ``write_checkpoint`` writes them to an
-open file and ``load_checkpoint`` streams them line by line, checking every
-block against the layout the header implies. Each caller describes its file
-with one ``CheckpointFormat``, whose header is a ``Fields`` table as the
-experiment file's is; ``read_fields`` reads both.
+A matrix is serialized as the text line ``MATRIX <name> <rows> <cols> <f8``
+followed by its rows*cols*8 bytes of raw little-endian float64, so a round
+trip is bit-exact by construction and a load runs at memory speed. Model and
+adapter checkpoints are one ``<TAG> key=value ...`` text line followed by
+MATRIX blocks; ``write_checkpoint`` writes them to a binary file and
+``load_checkpoint`` reads them block by block, checking every block against
+the layout the header implies and every value for finiteness. Load errors
+name the file, then ``line 1`` for the header or the byte offset and tensor
+for a block. A text checkpoint of the pre-raw format (rows of digits after a
+MATRIX line without the ``<f8`` marker) is reported as such, not read. Each
+caller describes its file with one ``CheckpointFormat``, whose header is a
+``Fields`` table as the experiment file's is; ``read_fields`` reads both.
 """
 
 from __future__ import annotations
@@ -294,42 +298,52 @@ def svd(a) -> SvdResult:
     return SvdResult(u, s, vt)
 
 
-# --- text serialization ----------------------------------------------------
+# --- raw serialization -----------------------------------------------------
 
-def write_matrix(fh: IO[str], name: str, a) -> None:
+_PAYLOAD = "<f8"  # the marker that ends every MATRIX line, and the dtype of its payload
+
+
+def write_matrix(fh: IO[bytes], name: str, a) -> None:
+    """The line ``MATRIX <name> <rows> <cols> <f8``, then a's values as little-endian float64."""
     a = as_matrix(a, name)
     if not name or any(ch.isspace() for ch in name):
         raise ValueError(f"matrix name must be non-empty without whitespace: {name!r}")
-    fh.write(f"MATRIX {name} {a.shape[0]} {a.shape[1]}\n")
-    row_format = " ".join(["%.17g"] * a.shape[1]) + "\n"
-    for row in a:
-        fh.write(row_format % tuple(row.tolist()))
+    fh.write(f"MATRIX {name} {a.shape[0]} {a.shape[1]} {_PAYLOAD}\n".encode())
+    fh.write(np.ascontiguousarray(a, _PAYLOAD).data)
 
 
-def _read_blocks(fh: IO[str], first_line: int,
+def _read_blocks(fh: IO[bytes], offset: int, size: int,
                  layout: dict[str, tuple]) -> Iterator[tuple[str, np.ndarray]]:
-    """(name, matrix) per MATRIX block of fh, whose next line is numbered first_line.
+    """(name, matrix) per MATRIX block of fh, a file of size bytes read up to offset.
 
-    Errors are ValueErrors starting ``line <n>: `` and name the tensor once its
-    header is read. Entries must parse and be finite; names must be unique.
-    Every name must be in the layout ({name: (rows, cols)}, see
-    CheckpointFormat) with its shape, and a missing one is an error at end of file.
+    Errors are ValueErrors starting ``byte <n>: ``, where n is the offset of
+    the MATRIX line or of the value at fault, and name the tensor once its
+    line is read. A line without the ``<f8`` marker is the pre-raw text
+    format, which is reported as such and not read. The payload must be
+    complete and finite; names must be unique. Every name must be in the
+    layout ({name: (rows, cols)}, see CheckpointFormat) with its shape, and a
+    missing one is an error at end of file.
     """
-    lines = enumerate(fh, first_line)
-    lineno = first_line - 1
+    longest = max(map(len, layout), default=0) + 64  # "MATRIX", a name, two dims, the marker
     bound: dict[str, int] = {}
     seen: set[str] = set()
-    for lineno, line in lines:
-        parts = line.split()
-        if not parts:
-            continue
-        if len(parts) != 4 or parts[0] != "MATRIX":
-            raise ValueError(f"line {lineno}: expected MATRIX header, got {line.rstrip()!r}")
+    while line := fh.readline(longest):
+        start, offset = offset, offset + len(line)
+        text = line.decode("utf-8", "backslashreplace").rstrip("\n")
+        parts = text.split()
+        if parts[:1] != ["MATRIX"] or not line.endswith(b"\n"):
+            raise ValueError(f"byte {start}: expected MATRIX line, got {text!r}")
+        if len(parts) == 4:
+            raise ValueError(f"byte {start}: {text!r} has no {_PAYLOAD} marker: a text checkpoint "
+                             "of the pre-raw format, which this version does not read")
+        if len(parts) != 5 or parts[4] != _PAYLOAD:
+            raise ValueError(f"byte {start}: expected 'MATRIX <name> <rows> <cols> {_PAYLOAD}', "
+                             f"got {text!r}")
         name = parts[1]
-        where = f"line {lineno}: tensor {name}"
-        rows, cols = (int(n) if n.isdecimal() else 0 for n in parts[2:])
+        where = f"byte {start}: tensor {name}"
+        rows, cols = (int(n) if n.isdecimal() else 0 for n in parts[2:4])
         if rows < 1 or cols < 1:
-            raise ValueError(f"{where}: bad dimensions in {line.rstrip()!r}")
+            raise ValueError(f"{where}: bad dimensions in {text!r}")
         if name in seen:
             raise ValueError(f"{where}: duplicate tensor name")
         if name not in layout:
@@ -338,31 +352,27 @@ def _read_blocks(fh: IO[str], first_line: int,
                 for n, got in zip(layout[name], (rows, cols))]
         if [rows, cols] != want:
             raise ValueError(f"{where}: shape {rows}x{cols}, expected {want[0]}x{want[1]}")
+        nbytes = 8 * rows * cols
+        if nbytes > size - offset:
+            raise ValueError(f"{where}: payload cut short: {size - offset} of {nbytes} bytes")
         try:
-            data = np.empty((rows, cols))
+            data = np.empty((rows, cols), _PAYLOAD)
         except MemoryError:
             raise ValueError(f"{where}: {rows}x{cols} does not fit in memory") from None
-        start = lineno
-        try:
-            for i in range(rows):
-                lineno, line = next(lines, (lineno + 1, ""))
-                values = line.split()
-                if len(values) != cols:
-                    raise ValueError(f"row {i + 1} has {len(values)} values, expected {cols}")
-                if not line.endswith("\n"):
-                    raise ValueError(f"row {i + 1} ends without a newline: the file is cut short")
-                data[i] = values
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: tensor {name}: {exc}") from None
+        got = fh.readinto(data)
+        if got != nbytes:
+            raise ValueError(f"{where}: payload cut short: {got} of {nbytes} bytes")
         finite = np.isfinite(data)
         if not finite.all():
-            i, j = np.argwhere(~finite)[0]
-            raise ValueError(f"line {start + 1 + i}: tensor {name}: non-finite entry {data[i, j]}")
+            k = int(np.argmin(finite.ravel()))
+            raise ValueError(f"byte {offset + 8 * k}: tensor {name}: non-finite entry "
+                             f"{data.flat[k]} at row {k // cols + 1}, column {k % cols + 1}")
+        offset += nbytes
         seen.add(name)
         yield name, data
     missing = [name for name in layout if name not in seen]
     if missing:
-        raise ValueError(f"line {lineno + 1}: end of file, missing tensor {missing[0]}")
+        raise ValueError(f"byte {offset}: end of file, missing tensor {missing[0]}")
 
 
 # --- key/value fields -------------------------------------------------------
@@ -440,14 +450,14 @@ def format_fields(obj, fields: Fields) -> Iterator[tuple[str, str]]:
 
 
 @contextlib.contextmanager
-def atomic_write(path) -> Iterator[IO[str]]:
-    """A file beside path that os.replace moves over it once the block succeeds.
+def atomic_write(path, mode: str = "w") -> Iterator[IO]:
+    """A file beside path, opened with mode; os.replace moves it over path once the block succeeds.
 
     A failed write leaves any old file as it was and removes the temporary file.
     """
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w") as fh:
+        with open(tmp, mode) as fh:
             yield fh
         os.replace(tmp, path)
     finally:
@@ -474,10 +484,11 @@ class CheckpointFormat:
     layout: Callable[[object], Iterable[tuple[str, tuple[int | str, int | str]]]]
 
 
-def _read_header(line: str, fmt: CheckpointFormat):
-    parts = line.split()
+def _read_header(line: bytes, fmt: CheckpointFormat):
+    text = line.decode("utf-8", "backslashreplace")
+    parts = text.split()
     if parts[:1] != [fmt.tag]:
-        raise ValueError(f"line 1: expected {fmt.tag} line, got {line.rstrip()!r}")
+        raise ValueError(f"line 1: expected {fmt.tag} line, got {text.rstrip()[:80]!r}")
     values = read_fields(((1, *item.partition("=")[::2]) for item in parts[1:]), fmt.fields)
     try:
         return fmt.make(**values)
@@ -485,27 +496,29 @@ def _read_header(line: str, fmt: CheckpointFormat):
         raise ValueError(f"line 1: {exc}") from None
 
 
-def write_checkpoint(fh: IO[str], fmt: CheckpointFormat, header,
+def write_checkpoint(fh: IO[bytes], fmt: CheckpointFormat, header,
                      tensors: Mapping[str, np.ndarray]) -> None:
     """Write header's fields as the tag line, then one MATRIX block per tensor."""
     values = " ".join(f"{key}={text}" for key, text in format_fields(header, fmt.fields))
-    fh.write(f"{fmt.tag} {values}\n")
+    fh.write(f"{fmt.tag} {values}\n".encode())
     for name, a in tensors.items():
         write_matrix(fh, name, a)
 
 
 def load_checkpoint(path, fmt: CheckpointFormat) -> tuple[object, dict[str, np.ndarray]]:
-    """(header object, {name: matrix}) read line by line from path.
+    """(header object, {name: matrix}) read block by block from path.
 
-    Every format error is a ValueError starting ``<path>: line <n>: ``.
+    Every format error is a ValueError starting ``<path>: line 1: `` (the
+    header) or ``<path>: byte <n>: ``.
     """
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         try:
-            header = _read_header(fh.readline(), fmt)
-            # A block takes at least 15 bytes ("MATRIX a 1 1\n0\n"), so a layout
-            # longer than this cannot fit and is cut here; the missing check fails it.
-            most = os.fstat(fh.fileno()).st_size // 15 + 1
-            layout = dict(itertools.islice(fmt.layout(header), most))
-            return header, dict(_read_blocks(fh, 2, layout))
+            line = fh.readline()
+            header = _read_header(line, fmt)
+            # A block takes at least 25 bytes ("MATRIX a 1 1 <f8\n" and one value), so a
+            # layout longer than this cannot fit and is cut here; the missing check fails it.
+            size = os.fstat(fh.fileno()).st_size
+            layout = dict(itertools.islice(fmt.layout(header), size // 25 + 1))
+            return header, dict(_read_blocks(fh, len(line), size, layout))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None

@@ -520,13 +520,13 @@ _CHECKPOINT = matcore.CheckpointFormat(
 )
 
 
-def write_model(fh: IO[str], weights: BaseWeights) -> None:
+def write_model(fh: IO[bytes], weights: BaseWeights) -> None:
     tensors = {name: weights[name] for name in weights.names()}
     matcore.write_checkpoint(fh, _CHECKPOINT, weights.config, tensors)
 
 
 def save_model(path, weights: BaseWeights) -> None:
-    with matcore.atomic_write(path) as fh:
+    with matcore.atomic_write(path, "wb") as fh:
         write_model(fh, weights)
 
 

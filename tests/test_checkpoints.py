@@ -2,7 +2,8 @@
 
 Model and adapter checkpoints share one reader and one writer in ``matcore``;
 every malformed file must fail with a ``ValueError`` that starts with the
-path and the line, and ``loralab analyze`` must turn it into exit code 1.
+path and ``line 1`` (the header) or the byte offset, and ``loralab analyze``
+must turn it into exit code 1 and one line.
 """
 
 import os
@@ -15,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from checkpoint_files import blocks, header_end, put_value, rewrite_header, text_format
 from loralab import adapters, matcore, model
 from loralab.adapters import AdapterSpec
 from loralab.cli import main
@@ -38,9 +40,8 @@ def write_pair(directory, spec=TINY_SPEC, d=16):
     return paths
 
 
-def edit_lines(path, edit):
-    lines = path.read_text().splitlines(keepends=True)
-    path.write_text("".join(edit(lines)))
+def load(which, path):
+    return model.load_model(path) if which == "model" else adapters.load_adapter(path)
 
 
 def analyze(capsys, paths, out):
@@ -50,43 +51,91 @@ def analyze(capsys, paths, out):
 
 
 def assert_located(message, path):
-    assert re.match(rf"{re.escape(str(path))}: line \d+: ", message), message
+    assert re.match(rf"{re.escape(str(path))}: (line 1|byte \d+): ", message), message
 
 
 # --- malformed blocks ------------------------------------------------------------
+# Each edit takes the file's bytes and blocks and returns the edited bytes and
+# the error expected after the path. The adapter's first block is
+# lora.query.1.A (2x16), its last lora.value.2.B (16x2); the model's first
+# block is embed.token.
 
-def set_value(line_no, value):
-    """Edit that puts value in place of the second entry of line line_no (1-based)."""
-    def edit(lines):
-        parts = lines[line_no - 1].split()
-        parts[1] = value
-        lines[line_no - 1] = " ".join(parts) + "\n"
-        return lines
+def non_finite(name, row, col, value, shown):
+    def edit(data, found):
+        data, at = put_value(data, found[name], row, col, value)
+        return data, (f"byte {at}: tensor {name}: non-finite entry {shown} "
+                      f"at row {row + 1}, column {col + 1}")
     return edit
 
 
-# Adapter file: line 1 SPEC, line 2 "MATRIX lora.query.1.A 2 16", lines 3-4 its rows.
-@pytest.mark.parametrize("which, edit, message", [
-    ("adapter", set_value(4, "nan"), "line 4: tensor lora.query.1.A: non-finite entry nan"),
-    ("adapter", set_value(3, "-inf"), "line 3: tensor lora.query.1.A: non-finite entry -inf"),
-    ("model", set_value(3, "nan"), "line 3: tensor embed.token: non-finite entry nan"),
-    ("adapter", set_value(3, "abc"),
-     "line 3: tensor lora.query.1.A: could not convert string to float: 'abc'"),
-    ("adapter", lambda lines: lines[:1] + ["MATRIX lora.query.1.A x 16\n"] + lines[2:],
-     "line 2: tensor lora.query.1.A: bad dimensions in 'MATRIX lora.query.1.A x 16'"),
-    ("adapter", lambda lines: lines + lines[1:4],
-     "tensor lora.query.1.A: duplicate tensor name"),
-    ("adapter", lambda lines: lines[:1] + ["NOTMATRIX lora.query.1.A 2 16\n"] + lines[2:],
-     "line 2: expected MATRIX header"),
+def matrix_line(line, problem):
+    """Edit that replaces the MATRIX line of lora.query.1.A with line."""
+    def edit(data, found):
+        a = found["lora.query.1.A"]
+        return (data[: a.start] + line.encode() + b"\n" + data[a.payload :],
+                f"byte {a.start}: {problem}")
+    return edit
+
+
+def cut_payload(data, found):
+    a = found["lora.query.1.A"]
+    return (data[: a.payload + 100],
+            f"byte {a.start}: tensor lora.query.1.A: payload cut short: 100 of 256 bytes")
+
+
+def repeat_first(data, found):
+    a = found["lora.query.1.A"]
+    return (data + data[a.start : a.end],
+            f"byte {len(data)}: tensor lora.query.1.A: duplicate tensor name")
+
+
+def drop_last(data, found):
+    b = found["lora.value.2.B"]
+    return data[: b.start], f"byte {b.start}: end of file, missing tensor lora.value.2.B"
+
+
+def old_format(data, found):
+    first = next(iter(found.values()))
+    line = f"MATRIX {first.name} {first.rows} {first.cols}"
+    return text_format(data), (f"byte {first.start}: {line!r} has no <f8 marker: a text "
+                               "checkpoint of the pre-raw format, which this version does not read")
+
+
+@pytest.mark.parametrize("which, edit", [
+    pytest.param("adapter", non_finite("lora.query.1.A", 1, 0, np.nan, "nan"), id="adapter-nan"),
+    pytest.param("adapter", non_finite("lora.query.1.A", 0, 1, -np.inf, "-inf"),
+                 id="adapter-minus-inf"),
+    pytest.param("adapter", non_finite("lora.value.2.B", 15, 1, np.inf, "inf"),
+                 id="adapter-inf-last-value"),
+    pytest.param("model", non_finite("embed.token", 0, 0, np.nan, "nan"), id="model-nan"),
+    pytest.param("adapter", cut_payload, id="payload-cut-short"),
+    pytest.param("adapter", matrix_line("MATRIX lora.query.1.A 3 16 <f8",
+                                        "tensor lora.query.1.A: shape 3x16, expected 2x16"),
+                 id="wrong-size"),
+    pytest.param("adapter", matrix_line(
+        "MATRIX lora.query.1.A x 16 <f8",
+        "tensor lora.query.1.A: bad dimensions in 'MATRIX lora.query.1.A x 16 <f8'"),
+        id="bad-dimensions"),
+    pytest.param("adapter", repeat_first, id="duplicate"),
+    pytest.param("adapter", drop_last, id="missing"),
+    pytest.param("adapter", matrix_line(
+        "NOTMATRIX lora.query.1.A 2 16 <f8",
+        "expected MATRIX line, got 'NOTMATRIX lora.query.1.A 2 16 <f8'"), id="not-matrix"),
+    pytest.param("adapter", matrix_line(
+        "MATRIX lora.query.1.A 2 16 >f8",
+        "expected 'MATRIX <name> <rows> <cols> <f8', got 'MATRIX lora.query.1.A 2 16 >f8'"),
+        id="big-endian-marker"),
+    pytest.param("adapter", old_format, id="adapter-old-text-format"),
+    pytest.param("model", old_format, id="model-old-text-format"),
 ])
-def test_malformed_block_names_file_line_and_tensor(tmp_path, capsys, which, edit, message):
+def test_malformed_block_names_file_byte_and_tensor(tmp_path, capsys, which, edit):
     paths = write_pair(tmp_path)
-    edit_lines(paths[which], edit)
-    load = model.load_model if which == "model" else adapters.load_adapter
+    data = paths[which].read_bytes()
+    data, message = edit(data, blocks(data))
+    paths[which].write_bytes(data)
     with pytest.raises(ValueError) as info:
-        load(paths[which])
-    assert_located(str(info.value), paths[which])
-    assert message in str(info.value)
+        load(which, paths[which])
+    assert str(info.value) == f"{paths[which]}: {message}"
     code, err = analyze(capsys, paths, tmp_path / "out")
     assert code == 1
     assert err.splitlines() == [f"error: {info.value}"]
@@ -94,17 +143,17 @@ def test_malformed_block_names_file_line_and_tensor(tmp_path, capsys, which, edi
 
 def test_truncated_last_row_is_an_error(tmp_path):
     paths = write_pair(tmp_path)
-    text = paths["adapter"].read_text()
-    paths["adapter"].write_text(text[:-3])  # mid-number in the last row
-    with pytest.raises(ValueError, match="ends without a newline"):
+    data = paths["adapter"].read_bytes()
+    paths["adapter"].write_bytes(data[:-3])  # mid-value in the last row
+    with pytest.raises(ValueError, match=r"byte \d+: tensor lora.value.2.B: "
+                                         "payload cut short: 253 of 256 bytes"):
         adapters.load_adapter(paths["adapter"])
 
 
 def test_absurd_layer_count_fails_fast(tmp_path):
     paths = write_pair(tmp_path)
-    text = paths["model"].read_text()
-    paths["model"].write_text(text.replace("n_layers=2", f"n_layers={10**12}", 1))
-    with pytest.raises(ValueError, match=r"line \d+: end of file, missing tensor layer3.query"):
+    rewrite_header(paths["model"], lambda line: line.replace("n_layers=2", f"n_layers={10**12}"))
+    with pytest.raises(ValueError, match=r"byte \d+: end of file, missing tensor layer3.query"):
         model.load_model(paths["model"])
 
 
@@ -155,7 +204,8 @@ def test_load_adapter_rejects_a_factor_of_the_wrong_rank(tmp_path):
     params.tensors["lora.query.1.A"] = np.ones((3, 32))
     path = tmp_path / "adapter.ckpt"
     adapters.save_adapter(path, params, spec)
-    with pytest.raises(ValueError, match=f"{path}: line 2: tensor lora.query.1.A: "
+    first = header_end(path.read_bytes())
+    with pytest.raises(ValueError, match=f"{path}: byte {first}: tensor lora.query.1.A: "
                                          "shape 3x32, expected 4x32"):
         adapters.load_adapter(path)
 
@@ -256,52 +306,68 @@ def desk_files(tmp_path_factory):
                       for k, v in params.tensors.items()}
     model.save_model(directory / "model.ckpt", model.build_model(ModelConfig()))
     adapters.save_adapter(directory / "adapter.ckpt", params, spec)
-    return {which: (directory / f"{which}.ckpt").read_text() for which in ("model", "adapter")}
+    return {which: (directory / f"{which}.ckpt").read_bytes() for which in ("model", "adapter")}
 
 
 tokens = st.one_of(
     st.from_regex(r"[-+]?[0-9]{1,14}", fullmatch=True),
     st.sampled_from(["", "nan", "inf", "-inf", "1e999", "0x1f", "abc", "MATRIX", "CONFIG",
-                     "SPEC", "r=4", "n_layers=3", "d_model=-1", "layers=1,1", "1.5"]),
-    st.text(alphabet=string.ascii_letters + string.digits + ".,=+-_", max_size=8),
+                     "SPEC", "r=4", "n_layers=3", "d_model=-1", "layers=1,1", "1.5", "<f8", ">f8"]),
+    st.text(alphabet=string.ascii_letters + string.digits + ".,=+-_<>", max_size=8),
 )
 
 
 @st.composite
-def line_mutations(draw, text):
-    """text with one line deleted, duplicated, swapped, replaced or one token changed."""
-    lines = text.splitlines(keepends=True)
-    headers = [i for i, line in enumerate(lines) if line.startswith(("MATRIX", "CONFIG", "SPEC"))]
-    i = draw(st.one_of(st.sampled_from(headers), st.integers(0, len(lines) - 1)))
-    kind = draw(st.sampled_from(["delete", "duplicate", "swap", "replace", "token"]))
+def cut_points(draw, data):
+    """(offset, block or None): an offset inside the header, a MATRIX line or a payload."""
+    kind = draw(st.sampled_from(["header", "matrix line", "payload"]))
+    if kind == "header":
+        return draw(st.integers(0, header_end(data) - 1)), None
+    block = draw(st.sampled_from(list(blocks(data).values())))
+    if kind == "matrix line":
+        return draw(st.integers(block.start, block.payload - 1)), None
+    return draw(st.integers(block.payload, block.end - 1)), block
+
+
+@st.composite
+def mutations(draw, data):
+    """data with a byte flipped, a block deleted, repeated or moved, or a text token changed."""
+    found = list(blocks(data).values())
+    kind = draw(st.sampled_from(["flip", "delete", "duplicate", "swap", "token"]))
+    b = draw(st.sampled_from(found))
+    if kind == "flip":
+        at = draw(st.integers(0, len(data) - 1))
+        return data[:at] + bytes([data[at] ^ draw(st.integers(1, 255))]) + data[at + 1 :]
     if kind == "delete":
-        del lines[i]
-    elif kind == "duplicate":
-        lines.insert(i, lines[i])
-    elif kind == "swap" and i + 1 < len(lines):
-        lines[i], lines[i + 1] = lines[i + 1], lines[i]
-    elif kind == "replace":
-        lines[i] = draw(st.text(alphabet=string.printable.strip() + " ", max_size=40)) + "\n"
-    else:
-        parts = lines[i].split()
-        parts[draw(st.integers(0, len(parts) - 1))] = draw(tokens)
-        lines[i] = " ".join(parts) + "\n"
-    return "".join(lines)
+        return data[: b.start] + data[b.end :]
+    if kind == "duplicate":
+        return data[: b.end] + data[b.start :]
+    if kind == "swap":
+        c = draw(st.sampled_from(found))
+        b, c = sorted((b, c), key=lambda block: block.start)
+        if b != c:
+            return (data[: b.start] + data[c.start : c.end] + data[b.end : c.start]
+                    + data[b.start : b.end] + data[c.end :])
+    start, end = draw(st.sampled_from([(0, header_end(data)), (b.start, b.payload)]))
+    parts = data[start:end].decode().split()
+    parts[draw(st.integers(0, len(parts) - 1))] = draw(tokens)
+    return data[:start] + (" ".join(parts) + "\n").encode() + data[end:]
 
 
-def load(which, path):
-    return model.load_model(path) if which == "model" else adapters.load_adapter(path)
-
-
-@settings(FUZZ, max_examples=40)
+@settings(FUZZ, max_examples=60)
 @given(which=st.sampled_from(["model", "adapter"]), data=st.data())
 def test_truncated_checkpoint_fails_with_its_path_and_line(tmp_path, desk_files, which, data):
-    text = desk_files[which]
+    """A cut in the header, a MATRIX line or a payload; a cut payload names its tensor."""
+    at, block = data.draw(cut_points(desk_files[which]))
     path = tmp_path / f"{which}.ckpt"
-    path.write_text(text[: data.draw(st.integers(0, len(text) - 1))])
+    path.write_bytes(desk_files[which][:at])
     with pytest.raises(ValueError) as info:
         load(which, path)
     assert_located(str(info.value), path)
+    if block is not None:
+        assert str(info.value) == (
+            f"{path}: byte {block.start}: tensor {block.name}: payload cut short: "
+            f"{at - block.payload} of {block.end - block.payload} bytes")
 
 
 @settings(FUZZ, max_examples=100)
@@ -309,24 +375,49 @@ def test_truncated_checkpoint_fails_with_its_path_and_line(tmp_path, desk_files,
 def test_mutated_checkpoint_loads_or_fails_with_its_path_and_line(tmp_path, desk_files,
                                                                    which, data):
     path = tmp_path / f"{which}.ckpt"
-    path.write_text(data.draw(line_mutations(desk_files[which])))
+    path.write_bytes(data.draw(mutations(desk_files[which])))
     try:
         load(which, path)
     except ValueError as exc:
         assert_located(str(exc), path)
 
 
-@settings(FUZZ, max_examples=30)
+@settings(FUZZ, max_examples=60)
+@given(which=st.sampled_from(["model", "adapter"]), data=st.data())
+def test_flipped_payload_byte_loads_as_one_changed_value_or_names_its_tensor(
+        tmp_path, desk_files, which, data):
+    original = desk_files[which]
+    block = data.draw(st.sampled_from(list(blocks(original).values())))
+    at = data.draw(st.integers(block.payload, block.end - 1))
+    mask = data.draw(st.integers(1, 255))
+    flipped = original[:at] + bytes([original[at] ^ mask]) + original[at + 1 :]
+    path = tmp_path / f"{which}.ckpt"
+    path.write_bytes(flipped)
+    value_at = at - (at - block.payload) % 8
+    try:
+        loaded = load(which, path)
+    except ValueError as exc:
+        assert str(exc).startswith(
+            f"{path}: byte {value_at}: tensor {block.name}: non-finite entry ")
+        return
+    got = loaded[block.name] if which == "model" else loaded[0].tensors[block.name]
+    expected = np.frombuffer(flipped[block.payload : block.end], "<f8")
+    assert np.array_equal(got.ravel().view(np.uint64), expected.view(np.uint64))
+
+
+@settings(FUZZ, max_examples=40)
 @given(which=st.sampled_from(["model", "adapter"]), data=st.data())
 def test_analyze_on_a_mutated_checkpoint_exits_cleanly(tmp_path, capsys, which, data):
     paths = write_pair(tmp_path)
-    mutate = data.draw(st.sampled_from(["truncate", "mutate"]))
-    text = paths[which].read_text()
+    mutate = data.draw(st.sampled_from(["truncate", "mutate", "old format"]))
+    original = paths[which].read_bytes()
     if mutate == "truncate":
-        text = text[: data.draw(st.integers(0, len(text)))]
+        edited = original[: data.draw(cut_points(original))[0]]
+    elif mutate == "mutate":
+        edited = data.draw(mutations(original))
     else:
-        text = data.draw(line_mutations(text))
-    paths[which].write_text(text)
+        edited = text_format(original)
+    paths[which].write_bytes(edited)
     code, err = analyze(capsys, paths, tmp_path / "out")
     assert code in (0, 1, 2)
     if code:

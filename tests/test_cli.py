@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from checkpoint_files import rewrite_header
 from loralab import adapters, analysis, cli, matcore, model, trainer
 from loralab import config as config_module
 from loralab.cli import main
@@ -215,8 +216,7 @@ def test_analyze_malformed_header_names_the_key(tmp_path, capsys, which, edit, m
     paths = {"model": tmp_path / "model.ckpt", "adapter": tmp_path / "adapter.ckpt"}
     model.save_model(paths["model"], model.build_model(config))
     adapters.save_adapter(paths["adapter"], adapters.init_params(spec, 16, 0), spec)
-    header, rest = paths[which].read_text().split("\n", 1)
-    paths[which].write_text(edit(header) + "\n" + rest)
+    rewrite_header(paths[which], edit)
     code, _, err = run_cli(capsys, "analyze", "--model", str(paths["model"]),
                            "--adapter", str(paths["adapter"]), "--out", str(tmp_path / "out"))
     assert code == 1
@@ -389,6 +389,21 @@ def test_task_settings_are_checked_when_the_file_is_read(tmp_path, capsys, old, 
     assert code == 1 and out == ""
     assert err == f"config error: {cfg}: {problem}\n"
     assert not (tmp_path / "run").exists()
+
+
+def test_a_task_flag_may_not_leave_a_key_of_the_file_unread(tmp_path, capsys):
+    cfg = write_tiny_config(tmp_path, "task.teacher_rank = 2\n")
+    out_dir = tmp_path / "run"
+    code, out, err = run_cli(capsys, "train", "--config", str(cfg), "--task", "parity",
+                             "--max-steps", "1", "--out", str(out_dir))
+    assert code == 1 and out == ""
+    assert err == (f"error: --task parity: {cfg} sets task.teacher_rank, "
+                   "which task parity does not read\n")
+    assert not out_dir.exists()
+    code, _, _ = run_cli(capsys, "train", "--config", str(cfg), "--task", "teacher",
+                         "--max-steps", "1", "--out", str(out_dir))
+    assert code == 0
+    assert json.loads((out_dir / "run.json").read_text())["task"] == "teacher"
 
 
 def test_bench_rejects_sub_second(capsys):

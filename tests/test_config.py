@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from checkpoint_files import rewrite_header
 from loralab import adapters, matcore, tasks
 from loralab.adapters import METHODS, AdapterSpec
 from loralab.config import ConfigError, ExperimentConfig, parse_config, serialize_config
@@ -129,9 +130,8 @@ def test_config_and_header_errors_share_one_wording(tmp_path, config_text, heade
     spec = AdapterSpec("lora", 2, 2.0, ("query",), (1,))
     adapters.save_adapter(path, adapters.init_params(spec, 4, 0), spec)
     key = header_text.split("=")[0]
-    header, rest = path.read_text().split("\n", 1)
-    items = [item for item in header.split() if not item.startswith(key + "=")] + [header_text]
-    path.write_text(" ".join(items) + "\n" + rest)
+    rewrite_header(path, lambda header: " ".join(
+        [item for item in header.split() if not item.startswith(key + "=")] + [header_text]))
     with pytest.raises(ValueError) as info:
         adapters.load_adapter(path)
     assert str(info.value).startswith(f"{path}: line 1: " + problem.format(key=key))

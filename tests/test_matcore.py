@@ -342,9 +342,10 @@ def test_matrix_round_trip_bit_exact(tmp_path):
     a[0, 0] = -0.0
     a[1, 1] = 1e-300
     a[2, 2] = 1.7976931348623157e308
+    a[3, 3] = 5e-324
     fmt = matcore.CheckpointFormat("EDGES", {}, dict, lambda header: [("layer3.value", (7, 5))])
     path = tmp_path / "edges.ckpt"
-    with open(path, "w") as fh:
+    with open(path, "wb") as fh:
         matcore.write_checkpoint(fh, fmt, {}, {"layer3.value": a})
     _, tensors = matcore.load_checkpoint(path, fmt)
     assert list(tensors) == ["layer3.value"]
@@ -355,27 +356,45 @@ def test_matrix_round_trip_bit_exact(tmp_path):
 
 
 def test_write_matrix_bytes_are_pinned():
-    # Every value as repr-exact "%.17g": the file format, edge values included.
+    # The MATRIX line, then every value as raw little-endian float64, edge values included.
     edges = np.array([[-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
                        0.1, -1.5, 1e16, 123456789.0]])
-    buf = io.StringIO()
+    buf = io.BytesIO()
     matcore.write_matrix(buf, "edges", edges)
-    assert buf.getvalue() == (
-        "MATRIX edges 1 8\n"
-        "-0 4.9406564584124654e-324 2.2250738585072014e-308 1.7976931348623157e+308 "
-        "0.10000000000000001 -1.5 10000000000000000 123456789\n")
+    assert buf.getvalue() == b"MATRIX edges 1 8 <f8\n" + bytes.fromhex(
+        "0000000000000080"  # -0.0
+        "0100000000000000"  # 5e-324, the smallest subnormal
+        "0000000000001000"  # 2.2250738585072014e-308, the smallest normal
+        "ffffffffffffef7f"  # 1.7976931348623157e308, the largest finite
+        "9a9999999999b93f"  # 0.1
+        "000000000000f8bf"  # -1.5
+        "0080e03779c34143"  # 1e16
+        "00000054346f9d41")  # 123456789.0
     normals = matcore.gaussian(200, 768, 0.0, 1.0, 5)
-    buf = io.StringIO()
+    buf = io.BytesIO()
     matcore.write_matrix(buf, "normals", normals)
-    expected = "".join(" ".join(f"{v:.17g}" for v in row) + "\n" for row in normals)
-    assert buf.getvalue() == "MATRIX normals 200 768\n" + expected
+    assert buf.getvalue() == b"MATRIX normals 200 768 <f8\n" + normals.astype("<f8").tobytes()
+
+
+def test_big_endian_and_column_major_inputs_round_trip_to_the_same_values(tmp_path):
+    a = matcore.gaussian(3, 4, 0.0, 2.0, 21)
+    a[0, 0], a[1, 1] = -0.0, 5e-324
+    inputs = {"big": a.astype(">f8"), "fortran": np.asfortranarray(a)}
+    fmt = matcore.CheckpointFormat("EDGES", {}, dict,
+                                   lambda header: [(name, (3, 4)) for name in inputs])
+    path = tmp_path / "edges.ckpt"
+    with open(path, "wb") as fh:
+        matcore.write_checkpoint(fh, fmt, {}, inputs)
+    assert path.read_bytes().endswith(b"\n" + a.astype("<f8").tobytes())
+    for back in matcore.load_checkpoint(path, fmt)[1].values():
+        assert np.array_equal(back.view(np.uint64), a.view(np.uint64))
 
 
 def test_iter_matrices_multiple_blocks(tmp_path):
     layout = [("first", (2, 2)), ("second", (1, 3))]
     fmt = matcore.CheckpointFormat("BLOCKS", {}, dict, lambda header: layout)
     path = tmp_path / "blocks.ckpt"
-    with open(path, "w") as fh:
+    with open(path, "wb") as fh:
         matcore.write_checkpoint(fh, fmt, {}, {"first": np.ones((2, 2)), "second": np.zeros((1, 3))})
     _, tensors = matcore.load_checkpoint(path, fmt)
     assert list(tensors) == ["first", "second"]
@@ -384,4 +403,4 @@ def test_iter_matrices_multiple_blocks(tmp_path):
 
 def test_write_matrix_rejects_bad_name():
     with pytest.raises(ValueError):
-        matcore.write_matrix(io.StringIO(), "has space", np.ones((1, 1)))
+        matcore.write_matrix(io.BytesIO(), "has space", np.ones((1, 1)))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from checkpoint_files import rewrite_header
 from loralab import matcore, model
 from loralab.model import ModelConfig
 
@@ -182,9 +183,8 @@ def test_checkpoint_rejects_tampered_header(tmp_path):
     w = model.build_model(SMALL)
     path = tmp_path / "model.ckpt"
     model.save_model(path, w)
-    text = path.read_text().replace("CONFIG", "KONFIG", 1)
-    path.write_text(text)
-    with pytest.raises(ValueError):
+    rewrite_header(path, lambda line: line.replace("CONFIG", "KONFIG", 1))
+    with pytest.raises(ValueError, match=f"{path}: line 1: expected CONFIG line, got 'KONFIG "):
         model.load_model(path)
 
 
@@ -199,8 +199,7 @@ def test_checkpoint_header_errors_name_the_key(tmp_path, edit, message):
     w = model.build_model(SMALL)
     path = tmp_path / "model.ckpt"
     model.save_model(path, w)
-    header, rest = path.read_text().split("\n", 1)
-    path.write_text(edit(header) + "\n" + rest)
+    rewrite_header(path, edit)
     with pytest.raises(ValueError, match=f"model.ckpt: line 1: .*{message}"):
         model.load_model(path)
 

@@ -48,6 +48,7 @@ from . import _rng
 COND_LIMIT = 1e12
 _LU_BLOCK = 64
 _LU_WORKSPACE = 8 << 20  # bytes of LU workspace per chunk of a stacked solve
+_HEADER_LIMIT = 1 << 20  # bytes a checkpoint's header line may take, its newline included
 
 
 class ShapeError(ValueError):
@@ -509,11 +510,13 @@ def load_checkpoint(path, fmt: CheckpointFormat) -> tuple[object, dict[str, np.n
     """(header object, {name: matrix}) read block by block from path.
 
     Every format error is a ValueError starting ``<path>: line 1: `` (the
-    header) or ``<path>: byte <n>: ``.
+    header, read up to ``_HEADER_LIMIT`` bytes) or ``<path>: byte <n>: ``.
     """
     with open(path, "rb") as fh:
         try:
-            line = fh.readline()
+            line = fh.readline(_HEADER_LIMIT)
+            if len(line) == _HEADER_LIMIT and not line.endswith(b"\n"):
+                raise ValueError(f"line 1: no end of line in the first {_HEADER_LIMIT} bytes")
             header = _read_header(line, fmt)
             # A block takes at least 25 bytes ("MATRIX a 1 1 <f8\n" and one value), so a
             # layout longer than this cannot fit and is cut here; the missing check fails it.

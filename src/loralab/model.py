@@ -20,11 +20,18 @@ forward/backward of llm.c (https://github.com/karpathy/llm.c).
 
 Workspace. Every activation and every backward temporary is written into the
 preallocated buffers of a ``Cache``, views into one block, as llm.c's
-``gpt2_forward`` sizes and allocates its ``acts_memory`` once. A ``Cache(keep_layers=True)`` keeps each layer's
-activations for ``backward``; a plain ``Cache()`` holds one layer's buffers,
-which every layer of a forward-only pass reuses. A caller that runs many
-passes of one (batch, length) keeps one Cache, which reallocates only when
-that shape changes, so a training step allocates nothing large and does not
+``gpt2_forward`` sizes and allocates its ``acts_memory`` once. A
+``Cache(keep_layers=True)`` keeps each layer's activations for ``backward``; a
+plain ``Cache()`` holds one layer's buffers, which every layer of a
+forward-only pass reuses. A batch runs in chunks of at most ``_WORKSPACE``
+bytes of buffers (8 MiB, the fastest budget of a measured sweep of batch-256
+desk steps, ``BENCH_chunked_step.json``), so the workspace is bounded by that
+budget, not by the batch; ``forward_pass`` chunks a forward-only pass itself
+and ``trainer.loss_and_grads`` chunks a training step. Every example's forward
+arithmetic is the same in any batch of two or more, so chunked logits have the
+bits of one whole pass. A caller that runs many passes keeps one Cache, which
+reallocates only when the geometry or the token length changes or a chunk
+outgrows it, so a training step allocates nothing large and does not
 page-fault; a caller that passes none gets a fresh one.
 
 Ownership. ``BaseWeights`` stores a read-only float64 array as it is and
@@ -35,6 +42,7 @@ read-only and hand them over, so the weights are never held twice, and
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, fields
 from typing import IO, Iterator
@@ -46,6 +54,7 @@ from . import _rng, matcore
 ATTENTION_MODULES = ("query", "key", "value", "output")
 LN_EPS = 1e-5
 _GELU_C = math.sqrt(2.0 / math.pi)
+_WORKSPACE = 8 << 20  # bytes of activation workspace per chunk of a batch (Cache.chunks)
 
 
 @dataclass(frozen=True)
@@ -344,7 +353,7 @@ def _carve(groups: list[dict[str, tuple[int, ...]]]) -> list[dict[str, np.ndarra
 
 
 class Cache:
-    """The activation workspace of ``forward_pass`` for one (batch, length).
+    """The activation workspace of ``forward_pass`` for one chunk of a batch.
 
     ``layers`` holds per layer the q/k/v projections, the softmax ``p``, the
     attention context ``ctx``, both layer norms' ``xhat`` and ``inv``, the FFN
@@ -355,25 +364,24 @@ class Cache:
     turn; from the second layer on, a layer's output overwrites its own
     input. With ``keep_layers``
     each layer keeps its own set for ``backward``, which also gets buffers of
-    its own here. ``scratch`` also holds what the row helpers use: the fold
-    buffer of ``_row_max`` and the ones columns of ``_row_sum``.
+    its own here. ``scratch`` also holds the fold buffer of ``_row_max``, and
+    ``ones`` the ones columns of ``_row_sum``.
 
-    Buffers are allocated by the first pass and again only when the model
-    geometry or the token shape changes; every array a pass returns is fresh.
+    ``chunks`` splits a batch into chunks whose buffers fit in ``_WORKSPACE``
+    bytes. Buffers are allocated by the first pass and again only when the
+    model geometry or the token length changes or a chunk outgrows them; a
+    smaller chunk gets their leading views. Every array a pass returns is
+    fresh.
     """
 
     def __init__(self, keep_layers: bool = False):
         self.keep_layers = keep_layers
         self.weights: BaseWeights | None = None
         self._key: tuple | None = None
+        self._capacity = self._batch = 0
 
-    def _fit(self, weights: BaseWeights, batch: int, length: int) -> None:
-        self.weights = weights
-        config = weights.config
-        key = (config.n_layers, config.d_model, config.n_heads, config.d_ff, batch, length)
-        if key == self._key:
-            return
-        self._key = key
+    def _groups(self, config: ModelConfig, batch: int, length: int) -> list[dict]:
+        """The {name: shape} groups of the per-example buffers: layers, scratch, grad."""
         act = (batch, length, config.d_model)
         wide = (batch, length, config.d_ff)
         rows = (batch, length, 1)
@@ -381,14 +389,43 @@ class Cache:
         layer = dict(q=act, k=act, v=act, p=heads, ctx=act, xhat1=act, inv1=rows,
                      a=wide, t=wide, xhat2=act, inv2=rows, y=act)
         scratch = dict(embed=act, y1=act, h=wide, head_rows=heads[:3] + (1,),
-                       fold=heads[:3] + (length // 2,),
-                       ones_d=(config.d_model, 1), ones_len=(length, 1))
+                       fold=heads[:3] + (length // 2,))
         grad = dict(dx=act, du=act, tmp=act, dctx=act, dm=act, da=wide, slope=wide,
                     dp=heads, dp_tmp=heads, dot=rows, mean=rows) if self.keep_layers else {}
-        n = config.n_layers if self.keep_layers else 1
-        *self.layers, self.scratch, self.grad = _carve([layer] * n + [scratch, grad])
-        self.scratch["ones_d"].fill(1.0)
-        self.scratch["ones_len"].fill(1.0)
+        return [layer] * (config.n_layers if self.keep_layers else 1) + [scratch, grad]
+
+    def chunks(self, config: ModelConfig, batch: int, length: int) -> list[slice]:
+        """Consecutive slices covering a batch of ``batch`` x ``length`` tokens.
+
+        Each chunk's buffers fit in ``_WORKSPACE`` bytes (where two examples
+        do not, chunks are two or three examples), so the workspace does not
+        grow with the batch; a batch that fits is one chunk. Sizes differ by at most one, the larger first, so the
+        first chunk sizes the buffers for all. No chunk has one example
+        unless the batch has, since an example alone gets other last bits
+        than in a batch (README).
+        """
+        per_example = 8 * sum(math.prod(shape) for group in self._groups(config, 1, length)
+                              for shape in group.values())
+        cap = max(1, _WORKSPACE // per_example)
+        n = max(1, min(-(-batch // cap), batch // 2))  # fewest chunks of <= cap, none of one
+        size, extra = divmod(batch, n)
+        ends = itertools.accumulate([size + 1] * extra + [size] * (n - extra), initial=0)
+        return [slice(start, end) for start, end in itertools.pairwise(ends)]
+
+    def _fit(self, weights: BaseWeights, batch: int, length: int) -> None:
+        self.weights = weights
+        config = weights.config
+        key = (config.n_layers, config.d_model, config.n_heads, config.d_ff, length)
+        if key != self._key or batch > self._capacity:
+            self._key, self._capacity, self._batch = key, batch, 0
+            ones = dict(d=(config.d_model, 1), len=(length, 1))
+            *self._full, self.ones = _carve(self._groups(config, batch, length) + [ones])
+            for a in self.ones.values():
+                a.fill(1.0)
+        if batch != self._batch:
+            self._batch = batch
+            *self.layers, self.scratch, self.grad = (
+                {name: a[:batch] for name, a in group.items()} for group in self._full)
 
 
 def forward_pass(
@@ -397,21 +434,32 @@ def forward_pass(
     projections: dict[tuple[str, int], np.ndarray] | None = None,
     cache: Cache | None = None,
 ) -> np.ndarray:
-    """Logits of one pass, whose activations are written into ``cache``.
+    """Logits of a batch, whose activations are written into ``cache``.
 
     ``projections`` overrides attention weights per (module, layer); the
     caller is responsible for their shapes. With no ``cache`` the pass uses a
-    fresh forward-only one.
+    fresh forward-only one. A forward-only cache runs the batch in the chunks
+    of ``Cache.chunks``; a kept one (``keep_layers``) runs what it is given as
+    one pass, for ``backward``, so its caller hands it one chunk at a time.
     """
     config = weights.config
     tokens = validate_tokens(config, tokens)
-    batch, length = tokens.shape
     cache = Cache() if cache is None else cache
+    projections = projections or {}
+    if cache.keep_layers:
+        return _pass(weights, tokens, projections, cache)
+    return np.concatenate([_pass(weights, tokens[rows], projections, cache)
+                           for rows in cache.chunks(config, *tokens.shape)])
+
+
+def _pass(weights: BaseWeights, tokens: np.ndarray,
+          projections: dict[tuple[str, int], np.ndarray], cache: Cache) -> np.ndarray:
+    config = weights.config
+    batch, length = tokens.shape
     cache._fit(weights, batch, length)
     n_heads = config.n_heads
     scale = 1.0 / math.sqrt(config.d_model // n_heads)
-    projections = projections or {}
-    s = cache.scratch
+    s, ones = cache.scratch, cache.ones
     x = s["embed"]
     np.take(weights["embed.token"], tokens, axis=0, out=x)
     x += weights["embed.pos"][:length]
@@ -425,12 +473,12 @@ def forward_pass(
         q, k, v = (_split_heads(c[n], n_heads) for n in "qkv")
         p = np.matmul(q, k.swapaxes(-1, -2), out=c["p"])
         p *= scale
-        _softmax(p, s["head_rows"], s["fold"], s["ones_len"])
+        _softmax(p, s["head_rows"], s["fold"], ones["len"])
         np.matmul(p, v, out=_split_heads(c["ctx"], n_heads))
         u = np.matmul(c["ctx"], proj["output"], out=c["xhat1"])
         u += x
         y1, _, _ = _layer_norm(u, weights[f"layer{l}.ln1.gain"], weights[f"layer{l}.ln1.bias"],
-                               c["inv1"], s["y1"], s["ones_d"])
+                               c["inv1"], s["y1"], ones["d"])
         a = np.matmul(y1, weights[f"layer{l}.ffn.w1"], out=c["a"])
         a += weights[f"layer{l}.ffn.b1"]
         h, _ = _gelu(a, c["t"], s["h"])
@@ -438,7 +486,7 @@ def forward_pass(
         u += weights[f"layer{l}.ffn.b2"]
         u += y1
         x, _, _ = _layer_norm(u, weights[f"layer{l}.ln2.gain"], weights[f"layer{l}.ln2.bias"],
-                              c["inv2"], c["y"], s["ones_d"])
+                              c["inv2"], c["y"], ones["d"])
     return (x.sum(axis=1) * (1.0 / length)) @ weights["head.out"]
 
 
@@ -449,7 +497,7 @@ def backward(cache: Cache, dlogits: np.ndarray,
     Walks the layers top-down through the pooling, layer norms, FFN and
     attention of the pass that filled ``cache`` (a ``Cache(keep_layers=True)``),
     and stops after the lowest targeted layer, since nothing below it needs a
-    gradient.
+    gradient; there it also skips the product of each untargeted projection.
     """
     if not cache.keep_layers or cache.weights is None:
         raise ValueError("backward needs a Cache(keep_layers=True) filled by forward_pass")
@@ -459,7 +507,7 @@ def backward(cache: Cache, dlogits: np.ndarray,
     batch, length, d = cache.scratch["embed"].shape
     n_heads = weights.config.n_heads
     scale = 1.0 / math.sqrt(d // n_heads)
-    g, s = cache.grad, cache.scratch
+    g, s, ones = cache.grad, cache.scratch, cache.ones
     rows = (g["dot"], g["mean"])
     dpooled = (dlogits @ weights["head.out"].T) * (1.0 / length)
     dx = np.broadcast_to(dpooled[:, None, :], (batch, length, d))
@@ -468,24 +516,26 @@ def backward(cache: Cache, dlogits: np.ndarray,
         c = cache.layers[l - 1]
         proj, p = c["proj"], c["p"]
         du2 = _layer_norm_backward(dx, c["xhat2"], c["inv2"], weights[f"layer{l}.ln2.gain"],
-                                   g["du"], g["tmp"], rows, s["ones_d"])
+                                   g["du"], g["tmp"], rows, ones["d"])
         da = np.matmul(du2, weights[f"layer{l}.ffn.w2"].T, out=g["da"])
         _gelu_backward(da, c["a"], c["t"], s["h"], g["slope"])
         du2 += np.matmul(da, weights[f"layer{l}.ffn.w1"].T, out=g["tmp"])
         du1 = _layer_norm_backward(du2, c["xhat1"], c["inv1"], weights[f"layer{l}.ln1.gain"],
-                                   g["dx"], g["tmp"], rows, s["ones_d"])
+                                   g["dx"], g["tmp"], rows, ones["d"])
         if ("output", l) in targets:
             grads[("output", l)] = c["ctx"].reshape(-1, d).T @ du1.reshape(-1, d)
         dctx = _split_heads(np.matmul(du1, proj["output"].T, out=g["dctx"]), n_heads)
         v = _split_heads(c["v"], n_heads)
         dscores = np.matmul(dctx, v.swapaxes(-1, -2), out=g["dp"])
-        _softmax_backward(dscores, p, g["dp_tmp"], s["head_rows"], s["ones_len"])
+        _softmax_backward(dscores, p, g["dp_tmp"], s["head_rows"], ones["len"])
         dscores *= scale
         q, k = _split_heads(c["q"], n_heads), _split_heads(c["k"], n_heads)
         x = c["x"].reshape(-1, d)
         dx, dm = du1, g["dm"]
         for m, left, right in (("query", dscores, k), ("key", dscores.swapaxes(-1, -2), q),
                                ("value", p.swapaxes(-1, -2), dctx)):
+            if l == lowest and (m, l) not in targets:
+                continue
             np.matmul(left, right, out=_split_heads(dm, n_heads))
             if (m, l) in targets:
                 grads[(m, l)] = x.T @ dm.reshape(-1, d)

@@ -1,13 +1,18 @@
 """Training loop for adapter parameters over a frozen encoder.
 
 Gradients are explicit. ``loss_and_grads`` builds every adapted projection
-W = W0 + s·B·A (s = alpha / r) with ``adapters.adapted``, runs one
-``model.forward_pass`` into a ``model.Cache(keep_layers=True)`` (``_steps``
-reuses one for every step), takes dL/dlogits in closed form (MSE on float
-targets: 2(logits - y)/N over the N entries; cross-entropy on integer labels:
-(softmax - onehot)/batch), gets dL/dW per target from ``model.backward`` and
-maps those onto the adapter tensors with ``adapters.factor_grads``. The targets
-alone pick the loss, so a task fixes it by what its batches hold.
+W = W0 + s·B·A (s = alpha / r) with ``adapters.adapted``, then runs the batch
+in the chunks of ``model.Cache.chunks`` through a
+``model.Cache(keep_layers=True)`` (``_steps`` reuses one for every step). Per
+chunk it runs ``model.forward_pass``, takes dL/dlogits in closed form,
+normalised by the whole batch (MSE on float targets: 2(logits - y)/N over the
+batch's N entries; cross-entropy on integer labels: (softmax - onehot)/batch),
+and gets dL/dW per target from ``model.backward``; it sums the chunks' losses
+and dL/dW and maps the sums onto the adapter tensors with
+``adapters.factor_grads``, once. A batch of one chunk (the desk batch of 16)
+keeps the bits of one whole pass; a larger one sums in another order, within
+1e-14 relative (normwise) of one pass. The targets alone pick the loss, so a
+task fixes it by what its batches hold.
 ``finite_difference_check`` provides the independent oracle: it only ever
 evaluates ``loss_only``, the forward-only pass.
 
@@ -68,30 +73,47 @@ class TrainReport:
     seed: int
 
 
-def _loss(logits: np.ndarray, targets) -> tuple[float, np.ndarray]:
-    """The batch loss and its gradient with respect to the logits: cross-entropy
-    for integer class labels, MSE for float targets."""
+def _labels(targets, shape: tuple[int, int]) -> np.ndarray:
+    """The targets as an array, checked against logits of ``shape``: integer
+    class labels in range, or float MSE targets of that shape, as float64."""
     labels = np.asarray(targets)
     if not np.issubdtype(labels.dtype, np.integer):
-        if labels.shape != logits.shape:
+        if labels.shape != shape:
             raise matcore.ShapeError(
-                f"mse targets shape {labels.shape} does not match logits {logits.shape}"
+                f"mse targets shape {labels.shape} does not match logits {shape}"
             )
-        diff = logits - labels.astype(np.float64, copy=False)
-        return float((diff * diff).sum() * (1.0 / diff.size)), diff * (2.0 / diff.size)
-    batch, n_out = logits.shape
+        return labels.astype(np.float64, copy=False)
+    batch, n_out = shape
     if labels.ndim != 1 or labels.shape[0] != batch:
         raise matcore.ShapeError(
             f"cross_entropy labels shape {labels.shape} does not match batch {batch}"
         )
     if (labels < 0).any() or (labels >= n_out).any():
         raise ValueError(f"labels out of range [0, {n_out})")
+    return labels
+
+
+def _loss(logits: np.ndarray, targets, total: int | None = None) -> tuple[float, np.ndarray]:
+    """The loss and its gradient with respect to the logits: cross-entropy
+    for integer class labels, MSE for float targets.
+
+    The logits are rows of a batch of ``total`` examples (by default they are
+    all of it), and both are normalised by the whole batch, so the losses of
+    a batch's chunks sum to its loss.
+    """
+    labels = _labels(targets, logits.shape)
+    batch, n_out = logits.shape
+    total = batch if total is None else total
+    if labels.dtype == np.float64:
+        diff = logits - labels
+        size = total * n_out
+        return float((diff * diff).sum() * (1.0 / size)), diff * (2.0 / size)
     onehot = np.zeros(logits.shape)
     onehot[np.arange(batch), labels] = 1.0
     top = logits.max(axis=-1)
     lse = top + np.log(np.exp(logits - top[:, None]).sum(axis=-1))
-    loss = (lse - (logits * onehot).sum(axis=-1)).sum() * (1.0 / batch)
-    return float(loss), (np.exp(logits - lse[:, None]) - onehot) * (1.0 / batch)
+    loss = (lse - (logits * onehot).sum(axis=-1)).sum() * (1.0 / total)
+    return float(loss), (np.exp(logits - lse[:, None]) - onehot) * (1.0 / total)
 
 
 def loss_only(weights: BaseWeights, params: AdapterParams, spec: AdapterSpec, batch,
@@ -107,17 +129,30 @@ def loss_and_grads(weights: BaseWeights, params: AdapterParams, spec: AdapterSpe
     """Loss plus gradients for exactly the trainable tensors.
 
     ``cache``, a ``model.Cache(keep_layers=True)``, is the activation
-    workspace; a caller that steps repeatedly passes the same one.
+    workspace; a caller that steps repeatedly passes the same one. The batch
+    goes through it in the chunks of ``Cache.chunks``, forward and backward
+    per chunk, and the chunks' losses and dL/dW are summed: a batch of one
+    chunk gets the bits of one pass, a larger one sums in another order.
     """
     tokens, targets = batch
     factors, projections = adapters.adapted(weights, params, spec)
     if cache is None:
         cache = model.Cache(keep_layers=True)
-    logits = model.forward_pass(weights, tokens, projections, cache)
-    loss, dlogits = _loss(logits, targets)
-    if not np.isfinite(loss):
-        raise matcore.NumericError(f"non-finite loss {loss!r}")
-    dws = model.backward(cache, dlogits, projections)
+    tokens = model.validate_tokens(weights.config, tokens)
+    total = tokens.shape[0]
+    labels = _labels(targets, (total, weights.config.n_outputs))
+    loss, dws = 0.0, {}
+    for rows in cache.chunks(weights.config, *tokens.shape):
+        logits = model.forward_pass(weights, tokens[rows], projections, cache)
+        part, dlogits = _loss(logits, labels[rows], total)
+        if not np.isfinite(part):
+            raise matcore.NumericError(f"non-finite loss {part!r}")
+        loss += part
+        for key, dw in model.backward(cache, dlogits, projections).items():
+            if key in dws:
+                dws[key] += dw
+            else:
+                dws[key] = dw
     return loss, adapters.factor_grads(weights, params, spec, factors, dws)
 
 

@@ -9,6 +9,7 @@ must turn it into exit code 1 and one line.
 import os
 import re
 import string
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -148,6 +149,25 @@ def test_truncated_last_row_is_an_error(tmp_path):
     with pytest.raises(ValueError, match=r"byte \d+: tensor lora.value.2.B: "
                                          "payload cut short: 253 of 256 bytes"):
         adapters.load_adapter(paths["adapter"])
+
+
+@pytest.mark.parametrize("which", ["model", "adapter"])
+def test_header_without_an_end_of_line_is_read_no_further_than_its_cap(tmp_path, capsys, which):
+    paths = write_pair(tmp_path)
+    paths[which].write_bytes(bytes(2 << 20))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as info:
+            load(which, paths[which])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == (f"{paths[which]}: line 1: "
+                               "no end of line in the first 1048576 bytes")
+    assert peak < 3 << 20  # the 1 MiB read (twice, in the reader's buffer), not the file
+    code, err = analyze(capsys, paths, tmp_path / "out")
+    assert code == 1
+    assert err.splitlines() == [f"error: {info.value}"]
 
 
 def test_absurd_layer_count_fails_fast(tmp_path):

@@ -5,12 +5,18 @@ matrices around as 2-D C-contiguous float64 numpy arrays, or stacks of them. Thi
 the operations that carry correctness contracts:
 
 * ``matmul`` rejects mismatched shapes, naming both operands.
-* ``solve(a, rhs)`` runs one right-looking blocked partial-pivot LU of ``a``
-  (panels of ``_LU_BLOCK`` columns, one GEMM trailing update per panel), refuses
-  matrices whose pivot-ratio condition estimate exceeds ``COND_LIMIT`` (1e12),
-  and substitutes on the columns of ``rhs`` only. ``a`` may be a stack of
-  matrices: every step then runs once over the stack, chunks of which fit in
-  ``_LU_WORKSPACE`` bytes, and each matrix gets the bits of its own 2-D solve.
+* ``solve(a, rhs)`` runs one recursive partial-pivot LU of ``a`` (the
+  structure of LAPACK's dgetrf2: halves of the columns, one triangular solve
+  and one GEMM per split, panels of at most ``_LU_BASE`` columns factored
+  column by column on a contiguous transposed copy), refuses matrices whose
+  pivot-ratio condition estimate exceeds ``COND_LIMIT`` (1e12), and
+  substitutes on the columns of ``rhs`` only, recursively with GEMMs. ``a``
+  may be a stack of matrices: every step then runs once over the stack,
+  chunks of which fit in one reused ``_LU_WORKSPACE``-byte buffer, and each
+  matrix gets the bits of its own 2-D solve. Both constants come from a
+  measured sweep (``BENCH_recursive_lu.json``): a base of 32 keeps a desk
+  W0 (d=32) in one base case, and 20 MiB holds four 768x768 matrices, whose
+  chunk spreads the per-column dispatch of the base case over four LUs.
   ``invert(a)`` is ``solve(a, I)``; ``condition_estimate`` reads the pivots of
   the same LU.
 * ``svd`` factors one matrix or a stack, with a deterministic sign convention:
@@ -46,8 +52,8 @@ import numpy as np
 from . import _rng
 
 COND_LIMIT = 1e12
-_LU_BLOCK = 64
-_LU_WORKSPACE = 8 << 20  # bytes of LU workspace per chunk of a stacked solve
+_LU_BASE = 32  # columns, or rows, that a recursion's base case takes one by one
+_LU_WORKSPACE = 20 << 20  # bytes of the LU workspace that a stacked solve reuses for each chunk
 _HEADER_LIMIT = 1 << 20  # bytes a checkpoint's header line may take, its newline included
 
 
@@ -124,60 +130,116 @@ def _rows(a: np.ndarray) -> np.ndarray:
 
 
 def _unit_lower_solve(l: np.ndarray, x: np.ndarray) -> None:
-    """Overwrite every x[s] with L[s]^{-1} x[s], L[s] unit lower triangular (diagonal not read)."""
+    """Overwrite every x[s] with L[s]^{-1} x[s], L[s] unit lower triangular (diagonal not read).
+
+    Recursive on the rows: solve the top half, subtract its contribution from
+    the bottom half with one GEMM, solve the bottom half; rows are
+    substituted one by one only in blocks of at most _LU_BASE rows.
+    """
+    n = x.shape[1]
+    if n > _LU_BASE:
+        h = n // 2
+        _unit_lower_solve(l[:, :h, :h], x[:, :h])
+        x[:, h:] -= l[:, h:, :h] @ x[:, :h]
+        _unit_lower_solve(l[:, h:, h:], x[:, h:])
+        return
     l_rows, x_rows = _rows(l), _rows(x)
-    for i in range(1, x.shape[1]):
+    for i in range(1, n):
         row = x_rows[i]
         row -= l_rows[i, :, :, :i] @ x[:, :i]
 
 
 def _upper_solve(u: np.ndarray, x: np.ndarray) -> None:
-    """Overwrite every x[s] with U[s]^{-1} x[s], U[s] upper triangular."""
+    """Overwrite every x[s] with U[s]^{-1} x[s], U[s] upper triangular.
+
+    Recursive on the rows as _unit_lower_solve, bottom half first.
+    """
+    n = x.shape[1]
+    if n > _LU_BASE:
+        h = n // 2
+        _upper_solve(u[:, h:, h:], x[:, h:])
+        x[:, :h] -= u[:, :h, h:] @ x[:, h:]
+        _upper_solve(u[:, :h, :h], x[:, :h])
+        return
     u_rows, x_rows = _rows(u), _rows(x)
-    for i in range(x.shape[1] - 1, -1, -1):
+    for i in range(n - 1, -1, -1):
         row = x_rows[i]
         row -= u_rows[i, :, :, i + 1 :] @ x[:, i + 1 :]
         row /= u_rows[i, :, :, i : i + 1]
 
 
-def _lu_factor(lu: np.ndarray) -> np.ndarray:
-    """Right-looking blocked partial-pivot LU of a C-contiguous stack (k, n, n), in place.
+def _reorder(a: np.ndarray, order: np.ndarray) -> None:
+    """Row i of every a[s] becomes its row order[s, i]; only the rows that move are touched."""
+    s, i = np.nonzero(order != np.arange(order.shape[1]))
+    a[s, i] = a[s, order[s, i]]
 
-    Returns the row permutations (k, n).
 
-    Golub & Van Loan, Matrix Computations, section 3.2: factor a panel of
-    _LU_BLOCK columns with rank-1 updates confined to the panel, solve the
-    unit-lower block for U12, then update the trailing matrix with one GEMM.
-    The pivot is the largest-magnitude entry of the column, as in the
-    unblocked algorithm, so both produce the same permutation. Each step runs
-    on the whole stack, and gives every matrix the bits it would get alone.
-    An exact zero pivot raises SingularMatrixError with its matrix's index.
+def _lu_base(a: np.ndarray) -> np.ndarray:
+    """Partial-pivot LU of the panels a (k, m, w), w <= m, column by column, in place.
+
+    Left-looking (Crout): column j is first brought up to date with one GEMV
+    over the columns before it, then pivoted and scaled, and row j of U is
+    finished with one small GEMV. It works on a transposed copy, so that each
+    column is a contiguous row of it; the copy's extra last row holds each
+    row's index, so swapping columns of the copy also records the row order
+    (k, m) that is returned.
     """
-    count, n = lu.shape[:2]
-    rows = lu.reshape(count * n, n)  # the rows of every matrix, end to end
-    first = np.arange(count) * n  # row k of matrix s is rows[first[s] + k]
-    perm = np.tile(np.arange(n), count)
-    for k0 in range(0, n, _LU_BLOCK):
-        k1 = min(k0 + _LU_BLOCK, n)
-        for k in range(k0, k1):
-            q = first + k
-            p = q + np.abs(lu[:, k:, k]).argmax(axis=1)
-            pivot_rows = rows[p]
-            rows[p] = lu[:, k]
-            lu[:, k] = pivot_rows
-            perm[q], perm[p] = perm[p], perm[q]
-            pivots = lu[:, k, k]
-            if np.count_nonzero(pivots) < count:
-                raise SingularMatrixError(math.inf, int(np.argmin(pivots != 0.0)))
-            col = lu[:, k + 1 :, k]
-            col /= pivots[:, None]
-            panel = lu[:, k + 1 :, k + 1 : k1]
-            panel -= col[:, :, None] * lu[:, k, None, k + 1 : k1]
-        if k1 < n:
-            _unit_lower_solve(lu[:, k0:k1, k0:k1], lu[:, k0:k1, k1:])
-            trailing = lu[:, k1:, k1:]
-            trailing -= lu[:, k1:, k0:k1] @ lu[:, k0:k1, k1:]
-    return perm.reshape(count, n)
+    count, m, w = a.shape
+    t = np.empty((count, w + 1, m))
+    t[:, :w] = a.transpose(0, 2, 1)
+    t[:, w] = np.arange(m)
+    flat = t.reshape(-1)
+    starts = np.arange(0, t.size, m).reshape(count, w + 1)  # flat offset of every row of t
+    for j in range(w):
+        col = t[:, j, None, j:]
+        col -= t[:, j, None, :j] @ t[:, :j, j:]  # A[j:, j] -= L[j:, :j] U[:j, j]
+        # swap column j of each t[s] with its pivot column, at j + argmax in flat[j:]
+        at = starts + np.abs(col[:, 0]).argmax(axis=1)[:, None]
+        from_j = flat[j:]
+        pivot_rows = from_j[at]
+        from_j[at] = t[:, :, j]
+        t[:, :, j] = pivot_rows
+        pivots = pivot_rows[:, j]
+        if np.count_nonzero(pivots) < count:
+            raise SingularMatrixError(math.inf, int(np.argmin(pivots != 0.0)))
+        u_row = t[:, j + 1 : w, j, None]
+        u_row -= t[:, j + 1 : w, :j] @ t[:, :j, j, None]  # U[j, j+1:] -= L[j, :j] U[:j, j+1:]
+        col = t[:, j, j + 1 :]
+        col /= pivots[:, None]
+    a[...] = t[:, :w].transpose(0, 2, 1)
+    return t[:, w].astype(np.intp)
+
+
+def _lu_factor(a: np.ndarray) -> np.ndarray:
+    """Recursive partial-pivot LU of a stack of panels (k, m, w), m >= w, in place.
+
+    Returns the row orders (k, m): row i of every factored a[s] is row
+    order[s, i] of the input, so for a square stack they are the row
+    permutations. The structure of LAPACK's dgetrf2 (Toledo, SIAM J. Matrix
+    Anal. Appl. 18(4), 1997): factor the left half of the columns
+    recursively, apply its row order to the right half, solve the unit-lower
+    block for U12, update the lower-right block with one GEMM and factor it
+    recursively, then apply its row order to the left half's multipliers.
+    Panels of at most _LU_BASE columns are factored column by column
+    (_lu_base). The pivot is the largest-magnitude entry of the column, as in
+    the unblocked algorithm, so both produce the same permutation. Each step
+    runs on the whole stack, and gives every matrix the bits it would get
+    alone. An exact zero pivot raises SingularMatrixError with its matrix's
+    index.
+    """
+    w = a.shape[2]
+    if w <= _LU_BASE:
+        return _lu_base(a)
+    h = w // 2
+    left, right = a[:, :, :h], a[:, :, h:]
+    order = _lu_factor(left)
+    _reorder(right, order)
+    _unit_lower_solve(left[:, :h], right[:, :h])
+    right[:, h:] -= left[:, h:] @ right[:, :h]
+    below = _lu_factor(right[:, h:])
+    _reorder(left[:, h:], below)
+    order[:, h:] = np.take_along_axis(order[:, h:], below, axis=1)
+    return order
 
 
 def _pivot_ratios(lu: np.ndarray) -> np.ndarray:
@@ -222,8 +284,8 @@ def solve(a, rhs) -> np.ndarray:
     ``a`` is one (n, n) matrix and ``rhs`` (n, r), giving x (n, r); or ``a``
     is a stack of k such matrices (a 3-D array or a sequence of 2-D arrays)
     and ``rhs`` (k, n, r), giving x (k, n, r). A stack is factored and
-    substituted as a whole, one chunk at a time: a chunk's LU workspace holds
-    at most _LU_WORKSPACE bytes, or one matrix where that is larger. Every
+    substituted as a whole, one chunk at a time in one LU workspace of at
+    most _LU_WORKSPACE bytes, or one matrix where that is larger. Every
     matrix gets the bits its own 2-D solve gives.
 
     Rejects a matrix whose pivot-ratio condition estimate exceeds COND_LIMIT;
@@ -244,9 +306,12 @@ def solve(a, rhs) -> np.ndarray:
         )
     x = np.empty(rhs.shape)
     chunk = max(1, _LU_WORKSPACE // (8 * n * n))
+    workspace = np.empty((min(chunk, count), n, n))
     for c0 in range(0, count, chunk):
-        lu = np.array(a[c0 : c0 + chunk], dtype=np.float64, order="C")
         b = rhs[c0 : c0 + chunk]
+        lu = workspace[: len(b)]
+        for i, m in enumerate(a[c0 : c0 + chunk]):
+            lu[i] = m
         _require_finite(lu, "solve input")
         _require_finite(b, "solve right-hand side")
         try:

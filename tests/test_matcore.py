@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -82,10 +83,12 @@ def test_condition_estimate_scales_with_near_singularity():
     assert matcore.condition_estimate(near) > matcore.COND_LIMIT
 
 
-# --- blocked LU and solve -----------------------------------------------------
+# --- recursive LU and solve ---------------------------------------------------
 
-BLOCK = matcore._LU_BLOCK
-LU_SIZES = (1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3, 768)
+BASE = matcore._LU_BASE
+# one row, the sizes around the base case, sizes whose recursion splits unevenly
+# (2 * BASE + 3, 63, 65, 100, 131), and the paper's d
+LU_SIZES = tuple(sorted({1, BASE - 1, BASE, BASE + 1, 2 * BASE + 3, 63, 64, 65, 100, 131, 768}))
 
 
 def _rank1_lu(a):
@@ -106,6 +109,12 @@ def _rel(x, ref):
     return np.linalg.norm(x - ref) / np.linalg.norm(ref)
 
 
+def _late_column(n):
+    """A column in the right half of the top split, past its first base panel."""
+    assert n > 2 * BASE
+    return n - 5
+
+
 @pytest.mark.parametrize("n", LU_SIZES)
 def test_blocked_lu_reconstructs_and_solves(n):
     a = matcore.gaussian(n, n, 0, 1, 400 + n)
@@ -121,30 +130,47 @@ def test_blocked_lu_reconstructs_and_solves(n):
 
 
 def test_solve_rejects_rank_deficient_past_block():
-    n = BLOCK + 9
+    n = 2 * BASE + 9
+    col = _late_column(n)
     rhs = np.ones((n, 1))
     zero_col = matcore.gaussian(n, n, 0, 1, 77)
-    zero_col[:, BLOCK + 4] = 0.0  # exact zero pivot inside the second panel
+    zero_col[:, col] = 0.0  # an exact zero pivot that a later branch of the recursion meets
     with pytest.raises(matcore.SingularMatrixError) as info:
         matcore.solve(zero_col, rhs)
     assert math.isinf(info.value.condition)
     assert math.isinf(matcore.condition_estimate(zero_col))
     dup_col = matcore.gaussian(n, n, 0, 1, 78)
-    dup_col[:, BLOCK + 4] = dup_col[:, 2]
+    dup_col[:, col] = dup_col[:, 2]
     with pytest.raises(matcore.SingularMatrixError):
         matcore.solve(dup_col, rhs)
 
 
 def test_solve_rejects_near_singular_past_block():
-    n = BLOCK + 9
+    n = 2 * BASE + 9
+    col = _late_column(n)
     base = matcore.gaussian(n, n, 0, 1, 79)
     assert matcore.condition_estimate(base) < 1e6
     near = base.copy()
-    near[n - 1] = near[n - 2] + 1e-14 * base[3]
+    near[:, col] = near[:, col - 1] + 1e-14 * base[:, 3]
     assert matcore.condition_estimate(near) > matcore.COND_LIMIT
     with pytest.raises(matcore.SingularMatrixError) as info:
         matcore.solve(near, np.ones((n, 2)))
     assert info.value.condition > matcore.COND_LIMIT
+
+
+def test_solve_agrees_with_lapack():
+    # Two backward-stable solvers agree to about cond(a) * eps, so the draw's
+    # 2-norm condition number is checked first; both gates of solve pass it.
+    a = matcore.gaussian(768, 768, 0, 1, 7)
+    assert np.linalg.cond(a) < 1e4
+    assert matcore.condition_estimate(a) < 1e6
+    rhs = matcore.gaussian(768, 8, 0, 1, 8)
+    assert _rel(matcore.solve(a, rhs), np.linalg.solve(a, rhs)) <= 1e-12
+    desk = np.stack([matcore.gaussian(32, 32, 0, 1, 20 + s) for s in range(4)])
+    desk_rhs = np.stack([matcore.gaussian(32, 8, 0, 1, 30 + s) for s in range(4)])
+    assert _rel(matcore.solve(desk, desk_rhs), np.linalg.solve(desk, desk_rhs)) <= 1e-12
+    a = matcore.gaussian(300, 300, 0, 1, 9)
+    assert _rel(matcore.invert(a) @ a, np.eye(300)) <= 1e-12
 
 
 def test_solve_rejects_nonfinite_and_bad_shapes():
@@ -185,8 +211,8 @@ def test_stacked_solve_equals_each_2d_solve_bit_for_bit(n, count):
 
 
 def test_solve_bits_do_not_depend_on_memory_layout():
-    # the LU swaps rows through a flat view of its workspace, which must be C-ordered
-    mats, rhs = _stack_case(BLOCK + 6, 2)
+    # the LU's base case swaps rows through a flat view of a C-ordered copy of its panel
+    mats, rhs = _stack_case(BASE + 6, 2)
     stack = np.stack(mats)
     want = matcore.solve(stack, rhs)
     assert matcore.solve(np.asfortranarray(stack), rhs).tobytes() == want.tobytes()
@@ -194,32 +220,51 @@ def test_solve_bits_do_not_depend_on_memory_layout():
 
 
 def test_stacked_solve_in_small_chunks_gives_the_same_bits(monkeypatch):
-    n, count = 20, 7
+    n, count = BASE + 6, 7
     mats, rhs = _stack_case(n, count)
     whole = matcore.solve(mats, rhs)
     chunks = []
-    factor = matcore._lu_factor
+    ratios = matcore._pivot_ratios  # read once per factored chunk; _lu_factor recurses
 
-    def counting_factor(lu):
+    def counting_ratios(lu):
         chunks.append(len(lu))
-        return factor(lu)
+        return ratios(lu)
 
-    monkeypatch.setattr(matcore, "_lu_factor", counting_factor)
+    monkeypatch.setattr(matcore, "_pivot_ratios", counting_ratios)
     monkeypatch.setattr(matcore, "_LU_WORKSPACE", 3 * 8 * n * n + 5)
     assert matcore.solve(mats, rhs).tobytes() == whole.tobytes()
     assert chunks == [3, 3, 1]
 
 
+def test_stacked_solve_copies_one_chunk_at_a_time(monkeypatch):
+    # A stack of 12 with a workspace of 3 matrices: the LU copy, its factor
+    # and substitution temporaries stay within two workspaces, where a copy
+    # of the whole stack alone would take four.
+    n, count = 128, 12
+    mats, _ = _stack_case(n, count)
+    rhs = np.ones((count, n, 8))
+    workspace = 3 * 8 * n * n
+    monkeypatch.setattr(matcore, "_LU_WORKSPACE", workspace)
+    tracemalloc.start()
+    try:
+        x = matcore.solve(mats, rhs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * workspace + rhs.nbytes + x.nbytes, peak
+
+
 @pytest.mark.parametrize("per_chunk", [None, 1])
 @pytest.mark.parametrize("kind", ["zero pivot", "near singular"])
 def test_stacked_solve_names_the_singular_member(monkeypatch, kind, per_chunk):
-    n = BLOCK + 9
+    n = 2 * BASE + 9
+    col = _late_column(n)
     mats, _ = _stack_case(n, 4, seed=3)
     bad = mats[2].copy()
     if kind == "zero pivot":
-        bad[:, BLOCK + 4] = 0.0
+        bad[:, col] = 0.0
     else:
-        bad[n - 1] = bad[n - 2] + 1e-14 * bad[3]
+        bad[:, col] = bad[:, col - 1] + 1e-14 * bad[:, 3]
     mats[2] = bad
     if per_chunk is not None:
         monkeypatch.setattr(matcore, "_LU_WORKSPACE", per_chunk * 8 * n * n)

@@ -1,9 +1,11 @@
 """Command-line interface.
 
-Subcommands: count-params, train, analyze, bench, gradcheck. Exit codes are
-stable for scripting: 0 success, 1 usage or configuration error (a model or
-batch too large to allocate included), 2 numeric error (singular matrices,
-non-finite losses, failed gradient checks).
+Subcommands: count-params, train, analyze, bench, gradcheck. Each takes only
+the flags it reads, so any other flag is an error, never silently ignored; the
+seed flags reject values outside [0, 2**64) as the seeds.* config keys do.
+Exit codes are stable for scripting: 0 success, 1 usage or configuration error
+(a model or batch too large to allocate included), 2 numeric error (singular
+matrices, non-finite losses, failed gradient checks).
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ GRADCHECK_MAX_D = 16
 GRADCHECK_MAX_LAYERS = 2
 GRADCHECK_TOL = 1e-4
 
+CONFIG_HELP = "experiment config file (key = value lines)"
 PAPER_DIMS = {"d_model": 768, "rank": 8, "modules": ("query", "value"), "n_layers": 12}
 
 
@@ -41,49 +44,54 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_common(p: _Parser) -> None:
-    p.add_argument("--config", help="experiment config file (key = value lines)")
-    p.add_argument("--seed-model", type=int, dest="seed_model")
-    p.add_argument("--seed-adapter", type=int, dest="seed_adapter")
-    p.add_argument("--seed-data", type=int, dest="seed_data")
-    p.add_argument("--out", dest="output_dir", help="output directory")
+def _seed(text: str) -> int:
+    """A --seed-* or --baseline-seed value, read as the seeds.* config keys are."""
+    try:
+        return matcore.parse_seed(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad value {text!r} ({exc})") from None
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="loralab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    experiment = _Parser(add_help=False)  # a config and its seeds: train, bench, gradcheck
+    experiment.add_argument("--config", help=CONFIG_HELP)
+    for name in ("model", "adapter", "data"):
+        experiment.add_argument(f"--seed-{name}", type=_seed, dest=f"seed_{name}")
 
-    p = sub.add_parser("count-params", parents=[], help="trainable-parameter table")
-    _add_common(p)
-    p.add_argument("--paper-dims", action="store_true",
-                   help="use d=768, r=8, modules {query,value}, 12 layers")
+    p = sub.add_parser("count-params", help="trainable-parameter table")
+    geometry = p.add_mutually_exclusive_group()
+    geometry.add_argument("--config", help=CONFIG_HELP)
+    geometry.add_argument("--paper-dims", action="store_true",
+                          help="use d=768, r=8, modules {query,value}, 12 layers")
     p.set_defaults(func=cmd_count_params)
 
-    p = sub.add_parser("train", help="train one adapter and write its checkpoint")
-    _add_common(p)
+    p = sub.add_parser("train", parents=[experiment],
+                       help="train one adapter and write its checkpoint")
+    p.add_argument("--out", dest="output_dir", help="output directory")
     p.add_argument("--method", choices=adapters.METHODS)
     p.add_argument("--task", choices=tasks.TASK_KINDS)
     p.add_argument("--max-steps", type=int, dest="max_steps")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("analyze", help="conversion-matrix grids and adapter comparison")
-    _add_common(p)
     p.add_argument("--model", required=True, dest="model_ckpt", help="model checkpoint")
     p.add_argument("--adapter", required=True, action="append", dest="adapter_ckpts",
                    help="adapter checkpoint (repeat to compare two methods)")
+    p.add_argument("--out", dest="output_dir", help="output directory")
     p.add_argument("--side", choices=analysis.SIDES, default="left")
     p.add_argument("--i", type=int, dest="i_vectors")
     p.add_argument("--j", type=int, dest="j_vectors")
-    p.add_argument("--baseline-seed", type=int, default=0)
+    p.add_argument("--baseline-seed", type=_seed, default=0)
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("bench", help="training throughput for both methods")
-    _add_common(p)
+    p = sub.add_parser("bench", parents=[experiment], help="training throughput for both methods")
     p.add_argument("--seconds", type=float, default=2.0)
     p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    _add_common(p)
+    p = sub.add_parser("gradcheck", parents=[experiment],
+                       help="finite-difference gradient verification")
     p.add_argument("--method", choices=adapters.METHODS + ("both",), default="both")
     p.add_argument("--trials", type=int, default=3)
     p.add_argument("--perturb", action="store_true",
@@ -94,7 +102,7 @@ def build_parser() -> _Parser:
 
 
 def _load_experiment(args) -> ExperimentConfig:
-    cfg = load_config(args.config) if getattr(args, "config", None) else ExperimentConfig()
+    cfg = load_config(args.config) if args.config else ExperimentConfig()
     task = getattr(args, "task", None)
     unread = [] if task is None else keys_unread_by(cfg, task)
     if unread:
@@ -114,13 +122,13 @@ def _override(cfg: ExperimentConfig, args, names) -> None:
 
 
 def cmd_count_params(args) -> int:
-    cfg = _load_experiment(args)
     if args.paper_dims:
         d = PAPER_DIMS["d_model"]
         layers = tuple(range(1, PAPER_DIMS["n_layers"] + 1))
         lora_spec = adapters.AdapterSpec("lora", PAPER_DIMS["rank"], float(PAPER_DIMS["rank"]),
                                          PAPER_DIMS["modules"], layers)
     else:
+        cfg = _load_experiment(args)
         d = cfg.d_model
         lora_spec = cfg.adapter_spec("lora")
     cond_spec = adapters.as_method(lora_spec, "condlora")
@@ -252,7 +260,7 @@ def cmd_bench(args) -> int:
 
 
 def _gradcheck_config(args) -> ExperimentConfig:
-    if getattr(args, "config", None):
+    if args.config:
         cfg = _load_experiment(args)
     else:
         cfg = ExperimentConfig(

@@ -114,7 +114,8 @@ _FIELDS: matcore.Fields = {
     "task.teacher_rank": ("teacher_rank", int, str),
     "task.seq_len": ("seq_len", int, str),
     "output_dir": ("output_dir", str, str),
-    **{f"seeds.{name}": (f"seed_{name}", int, str) for name in ("model", "adapter", "data")},
+    **{f"seeds.{name}": (f"seed_{name}", matcore.parse_seed, str)
+       for name in ("model", "adapter", "data")},
 }
 
 

@@ -466,6 +466,14 @@ def positive_float(text: str) -> float:
     return value
 
 
+def parse_seed(text: str) -> int:
+    """A seed of the generator, which takes 64 bits: any other integer would wrap."""
+    value = int(text)
+    if not 0 <= value <= _rng.MASK64:
+        raise ValueError("not an unsigned 64-bit integer")
+    return value
+
+
 def format_items(values: Iterable) -> str:
     return ",".join(str(v) for v in values)
 

@@ -327,17 +327,66 @@ def readme_usage() -> dict[str, set[str]]:
 
 
 def test_readme_command_line_matches_the_parser():
-    subcommands = next(action.choices for action in cli.build_parser()._actions
-                       if isinstance(action, argparse._SubParsersAction))
-    common = cli._Parser()
-    cli._add_common(common)
-    usage = readme_usage()
+    usage, subcommands = readme_usage(), _subcommands()
     assert set(usage) == set(subcommands)
-    for command, parser in subcommands.items():
-        flags = {flag for flag in parser._option_string_actions if flag.startswith("--")}
-        assert usage[command] <= flags - {"--help"}, f"README shows a flag {command} lacks"
-        assert flags - set(common._option_string_actions) <= usage[command], (
-            f"README omits a flag of {command}")
+    for command, flags in subcommands.items():
+        assert usage[command] == flags, f"README's flags of {command} differ from its parser's"
+
+
+def _subcommands() -> dict[str, set[str]]:
+    """{subcommand: the -- flags its parser takes, --help not counted}."""
+    subparsers = next(action.choices for action in cli.build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    return {command: {flag for flag in parser._option_string_actions
+                      if flag.startswith("--") and flag != "--help"}
+            for command, parser in subparsers.items()}
+
+
+_ANALYZE = ["analyze", "--model", "m.ckpt", "--adapter", "a.ckpt"]
+
+
+# flags a subcommand would parse and then drop; each must fail before any file is touched
+@pytest.mark.parametrize("command, flags", [
+    *[(_ANALYZE, [flag, value]) for flag, value in (
+        ("--config", "exp.cfg"), ("--seed-model", "3"), ("--seed-adapter", "3"),
+        ("--seed-data", "3"))],
+    *[(["count-params"], [flag, "3"]) for flag in ("--seed-model", "--seed-adapter",
+                                                   "--seed-data")],
+    *[([command], ["--out", "OUT"]) for command in ("count-params", "bench", "gradcheck")],
+    (["count-params", "--paper-dims"], ["--config", "exp.cfg"]),
+], ids=lambda value: " ".join(value))
+def test_a_flag_the_subcommand_does_not_read_is_an_error(
+        tmp_path, capsys, monkeypatch, command, flags):
+    cfg = write_tiny_config(tmp_path)
+    out_dir = tmp_path / "out"
+    flags = [{"exp.cfg": str(cfg), "OUT": str(out_dir)}.get(arg, arg) for arg in flags]
+    if command[0] == "analyze":
+        flags += ["--out", str(out_dir)]
+
+    def no_open(*args, **kwargs):
+        raise AssertionError(f"a file was opened: {args}")
+
+    monkeypatch.setattr(io, "open", no_open)
+    monkeypatch.setattr("builtins.open", no_open)
+    code, out, err = run_cli(capsys, *command, *flags)
+    assert code == 1 and out == ""
+    if command[-1] == "--paper-dims":
+        assert err == "error: argument --config: not allowed with argument --paper-dims\n"
+    else:
+        assert err == f"error: unrecognized arguments: {' '.join(flags[:2])}\n"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("flag", ["--seed-model", "--seed-adapter", "--seed-data",
+                                  "--baseline-seed"])
+@pytest.mark.parametrize("value", ["-1", str(2 ** 64), str(-2 ** 70)])
+def test_a_seed_flag_outside_64_bits_is_an_error(tmp_path, capsys, flag, value):
+    out_dir = tmp_path / "out"
+    command = _ANALYZE if flag == "--baseline-seed" else ["train"]
+    code, out, err = run_cli(capsys, *command, flag, value, "--out", str(out_dir))
+    assert code == 1 and out == ""
+    assert err == f"error: argument {flag}: bad value '{value}' (not an unsigned 64-bit integer)\n"
+    assert not out_dir.exists()
 
 
 def test_unknown_command_usage_error(capsys):
@@ -637,7 +686,8 @@ _FAILING_FLAGS = st.one_of(
 def test_fuzzed_flag_values_fail_with_one_line(tmp_path_factory, case):
     command, flag, value = case
     out_dir = tmp_path_factory.getbasetemp() / "fuzz_out"
-    code, err = _main_quietly(command + [f"{flag}={value}", "--out", str(out_dir)])
+    out = ["--out", str(out_dir)] if command[0] in ("train", "analyze") else []
+    code, err = _main_quietly(command + [f"{flag}={value}"] + out)
     assert code == 1
     assert err.count("\n") == 1 and err.startswith("error: "), err
     assert not out_dir.exists()

@@ -97,6 +97,18 @@ def test_parse_rejects_a_key_its_task_does_not_read():
     assert parse_config("task = teacher\ntask.teacher_rank = 2\n").teacher_rank == 2
 
 
+@pytest.mark.parametrize("key", ["seeds.model", "seeds.adapter", "seeds.data"])
+@pytest.mark.parametrize("value", [-1, 2 ** 64, -2 ** 70])
+def test_parse_rejects_a_seed_outside_64_bits(key, value):
+    with pytest.raises(ConfigError, match=rf"^line 2: bad value for {key}: '{value}' "
+                                           r"\(not an unsigned 64-bit integer\)$"):
+        parse_config(f"# seeds\n{key} = {value}\n")
+    assert parse_config(f"{key} = {2 ** 64 - 1}\n") != parse_config(f"{key} = 0\n")
+    cfg = ExperimentConfig(**{"seed_" + key.split(".")[1]: value})
+    with pytest.raises(ValueError, match=f"^cannot write {key} = {value}: it would not read back"):
+        serialize_config(cfg)
+
+
 def test_defaults_resolution():
     cfg = ExperimentConfig()
     spec = cfg.adapter_spec()
@@ -204,6 +216,12 @@ def test_serialize_round_trips_every_valid_config_or_names_the_key(cfg):
     writable = "#" not in out and out == out.strip() and len(out.splitlines()) <= 1
     if not writable:
         with pytest.raises(ValueError, match="^cannot write output_dir = "):
+            serialize_config(cfg)
+        return
+    wrapped = [name for name in ("model", "adapter", "data")
+               if not 0 <= getattr(cfg, f"seed_{name}") < 2 ** 64]
+    if wrapped:
+        with pytest.raises(ValueError, match=rf"^cannot write seeds\.{wrapped[0]} = "):
             serialize_config(cfg)
         return
     if cfg.task != "teacher" and cfg.teacher_rank is not None:

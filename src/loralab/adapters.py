@@ -18,9 +18,11 @@ and the B-side factor with zeros, which makes every delta exactly zero at
 initialization: training starts from the frozen base model in both cases.
 
 One ``AdapterParams`` holds either method's tensors; the ``AdapterSpec`` it
-travels with says which. Training goes through ``adapted`` (tensors to
-factors to adapted projections) and its adjoint ``factor_grads``; ``delta_w``,
-``materialize_deltas`` and ``merge`` give the delta matrices themselves.
+travels with says which. ``adapted`` (tensors to factors to adapted
+projections W0 + (alpha / r) * B @ A) is the one forward map: training,
+``merge``, ``forward_with_adapters`` and the teacher task's hidden update all
+go through it, and training through its adjoint ``factor_grads`` too.
+``delta_w`` and ``materialize_deltas`` give the delta matrices themselves.
 """
 
 from __future__ import annotations
@@ -214,14 +216,12 @@ def merge(weights: BaseWeights, params: AdapterParams, spec: AdapterSpec) -> Bas
     Merging is additive: merging the same params twice yields base + 2*delta,
     so callers must merge exactly once per adapter.
     """
-    updates = {}
-    for (m, l), dw in materialize_deltas(params, spec, weights).items():
-        updates[f"layer{l}.{m}"] = weights.projection(m, l) + dw
-    return weights.replace(updates)
+    _, projections = adapted(weights, params, spec)
+    return weights.replace({f"layer{l}.{m}": w for (m, l), w in projections.items()})
 
 
 def forward_with_adapters(weights: BaseWeights, params: AdapterParams, spec: AdapterSpec, tokens):
-    return model.forward(weights, materialize_deltas(params, spec, weights), tokens)
+    return model.forward_pass(weights, tokens, adapted(weights, params, spec)[1])
 
 
 def count_trainable(spec: AdapterSpec, d_model: int) -> int:

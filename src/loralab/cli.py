@@ -20,8 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import adapters, analysis, matcore, model, tasks, trainer
-from .config import ConfigError, ExperimentConfig, keys_unread_by, load_config
+from . import _rng, adapters, analysis, matcore, model, tasks, trainer
+from .config import ConfigError, ExperimentConfig, load_config
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -103,11 +103,6 @@ def build_parser() -> _Parser:
 
 def _load_experiment(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else ExperimentConfig()
-    task = getattr(args, "task", None)
-    unread = [] if task is None else keys_unread_by(cfg, task)
-    if unread:
-        raise UsageError(f"--task {task}: {args.config} sets {unread[0]}, "
-                         f"which task {task} does not read")
     _override(cfg, args, ("method", "task", "max_steps", "seed_model", "seed_adapter",
                           "seed_data", "output_dir"))
     return cfg
@@ -282,12 +277,13 @@ def cmd_gradcheck(args) -> int:
         raise UsageError(f"--trials must be >= 1, got {args.trials}")
     weights = model.build_model(cfg.model_config())
     methods = adapters.METHODS if args.method == "both" else (args.method,)
+    task = cfg.make_task(weights)
     worst = 0.0
     for method in methods:
         spec = cfg.adapter_spec(method)
         for trial in range(args.trials):
-            task = cfg.make_task(weights)
-            params = trainer.generic_params(spec, cfg.d_model, cfg.seed_adapter + trial)
+            seed = _rng.derive_seed(cfg.seed_adapter, f"gradcheck.{trial}")
+            params = trainer.generic_params(spec, cfg.d_model, seed)
             batch = task.batch(f"gradcheck.{trial}", 4)
             _, grads = trainer.loss_and_grads(weights, params, spec, batch)
             if args.perturb:

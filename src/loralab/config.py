@@ -3,11 +3,12 @@
 Files hold ``key = value`` pairs with dotted keys (``model.d_model = 32``)
 and ``#`` comments. ``_FIELDS`` is a ``matcore.Fields`` table, as for the
 checkpoint headers, and ``matcore.read_fields`` reads it. Optional fields are
-omitted when unset and resolved to method- or task-appropriate defaults at use
-time. No key picks the loss: the task's targets do (see ``trainer``).
-``parse_config`` checks the task settings against the model too, so a bad value
-fails when the file is read, and so does a key the file's task does not read
-(``keys_unread_by``, which the CLI also applies to a ``--task`` flag).
+omitted when unset and resolved at use time: alpha to the rank, the learning
+rate per method, the target layers to every layer. No key picks the loss: the
+task's targets do (see ``trainer``), and no key sets the teacher's rank:
+``make_task`` passes ``adapter.rank``, so every key is read by every task.
+``parse_config`` checks the task settings against the model too, so a bad
+value fails when the file is read.
 ``serialize_config`` refuses a value it could not read back,
 so ``parse_config(serialize_config(cfg)) == cfg`` for every valid config.
 """
@@ -55,7 +56,6 @@ class ExperimentConfig:
     max_steps: int = 2000
     # task
     task: str = "teacher"
-    teacher_rank: int | None = None
     seq_len: int = 16
     # output and seeds
     output_dir: str = "out"
@@ -91,12 +91,9 @@ class ExperimentConfig:
             seed=self.seed_adapter,
         )
 
-    def resolved_teacher_rank(self) -> int:
-        return self.rank if self.teacher_rank is None else self.teacher_rank
-
     def make_task(self, weights):
         return build_task(self.task, weights, self.seed_data,
-                          rank=self.resolved_teacher_rank(), seq_len=self.seq_len)
+                          rank=self.rank, seq_len=self.seq_len)
 
 
 # key -> (field, parser, formatter), the table type of the checkpoint headers
@@ -111,22 +108,11 @@ _FIELDS: matcore.Fields = {
     "train.learning_rate": ("learning_rate", matcore.positive_float, matcore.format_float),
     "train.max_steps": ("max_steps", int, str),
     "task": ("task", str, str),
-    "task.teacher_rank": ("teacher_rank", int, str),
     "task.seq_len": ("seq_len", int, str),
     "output_dir": ("output_dir", str, str),
     **{f"seeds.{name}": (f"seed_{name}", matcore.parse_seed, str)
        for name in ("model", "adapter", "data")},
 }
-
-
-# the keys only one task reads: key -> that task
-_TASK_KEYS = {"task.teacher_rank": "teacher"}
-
-
-def keys_unread_by(cfg: ExperimentConfig, task: str) -> list[str]:
-    """The keys of _TASK_KEYS that cfg sets and task does not read."""
-    return [key for key, reader in _TASK_KEYS.items()
-            if reader != task and getattr(cfg, _FIELDS[key][0]) is not None]
 
 
 def _entries(text: str) -> Iterator[tuple[int, str, str]]:
@@ -159,17 +145,10 @@ def serialize_config(cfg: ExperimentConfig) -> str:
 def parse_config(text: str) -> ExperimentConfig:
     defaults = vars(ExperimentConfig())
     try:
-        entries = list(_entries(text))
-        cfg = ExperimentConfig(**matcore.read_fields(entries, _FIELDS, defaults))
-        model_config = cfg.model_config()
+        cfg = ExperimentConfig(**matcore.read_fields(_entries(text), _FIELDS, defaults))
         cfg.adapter_spec()
         cfg.train_config()
-        check_task(cfg.task, model_config, cfg.seq_len, cfg.resolved_teacher_rank())
-        unread = keys_unread_by(cfg, cfg.task)
-        for lineno, key, _ in entries:
-            if key in unread:
-                raise ValueError(f"line {lineno}: {key} is read only by task "
-                                 f"{_TASK_KEYS[key]}, not by task {cfg.task}")
+        check_task(cfg.task, cfg.model_config(), cfg.seq_len, cfg.rank)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return cfg

@@ -1,15 +1,17 @@
 """Synthetic objectives for desk-scale adapter training.
 
-TeacherTask hides low-rank deltas inside a copy of the base model's query and
-value projections and asks the student to match the perturbed model's logits
-(MSE, on its float logits). The hidden delta for module m at layer l is
+TeacherTask hides a low-rank update inside a copy of the base model's query
+and value projections and asks the student to match the perturbed model's
+logits (MSE, on its float logits). The update, ``TeacherTask.hidden``, is a
+CondLoRA adapter at the task's rank r on query and value in every layer, with
+alpha = 0.5 * r / sqrt(d), folded in by ``adapters.merge``: one Gaussian
+(theta_A*, theta_B*) pair per module, shared by all layers, adds to W0
 
-    delta* = scale * (W0^T theta_B*) (W0 theta_A*)^T,   scale = 0.5 / sqrt(d)
+    delta* = (0.5 / sqrt(d)) * (W0^T theta_B*) (W0 theta_A*)^T
 
-with one Gaussian (theta_A*, theta_B*) pair per module shared by all layers.
 Conditioning the hidden deltas on each layer's own frozen weights gives the
-task a genuine cross-layer structure: per-layer rank-r adapters can fit it,
-a single shared linear map can fit it, and weight-space analysis of a trained
+task a genuine cross-layer structure: per-layer rank-r adapters can fit it, a
+single shared linear map can fit it, and weight-space analysis of a trained
 run has an actual commonality to detect. Independent per-layer deltas would
 make the layer-similarity analysis a pure noise measurement.
 
@@ -28,7 +30,7 @@ import math
 
 import numpy as np
 
-from . import _rng, model
+from . import _rng, adapters, model
 from .model import BaseWeights, ModelConfig
 
 TASK_KINDS = ("teacher", "parity")
@@ -52,27 +54,29 @@ def _token_batch(config, seed: int, label: str, batch_size: int, seq_len: int) -
     return flat.reshape(batch_size, seq_len)
 
 
+def _hidden_adapter(config: ModelConfig, rank: int, seed: int):
+    """The teacher's (AdapterParams, AdapterSpec): condlora on query and value in every layer.
+
+    Tensor cond.<m>.thetaA/B is the Gaussian stream labelled teacher.<m>.thetaA/B.
+    """
+    d = config.d_model
+    spec = adapters.AdapterSpec("condlora", rank, rank * (0.5 / math.sqrt(d)),
+                                ("query", "value"), tuple(range(1, config.n_layers + 1)))
+    tensors = {}
+    for name, shape in adapters.tensor_shapes(spec, d).items():
+        stream = _rng.derive_seed(seed, name.replace("cond.", "teacher.", 1))
+        tensors[name] = _rng.gaussian_block(d * rank, stream).reshape(shape)
+    return adapters.AdapterParams(tensors), spec
+
+
 class TeacherTask:
     def __init__(self, weights: BaseWeights, rank: int, seed: int, seq_len: int = 16):
-        config = weights.config
-        check_task("teacher", config, seq_len, rank)
-        d = config.d_model
-        scale = 0.5 / math.sqrt(d)
-        updates: dict[str, np.ndarray] = {}
-        for m in ("query", "value"):
-            if rank == 0:
-                continue
-            theta_a = _rng.gaussian_block(d * rank, _rng.derive_seed(seed, f"teacher.{m}.thetaA"))
-            theta_b = _rng.gaussian_block(d * rank, _rng.derive_seed(seed, f"teacher.{m}.thetaB"))
-            theta_a = theta_a.reshape(d, rank)
-            theta_b = theta_b.reshape(d, rank)
-            for l in range(1, config.n_layers + 1):
-                w0 = weights.projection(m, l)
-                delta = scale * ((w0.T @ theta_b) @ (w0 @ theta_a).T)
-                updates[f"layer{l}.{m}"] = w0 + delta
-        self._teacher = weights.replace(updates) if updates else weights
+        check_task("teacher", weights.config, seq_len, rank)
+        # rank 0 hides no update: the teacher is the base model itself
+        self.hidden = _hidden_adapter(weights.config, rank, seed) if rank else None
+        self._teacher = adapters.merge(weights, *self.hidden) if rank else weights
         self._cache = model.Cache()
-        self._config = config
+        self._config = weights.config
         self.rank = rank
         self.seed = seed
         self.seq_len = seq_len

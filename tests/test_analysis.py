@@ -1,9 +1,10 @@
 import io
+import math
 
 import numpy as np
 import pytest
 
-from loralab import adapters, analysis, matcore, model
+from loralab import _rng, adapters, analysis, matcore, model
 from loralab.adapters import AdapterSpec
 from loralab.model import ModelConfig
 
@@ -295,6 +296,50 @@ def test_condlora_conversion_a_grid_is_one(desk_weights):
         for module in spec.target_modules:
             grid = analysis.conversion_grid(desk_weights, params, spec, module, "A")
             assert np.abs(grid.values - 1.0).max() <= 1e-6, (seed, module)
+
+
+def conv_a_errors(w0s, rank):
+    """||conv_A - theta_A|| / ||theta_A|| per W0 for a CondLoRA adapter on the stack.
+
+    conv_A = W0^{-1} (W0 theta_A) is theta_A exactly, so this is the forward
+    error of the one stacked solve against a known answer, at no extra solve.
+    """
+    spec = AdapterSpec("condlora", rank, float(rank), ("query",), tuple(range(1, len(w0s) + 1)))
+    params = adapters.init_params(spec, w0s[0].shape[0], seed=5)
+    theta_a = params.tensors["cond.query.thetaA"]
+    rhs = [adapters.adapter_factors(params, spec, w0, "query", l)[0].T
+           for l, w0 in enumerate(w0s, start=1)]
+    conv = analysis._convert(w0s, rhs, [f"layer{l}.query" for l in spec.target_layers])
+    return np.linalg.norm(conv - theta_a, axis=(1, 2)) / np.linalg.norm(theta_a)
+
+
+# A backward-stable solve has a forward error of order cond_2(W0) * eps. Measured
+# with numpy's np.linalg.cond: error / (cond_2 * eps) was 0.28-0.62 on the
+# 12-stack of Gaussian 768x768 W0s below and 0.10-0.33 on the desk stack; 4
+# leaves room for another BLAS. The pivot-ratio estimate is no base for the
+# bound: it read 15-74 where cond_2 read 1600-19100 on that stack.
+FORWARD_ERROR_PER_COND_EPS = 4.0
+
+
+def test_condlora_conv_a_recovers_theta_a_within_cond_eps_on_a_paper_dim_stack():
+    # 12 Gaussian W0s at d=768 (std 1/sqrt(d), spectral norm about 2), as in
+    # a paper-dim model but without building one. Their cond_2, rounded up,
+    # measured once with np.linalg.cond (1.8 s for the stack, too slow to
+    # repeat here):
+    cond_2 = np.array([19100, 8800, 1700, 10700, 4400, 4600, 10100, 4600, 5800, 2100, 5800,
+                       11400])
+    d = 768
+    w0s = [matcore.gaussian(d, d, 0.0, 1 / math.sqrt(d), _rng.derive_seed(0, f"paper.w0.{l}"))
+           for l in range(1, 13)]
+    errors = conv_a_errors(w0s, rank=8)
+    assert np.all(errors <= FORWARD_ERROR_PER_COND_EPS * cond_2 * np.finfo(float).eps), errors
+
+
+def test_condlora_conv_a_recovers_theta_a_within_cond_eps_on_the_desk_stack(desk_weights):
+    w0s = [desk_weights.projection(m, l) for m in ("query", "value") for l in (1, 2, 3, 4)]
+    errors = conv_a_errors(w0s, rank=4)
+    cond_2 = np.linalg.cond(np.stack(w0s))
+    assert np.all(errors <= FORWARD_ERROR_PER_COND_EPS * cond_2 * np.finfo(float).eps), errors
 
 
 def test_compare_delta_matches_full_delta_similarity(desk_weights):

@@ -20,7 +20,7 @@ def test_round_trip_fully_specified():
         n_layers=2, d_model=16, n_heads=2, d_ff=24, vocab_size=16, max_len=12, n_outputs=3,
         method="condlora", rank=2, alpha=1.5, target_modules=("query", "key", "value"),
         target_layers=(1, 2), batch_size=4, learning_rate=0.004, max_steps=17,
-        task="teacher", teacher_rank=2, seq_len=6,
+        task="teacher", seq_len=6,
         output_dir="runs/x", seed_model=7, seed_adapter=8, seed_data=9,
     )
     assert parse_config(serialize_config(cfg)) == cfg
@@ -87,16 +87,6 @@ def test_parse_rejects_invalid_combination():
         parse_config("task = mystery\n")
 
 
-def test_parse_rejects_a_key_its_task_does_not_read():
-    problem = "task.teacher_rank is read only by task teacher, not by task parity"
-    for text, lineno in (("task = parity\ntask.teacher_rank = 99\n", 2),
-                         ("task.teacher_rank = 2\n\ntask = parity\n", 1)):
-        with pytest.raises(ConfigError, match=f"^line {lineno}: {problem}$"):
-            parse_config(text)
-    assert parse_config("task = parity\n").teacher_rank is None
-    assert parse_config("task = teacher\ntask.teacher_rank = 2\n").teacher_rank == 2
-
-
 @pytest.mark.parametrize("key", ["seeds.model", "seeds.adapter", "seeds.data"])
 @pytest.mark.parametrize("value", [-1, 2 ** 64, -2 ** 70])
 def test_parse_rejects_a_seed_outside_64_bits(key, value):
@@ -114,10 +104,7 @@ def test_defaults_resolution():
     spec = cfg.adapter_spec()
     assert spec.alpha == spec.rank == 4
     assert spec.target_layers == (1, 2, 3, 4)
-    assert cfg.resolved_teacher_rank() == cfg.rank == 4
     assert cfg.train_config().learning_rate == 0.02
-    cfg.teacher_rank = 0
-    assert cfg.resolved_teacher_rank() == 0
     cfg.learning_rate = 0.001
     assert cfg.train_config().learning_rate == 0.001
 
@@ -201,8 +188,7 @@ def configs(draw):
                                            min_size=1, unique=True))),
         target_layers=draw(st.none() | layers), batch_size=draw(small),
         learning_rate=draw(st.none() | positive_floats), max_steps=draw(st.integers(0, 10**9)),
-        task=task, teacher_rank=draw(st.none() | st.integers(0, d_model)),
-        seq_len=draw(st.integers(1, max_len)),
+        task=task, seq_len=draw(st.integers(1, max_len)),
         output_dir=draw(st.text(max_size=12)),
         seed_model=draw(st.integers(-2**70, 2**70)), seed_adapter=draw(st.integers(0, 2**64)),
         seed_data=draw(st.integers(0, 2**64)),
@@ -223,9 +209,5 @@ def test_serialize_round_trips_every_valid_config_or_names_the_key(cfg):
     if wrapped:
         with pytest.raises(ValueError, match=rf"^cannot write seeds\.{wrapped[0]} = "):
             serialize_config(cfg)
-        return
-    if cfg.task != "teacher" and cfg.teacher_rank is not None:
-        with pytest.raises(ConfigError, match=r"^line \d+: task\.teacher_rank is read only by "):
-            parse_config(serialize_config(cfg))
         return
     assert parse_config(serialize_config(cfg)) == cfg

@@ -27,3 +27,18 @@ def test_modules_import_only_the_standard_library_numpy_and_loralab():
                 continue  # relative imports stay inside loralab
             for name in names:
                 assert name.split(".")[0] in allowed, f"{path.name} imports {name}"
+
+
+def test_seeds_are_derived_never_computed_outside_rng():
+    # Arithmetic on a seed can leave [0, 2**64) and be wrapped silently, giving
+    # two streams one seed; _rng.derive_seed is the one way to make a new seed.
+    modules = sorted(Path(loralab.__file__).parent.glob("*.py"))
+    for path in modules:
+        if path.name == "_rng.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.BinOp):
+                continue
+            for operand in (node.left, node.right):
+                name = getattr(operand, "id", getattr(operand, "attr", ""))
+                assert "seed" not in name, f"{path.name}:{node.lineno} computes with {name}"

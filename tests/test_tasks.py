@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from loralab import adapters, model, tasks, trainer
+from loralab import _rng, adapters, analysis, model, tasks, trainer
 from loralab.model import ModelConfig
 
 SMALL = ModelConfig(n_layers=2, d_model=16, n_heads=4, d_ff=32, vocab_size=32,
@@ -39,6 +41,7 @@ def test_teacher_shapes_and_token_range(weights):
 
 def test_teacher_zero_rank_means_zero_initial_loss(weights):
     task = tasks.TeacherTask(weights, rank=0, seed=2, seq_len=8)
+    assert task.hidden is None and task._teacher is weights
     spec = adapters.AdapterSpec("lora", 2, 2.0, ("query", "value"), (1, 2))
     params = adapters.init_params(spec, SMALL.d_model, seed=0)
     loss = trainer.loss_only(weights, params, spec, task.batch(1, 8))
@@ -62,6 +65,37 @@ def test_teacher_deltas_have_bounded_rank(weights):
             delta = teacher.projection(m, l) - weights.projection(m, l)
             s = np.linalg.svd(delta, compute_uv=False)
             assert s[2] < 1e-9 * np.linalg.norm(delta)
+
+
+@pytest.mark.parametrize("d, rank", [(32, 4), (16, 2)])
+def test_teacher_projections_are_the_hidden_delta_formula_bit_for_bit(d, rank):
+    # the oracle: the teacher's formula written out, one product chain per projection
+    config = ModelConfig(n_layers=2, d_model=d, n_heads=4, d_ff=2 * d, vocab_size=32,
+                         max_len=16, n_outputs=4, seed=0)
+    base = model.build_model(config)
+    task = tasks.TeacherTask(base, rank=rank, seed=7, seq_len=8)
+    params, spec = task.hidden
+    assert (spec.method, spec.rank, spec.target_modules, spec.target_layers) == (
+        "condlora", rank, ("query", "value"), (1, 2))
+    s = 0.5 / math.sqrt(d)
+    for m in ("query", "value"):
+        theta_a, theta_b = (
+            _rng.gaussian_block(d * rank, _rng.derive_seed(7, f"teacher.{m}.theta{side}"))
+            .reshape(d, rank) for side in "AB")
+        assert np.array_equal(params.tensors[f"cond.{m}.thetaA"], theta_a)
+        assert np.array_equal(params.tensors[f"cond.{m}.thetaB"], theta_b)
+        for l in (1, 2):
+            w0 = base.projection(m, l)
+            expected = w0 + s * ((w0.T @ theta_b) @ (w0 @ theta_a).T)
+            assert np.array_equal(task._teacher.projection(m, l), expected)
+
+
+def test_the_teachers_own_conv_a_grid_is_the_ceiling(weights):
+    # conv_A = W0^{-1} (W0 theta_A) = theta_A in every layer, so every cell is 1
+    task = tasks.TeacherTask(weights, rank=2, seed=4, seq_len=8)
+    for m in ("query", "value"):
+        grid = analysis.conversion_grid(weights, *task.hidden, m, "A")
+        assert np.allclose(grid.values, 1.0, rtol=0, atol=1e-12)
 
 
 def test_teacher_rejects_bad_args(weights):

@@ -45,6 +45,7 @@ _MIX2 = 0x94D049BB133111EB
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 
+SEED_RULE = "not an unsigned 64-bit integer"  # check_seed's wording, which parse_seed reuses
 _TWO53 = 2.0 ** -53
 _PAIR_BLOCK = 1 << 15  # Gaussian pairs per pass of gaussian_block
 
@@ -90,16 +91,24 @@ def fnv1a64(label: str) -> int:
     return h
 
 
+def check_seed(seed: int) -> int:
+    """``seed`` itself if it fits the generator's 64 bits, which would wrap
+    any other integer; otherwise a ValueError that names it."""
+    if not 0 <= seed <= MASK64:
+        raise ValueError(f"seed {seed} is {SEED_RULE}")
+    return seed
+
+
 def derive_seed(seed: int, label: str) -> int:
     """Deterministic sub-stream seed for ``label`` under a master seed."""
-    return mix64((seed & MASK64) ^ fnv1a64(label))
+    return mix64(check_seed(seed) ^ fnv1a64(label))
 
 
 def raw64_block(seed: int, start: int, count: int) -> np.ndarray:
     """Vectorized outputs [start, start + count) of stream ``seed``."""
     counters = np.arange(start + 1, start + 1 + count, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        z = np.uint64(seed & MASK64) + counters * np.uint64(GAMMA)
+        z = np.uint64(check_seed(seed)) + counters * np.uint64(GAMMA)
         z ^= z >> np.uint64(30)
         z *= np.uint64(_MIX1)
         z ^= z >> np.uint64(27)

@@ -467,11 +467,13 @@ def positive_float(text: str) -> float:
 
 
 def parse_seed(text: str) -> int:
-    """A seed of the generator, which takes 64 bits: any other integer would wrap."""
+    """A seed of the generator (``_rng.check_seed``). The caller's message
+    names the text, so a seed out of range fails with the rule alone."""
     value = int(text)
-    if not 0 <= value <= _rng.MASK64:
-        raise ValueError("not an unsigned 64-bit integer")
-    return value
+    try:
+        return _rng.check_seed(value)
+    except ValueError:
+        raise ValueError(_rng.SEED_RULE) from None
 
 
 def format_items(values: Iterable) -> str:

@@ -27,12 +27,13 @@ forward-only pass reuses. A batch runs in chunks of at most ``_WORKSPACE``
 bytes of buffers (8 MiB, the fastest budget of a measured sweep of batch-256
 desk steps, ``BENCH_chunked_step.json``), so the workspace is bounded by that
 budget, not by the batch; ``forward_pass`` chunks a forward-only pass itself
-and ``trainer.loss_and_grads`` chunks a training step. Every example's forward
-arithmetic is the same in any batch of two or more, so chunked logits have the
-bits of one whole pass. A caller that runs many passes keeps one Cache, which
-reallocates only when the geometry or the token length changes or a chunk
-outgrows it, so a training step allocates nothing large and does not
-page-fault; a caller that passes none gets a fresh one.
+and ``trainer.loss_and_grads`` chunks a training step. Every product of the
+pass is taken per example, so an example's logits have the same bits alone
+and in any batch or chunk, and chunked logits have the bits of one whole
+pass. A caller that runs many passes keeps one Cache, which reallocates only
+when the geometry or the token length changes or a chunk outgrows it, so a
+training step allocates nothing large and does not page-fault; a caller that
+passes none gets a fresh one.
 
 Ownership. ``BaseWeights`` stores a read-only float64 array as it is and
 copies any other. ``build_model`` and ``load_model`` mark their fresh arrays
@@ -397,17 +398,16 @@ class Cache:
     def chunks(self, config: ModelConfig, batch: int, length: int) -> list[slice]:
         """Consecutive slices covering a batch of ``batch`` x ``length`` tokens.
 
-        Each chunk's buffers fit in ``_WORKSPACE`` bytes (where two examples
-        do not, chunks are two or three examples), so the workspace does not
-        grow with the batch; a batch that fits is one chunk. Sizes differ by at most one, the larger first, so the
-        first chunk sizes the buffers for all. No chunk has one example
-        unless the batch has, since an example alone gets other last bits
-        than in a batch (README).
+        The fewest chunks whose buffers fit in ``_WORKSPACE`` bytes (a chunk
+        is one example where one example alone does not fit), so the
+        workspace does not grow with the batch; a batch that fits is one
+        chunk. Sizes differ by at most one, the larger first, so the first
+        chunk sizes the buffers for all.
         """
         per_example = 8 * sum(math.prod(shape) for group in self._groups(config, 1, length)
                               for shape in group.values())
         cap = max(1, _WORKSPACE // per_example)
-        n = max(1, min(-(-batch // cap), batch // 2))  # fewest chunks of <= cap, none of one
+        n = -(-batch // cap)
         size, extra = divmod(batch, n)
         ends = itertools.accumulate([size + 1] * extra + [size] * (n - extra), initial=0)
         return [slice(start, end) for start, end in itertools.pairwise(ends)]
@@ -487,7 +487,7 @@ def _pass(weights: BaseWeights, tokens: np.ndarray,
         u += y1
         x, _, _ = _layer_norm(u, weights[f"layer{l}.ln2.gain"], weights[f"layer{l}.ln2.bias"],
                               c["inv2"], c["y"], ones["d"])
-    return (x.sum(axis=1) * (1.0 / length)) @ weights["head.out"]
+    return (x.sum(axis=1, keepdims=True) * (1.0 / length) @ weights["head.out"])[:, 0, :]
 
 
 def backward(cache: Cache, dlogits: np.ndarray,
@@ -509,7 +509,7 @@ def backward(cache: Cache, dlogits: np.ndarray,
     scale = 1.0 / math.sqrt(d // n_heads)
     g, s, ones = cache.grad, cache.scratch, cache.ones
     rows = (g["dot"], g["mean"])
-    dpooled = (dlogits @ weights["head.out"].T) * (1.0 / length)
+    dpooled = (dlogits[:, None, :] @ weights["head.out"].T)[:, 0, :] * (1.0 / length)
     dx = np.broadcast_to(dpooled[:, None, :], (batch, length, d))
     grads: dict[tuple[str, int], np.ndarray] = {}
     for l in range(len(cache.layers), lowest - 1, -1):

@@ -9,10 +9,11 @@ normalised by the whole batch (MSE on float targets: 2(logits - y)/N over the
 batch's N entries; cross-entropy on integer labels: (softmax - onehot)/batch),
 and gets dL/dW per target from ``model.backward``; it sums the chunks' losses
 and dL/dW and maps the sums onto the adapter tensors with
-``adapters.factor_grads``, once. A batch of one chunk (the desk batch of 16)
-keeps the bits of one whole pass; a larger one sums in another order, within
-1e-14 relative (normwise) of one pass. The targets alone pick the loss, so a
-task fixes it by what its batches hold.
+``adapters.factor_grads``, once. An example's logits have the same bits in
+any chunk, a chunk of one example included. A batch of one chunk (the desk
+batch of 16) keeps the bits of one whole pass; a larger one sums its loss and
+dL/dW in another order, within 1e-14 relative (normwise) of one pass. The
+targets alone pick the loss, so a task fixes it by what its batches hold.
 ``finite_difference_check`` provides the independent oracle: it only ever
 evaluates ``loss_only``, the forward-only pass.
 

@@ -1,9 +1,10 @@
 """Batches run in workspace-sized chunks (``model.Cache.chunks``).
 
 A forward-only pass in chunks has the bits of one whole pass, since every
-example's arithmetic is the same in any batch of two or more. A training step
-sums its chunks' losses and dL/dW, so it matches the one-chunk result within
-``GRAD_TOL``, and a batch that fits in one chunk gets the bits of one pass.
+example's arithmetic is the same in any batch, an example alone included. A
+training step sums its chunks' losses and dL/dW, so it matches the one-chunk
+result within ``GRAD_TOL``, and a batch that fits in one chunk gets the bits of
+one pass.
 """
 
 import tracemalloc
@@ -51,14 +52,11 @@ def test_chunks_split_a_batch_into_near_equal_parts_within_the_budget(
             assert [rows.start for rows in chunks] == [0, *np.cumsum(sizes)[:-1]]
             assert sum(sizes) == batch
             assert sizes == sorted(sizes, reverse=True) and sizes[0] - sizes[-1] <= 1
-            # an example alone gets other last bits, so no chunk is one example
-            assert sizes[-1] >= 2 or batch == 1
-            assert sizes[0] <= max(cap, 3)
-            if cap >= 3:
-                assert len(sizes) == -(-batch // cap)
+            assert sizes[0] <= cap
+            assert len(sizes) == -(-batch // cap)
 
 
-@pytest.mark.parametrize("batch", [2, 3, 17, 256, 257])
+@pytest.mark.parametrize("batch", [1, 2, 3, 17, 256, 257])
 def test_forward_in_chunks_gives_the_bits_of_one_pass(weights, monkeypatch, batch):
     toks = tokens(batch, seed=batch)
     monkeypatch.setattr(model, "_WORKSPACE", WHOLE)

@@ -350,6 +350,18 @@ def test_readme_command_line_matches_the_parser():
         assert usage[command] == flags, f"README's flags of {command} differ from its parser's"
 
 
+def test_readme_chunk_sizes_match_the_workspace():
+    # README: "up to 29 examples of a desk training step, 112 of a forward-only pass"
+    readme = " ".join((Path(__file__).parents[1] / "README.md").read_text().split())
+    step, forward = map(int, re.search(r"up to (\d+) examples of a desk training step, "
+                                       r"(\d+) of a forward-only pass", readme).groups())
+    desk = config_module.ExperimentConfig()
+    for keep_layers, most in ((True, step), (False, forward)):
+        chunks = model.Cache(keep_layers).chunks
+        assert len(chunks(desk.model_config(), most, desk.seq_len)) == 1, keep_layers
+        assert len(chunks(desk.model_config(), most + 1, desk.seq_len)) == 2, keep_layers
+
+
 def _subcommands() -> dict[str, set[str]]:
     """{subcommand: the -- flags its parser takes, --help not counted}."""
     subparsers = next(action.choices for action in cli.build_parser()._actions

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from checkpoint_files import rewrite_header
-from loralab import matcore, model
+from loralab import adapters, matcore, model, tasks
+from loralab.config import ExperimentConfig
 from loralab.model import ModelConfig
 
 
@@ -143,6 +144,38 @@ def test_forward_permutation_equivariance():
     logits = model.forward(w, None, toks)
     permuted = model.forward(w, None, toks[perm])
     assert np.array_equal(permuted, logits[perm])
+
+
+# The desk config and the gradcheck geometry (d=16), as ExperimentConfigs for their tasks.
+INVARIANCE_CONFIGS = {
+    "desk": ExperimentConfig(),
+    "d16": ExperimentConfig(n_layers=2, d_model=16, n_heads=4, d_ff=32, vocab_size=32,
+                            max_len=16, n_outputs=4, rank=2, seq_len=8),
+}
+
+
+@pytest.mark.parametrize("name", INVARIANCE_CONFIGS)
+def test_an_example_gets_the_bits_of_its_batch_row_when_alone(name):
+    # Every product of the pass is per example, so an example's logits do not
+    # depend on the batch it is in, nor on the chunks that batch runs in.
+    cfg = INVARIANCE_CONFIGS[name]
+    base = model.build_model(cfg.model_config())
+    task = tasks.build_task("teacher", base, cfg.seed_data, cfg.rank, cfg.seq_len)
+    teacher = adapters.merge(base, *task.hidden)
+    for batch in (1, 2, 16, 256):
+        toks, targets = task.batch(f"invariance.{batch}", batch)
+        rows = range(batch)
+        if batch == 256:  # each chunk's first and last example, and every 37th
+            chunks = model.Cache().chunks(base.config, batch, cfg.seq_len)
+            rows = sorted({*range(0, batch, 37), *(r.start for r in chunks),
+                           *(r.stop - 1 for r in chunks)})
+        for weights in (base, teacher):
+            logits = model.forward_pass(weights, toks)
+            if weights is teacher:
+                assert np.array_equal(logits, targets)
+            for i in rows:
+                alone = model.forward_pass(weights, toks[i:i + 1])[0]
+                assert np.array_equal(alone, logits[i]), (batch, i)
 
 
 def test_forward_rejects_bad_tokens():

@@ -19,7 +19,10 @@ ill-conditioned W0 and names it.
 Work runs per stack of layers, not per layer: a grid's conversions come from
 one stacked ``matcore.solve`` and its bases from one stacked ``matcore.svd``,
 and the comparison takes one SVD per side over every target of both methods.
-Each matrix gets the bits it would get alone.
+Each matrix gets the bits it would get alone, and ``_phi`` takes a whole grid
+or comparison column from one product of the stacked bases. ``analyze`` is
+the recipe of ``loralab analyze``: its grids in order, the baseline, the
+comparison and the rules a pair of adapters must meet.
 """
 
 from __future__ import annotations
@@ -67,12 +70,16 @@ def _delta_basis(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return q @ matcore.svd(r @ a).u
 
 
-def _phi(bx: np.ndarray, by: np.ndarray, i: int, j: int) -> float:
-    """phi from orthonormal bases of i and j columns; clamped to [0, 1]."""
-    overlap = float(np.linalg.norm(bx.T @ by) ** 2) / min(i, j)
-    if overlap > 1.0 + 1e-9 or overlap < -1e-9:
-        raise matcore.NumericError(f"similarity {overlap} outside [0, 1] tolerance")
-    return min(max(overlap, 0.0), 1.0)
+def _phi(bx: np.ndarray, by: np.ndarray, i: int, j: int) -> np.ndarray:
+    """phi of every pair of orthonormal bases (…, d, i) and (…, d, j); clamped to [0, 1].
+
+    The two stacks broadcast against each other, so one product gives every
+    overlap.
+    """
+    overlap = np.square(bx.swapaxes(-1, -2) @ by).sum(axis=(-2, -1)) / min(i, j)
+    if (overlap > 1.0 + 1e-9).any():
+        raise matcore.NumericError(f"similarity {overlap.max()} outside [0, 1] tolerance")
+    return np.clip(overlap, 0.0, 1.0)
 
 
 def subspace_similarity(x, y, i: int, j: int, side: str = "left") -> float:
@@ -84,7 +91,7 @@ def subspace_similarity(x, y, i: int, j: int, side: str = "left") -> float:
             f"{side} singular vectors live in different spaces: "
             f"dim {bx.shape[0]} vs {by.shape[0]}"
         )
-    return _phi(bx, by, i, j)
+    return float(_phi(bx, by, i, j))
 
 
 def _convert(w0s: list, rhs: list, names: list[str]) -> np.ndarray:
@@ -135,24 +142,24 @@ def layer_similarity_grid(matrices, i: int, j: int, side: str = "left",
     """Pairwise phi over an ordered list (or a stack) of same-shape matrices.
 
     One SVD of the whole stack gives every basis; the i- and j-column bases
-    of a matrix are both slices of its one factorization.
+    of a matrix are both slices of its one factorization, and one stacked
+    ``_phi`` gives every entry.
     """
     mats = [matcore.as_matrix(m) for m in matrices]
-    if len(mats) < 1:
+    n = len(mats)
+    if n < 1:
         raise ValueError("need at least one matrix")
+    if labels is None:
+        labels = [str(idx + 1) for idx in range(n)]
+    if len(labels) != n:
+        raise ValueError(f"{len(labels)} labels for a grid of {n} matrices")
     shape = mats[0].shape
     for m in mats[1:]:
         if m.shape != shape:
             raise ShapeError(f"grid matrices must share a shape: {shape} vs {m.shape}")
     _check_count(shape, min(i, j))
     bases = _basis(np.stack(mats), max(i, j), side)
-    n = len(mats)
-    values = np.empty((n, n))
-    for p in range(n):
-        for q in range(n):
-            values[p, q] = _phi(bases[p, :, :i], bases[q, :, :j], i, j)
-    if labels is None:
-        labels = [str(idx + 1) for idx in range(n)]
+    values = _phi(bases[:, None, :, :i], bases[None, :, :, :j], i, j)
     return SimilarityGrid(list(labels), values, side, i, j)
 
 
@@ -222,19 +229,40 @@ def compare_lora_condlora(lora_params, cond_params, weights: BaseWeights,
     a = np.stack([f[0] for f in factors])
     b = np.stack([f[1] for f in factors])
     r, n = spec.rank, len(targets)
-    bases_a = _basis(a, r, "right")
-    bases_b = _basis(b, r, "left")
-    bases_delta = _delta_basis(a, b)
-    return [
-        ComparisonRow(
-            module=m,
-            layer=l,
-            phi_a=_phi(bases_a[k], bases_a[n + k], r, r),
-            phi_b=_phi(bases_b[k], bases_b[n + k], r, r),
-            phi_delta=_phi(bases_delta[k], bases_delta[n + k], r, r),
-        )
-        for k, (m, l) in enumerate(targets)
-    ]
+    phi_a, phi_b, phi_delta = (
+        _phi(bases[:n], bases[n:], r, r).tolist()
+        for bases in (_basis(a, r, "right"), _basis(b, r, "left"), _delta_basis(a, b))
+    )
+    return [ComparisonRow(m, l, *phis)
+            for (m, l), *phis in zip(targets, phi_a, phi_b, phi_delta)]
+
+
+def analyze(weights: BaseWeights, loaded: list, i: int, j: int, side: str = "left",
+            baseline_seed: int = 0) -> tuple[dict[str, SimilarityGrid], list | None]:
+    """What ``loralab analyze`` reports: ({name: grid} in CSV order, comparison rows or None).
+
+    loaded holds one or two (params, spec) pairs, and the grids are the
+    first's: ``conv_A <module>`` and ``conv_B <module>`` per module, then
+    ``random_baseline`` (a CSV's stem is the name with ``_`` for the space).
+    Two adapters, one lora and one condlora of one geometry, add the rows.
+    """
+    if len(loaded) not in (1, 2):
+        raise ValueError(f"analyze takes one or two adapters, got {len(loaded)}")
+    by_method = {s.method: (p, s) for p, s in loaded}
+    if len(loaded) == 2 and set(by_method) != {"lora", "condlora"}:
+        raise ValueError("comparison needs one lora and one condlora checkpoint")
+    if len({(s.rank, s.target_modules, s.target_layers) for _, s in loaded}) > 1:
+        raise ValueError("adapter checkpoints target different shapes; cannot compare")
+    params, spec = loaded[0]
+    grids = {f"conv_{which} {module}": conversion_grid(weights, params, spec, module, which,
+                                                        i, j, side)
+             for module in spec.target_modules for which in ("A", "B")}
+    grids["random_baseline"] = random_baseline_grid(
+        weights.config.d_model, spec.rank, len(spec.target_layers), i, j, side, baseline_seed)
+    if len(loaded) == 1:
+        return grids, None
+    (lora_params, lora_spec), (cond_params, _) = by_method["lora"], by_method["condlora"]
+    return grids, compare_lora_condlora(lora_params, cond_params, weights, lora_spec)
 
 
 # --- csv output ---------------------------------------------------------------

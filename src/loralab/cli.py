@@ -191,49 +191,25 @@ def cmd_analyze(args) -> int:
         if len(adapter_spec.target_layers) < 2:
             raise UsageError(f"{path}: analyze needs an adapter on at least 2 layers, "
                              f"this one has only layer {adapter_spec.target_layers[0]}")
-    if len(loaded) == 2:
-        by_method = {s.method: (p, s) for p, s in loaded}
-        if set(by_method) != {"lora", "condlora"}:
-            raise UsageError("comparison needs one lora and one condlora checkpoint")
-        lora_params, lora_spec = by_method["lora"]
-        cond_params, cond_spec = by_method["condlora"]
-        if (lora_spec.rank, lora_spec.target_modules, lora_spec.target_layers) != (
-            cond_spec.rank, cond_spec.target_modules, cond_spec.target_layers
-        ):
-            raise UsageError("adapter checkpoints target different shapes; cannot compare")
-    params, spec = loaded[0]
+    spec = loaded[0][1]
     i = spec.rank if args.i_vectors is None else args.i_vectors
     j = spec.rank if args.j_vectors is None else args.j_vectors
     for flag, value in (("--i", i), ("--j", j)):
         if not 1 <= value <= spec.rank:
             raise UsageError(f"{flag} must be in [1, {spec.rank}] (the adapter rank), got {value}")
-
-    grids = []  # (file stem, printed label, grid)
-    for module in spec.target_modules:
-        for which in ("A", "B"):
-            grid = analysis.conversion_grid(weights, params, spec, module, which,
-                                            i=i, j=j, side=args.side)
-            grids.append((f"conv_{which}_{module}", f"conv_{which} {module}", grid))
-    d = weights.config.d_model
-    baseline = analysis.random_baseline_grid(
-        d, spec.rank, len(spec.target_layers), i, j, side=args.side, seed=args.baseline_seed
-    )
-    grids.append(("random_baseline", "random_baseline", baseline))
-    rows = None
-    if len(loaded) == 2:
-        rows = analysis.compare_lora_condlora(lora_params, cond_params, weights, lora_spec)
+    grids, rows = analysis.analyze(weights, loaded, i, j, args.side, args.baseline_seed)
 
     out = Path(args.output_dir or "analysis")
     out.mkdir(parents=True, exist_ok=True)
     with contextlib.ExitStack() as files:
-        for stem, _, grid in grids:
-            fh = files.enter_context(matcore.atomic_write(out / f"{stem}.csv"))
+        for name, grid in grids.items():
+            fh = files.enter_context(matcore.atomic_write(out / f"{name.replace(' ', '_')}.csv"))
             analysis.write_grid_csv(fh, grid)
         if rows is not None:
             fh = files.enter_context(matcore.atomic_write(out / "comparison.csv"))
             analysis.write_comparison_csv(fh, rows)
-    for _, label, grid in grids:
-        print(f"{label} avg_offdiag={grid.average_offdiagonal:.6f}")
+    for name, grid in grids.items():
+        print(f"{name} avg_offdiag={grid.average_offdiagonal:.6f}")
     if rows is not None:
         mean_delta = float(np.mean([r.phi_delta for r in rows]))
         print(f"comparison rows={len(rows)} mean_phi_dW={mean_delta:.6f}")

@@ -251,6 +251,7 @@ def condition_estimate(a) -> float:
     """|largest pivot| / |smallest pivot| from the LU factorization."""
     a = as_matrix(a)
     _require_square(a, "condition_estimate")
+    _require_finite(a, "condition_estimate input")
     lu = np.array(a, order="C")
     try:
         _lu_factor(lu[None])

@@ -199,6 +199,45 @@ def test_grid_csv_format():
     assert first_row[0] == "1" and float(first_row[1]) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_grid_rejects_a_label_list_of_the_wrong_length():
+    mats = [matcore.gaussian(8, 2, 0, 1, s) for s in range(4)]
+    with pytest.raises(ValueError, match="^1 labels for a grid of 4 matrices$"):
+        analysis.layer_similarity_grid(mats, 2, 2, labels=["1"])
+
+
+# --- stacked phi against the per-pair formula ------------------------------------
+
+def _per_pair_phi(bases, i, j):
+    """The per-pair formula phi was computed with before it was stacked."""
+    n = len(bases)
+    return np.array([[min(max(np.linalg.norm(bases[p, :, :i].T @ bases[q, :, :j]) ** 2
+                                  / min(i, j), 0.0), 1.0)
+                      for q in range(n)] for p in range(n)])
+
+
+@pytest.mark.parametrize("rows, cols, n", [(32, 4, 4), (768, 8, 12)])
+@pytest.mark.parametrize("side", analysis.SIDES)
+def test_stacked_phi_matches_the_per_pair_formula(rows, cols, n, side):
+    mats = np.stack([matcore.gaussian(rows, cols, 0, 1, 50 + s) for s in range(n)])
+    mats[1] = mats[0] * 3.0  # one pair spans the same subspace
+    for i, j in ((cols, cols), (cols // 2, cols), (cols, 1), (1, 1)):
+        grid = analysis.layer_similarity_grid(mats, i, j, side)
+        oracle = _per_pair_phi(analysis._basis(mats, max(i, j), side), i, j)
+        assert np.abs(grid.values - oracle).max() <= 1e-15, (i, j)
+
+
+def test_phi_rejects_bases_that_are_not_orthonormal():
+    bases = analysis._basis(np.stack([matcore.gaussian(16, 3, 0, 1, s) for s in range(3)]),
+                            3, "left")
+    assert analysis._phi(bases[:, None], bases[None], 3, 3).shape == (3, 3)
+    scaled = bases.copy()
+    scaled[2] *= 1.0 + 1e-6  # overlap (1 + 1e-6)^2 against itself
+    with pytest.raises(matcore.NumericError, match="outside \\[0, 1\\] tolerance"):
+        analysis._phi(scaled[:, None], scaled[None], 3, 3)
+    with pytest.raises(matcore.NumericError):
+        analysis._phi(scaled[2], bases[2] * 1.001, 3, 3)
+
+
 # --- lora vs condlora comparison ----------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -444,3 +483,43 @@ def test_conversion_grid_names_a_singular_projection(desk_weights):
                        match=r"^layer3\.query: singular matrix: condition estimate inf") as info:
         analysis.conversion_grid(broken, random_params("lora", 15), spec, "query", "A")
     assert info.value.index == 2
+
+
+# --- the analyze recipe ------------------------------------------------------------
+
+@pytest.mark.parametrize("order", [("lora", "condlora"), ("condlora", "lora")])
+@pytest.mark.parametrize("side, i, j", [("left", 4, 4), ("right", 2, 3)])
+def test_analyze_equals_its_functions_called_one_by_one(desk_weights, order, side, i, j):
+    geometry = spec_pair()
+    params = {"lora": random_params("lora", 21), "condlora": random_params("condlora", 22)}
+    specs = {method: adapters.as_method(geometry, method) for method in params}
+    loaded = [(params[method], specs[method]) for method in order]
+    grids, rows = analysis.analyze(desk_weights, loaded, i, j, side, baseline_seed=7)
+    first_params, first_spec = loaded[0]
+    expected = {f"conv_{which} {module}": analysis.conversion_grid(
+                    desk_weights, first_params, first_spec, module, which, i, j, side)
+                for module in ("query", "value") for which in ("A", "B")}
+    expected["random_baseline"] = analysis.random_baseline_grid(32, 4, 4, i, j, side, seed=7)
+    assert list(grids) == list(expected)
+    for name, grid in grids.items():
+        assert grid.labels == expected[name].labels and (grid.side, grid.i, grid.j) == (side, i, j)
+        assert np.array_equal(grid.values, expected[name].values), name
+    expected_rows = analysis.compare_lora_condlora(params["lora"], params["condlora"],
+                                                   desk_weights, specs["lora"])
+    assert rows == expected_rows
+    alone, no_rows = analysis.analyze(desk_weights, loaded[:1], i, j, side, baseline_seed=7)
+    assert no_rows is None and list(alone) == list(expected)
+    assert all(np.array_equal(alone[name].values, grids[name].values) for name in grids)
+
+
+def test_analyze_applies_the_pair_rules(desk_weights):
+    lora = (random_params("lora", 23), adapters.as_method(spec_pair(), "lora"))
+    cond = (random_params("condlora", 24), adapters.as_method(spec_pair(), "condlora"))
+    with pytest.raises(ValueError, match="^comparison needs one lora and one condlora checkpoint$"):
+        analysis.analyze(desk_weights, [lora, lora], 4, 4)
+    narrow = AdapterSpec("condlora", 4, 4.0, ("query",), (1, 2, 3, 4))
+    narrow_params = adapters.init_params(narrow, 32, 25)
+    with pytest.raises(ValueError, match="^adapter checkpoints target different shapes"):
+        analysis.analyze(desk_weights, [lora, (narrow_params, narrow)], 4, 4)
+    with pytest.raises(ValueError, match="one or two adapters, got 3"):
+        analysis.analyze(desk_weights, [lora, cond, lora], 4, 4)

@@ -1,0 +1,72 @@
+"""Results do not depend on the BLAS thread count.
+
+The same script runs in two fresh processes, with OPENBLAS_NUM_THREADS and
+OMP_NUM_THREADS set to 1 and to 2 before numpy loads. Each prints one sha256
+per kind of output, and the two processes must print the same ones.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).parents[1] / "src"
+
+SCRIPT = r"""
+import contextlib, ctypes, glob, hashlib, io, json, os, sys
+from pathlib import Path
+import numpy as np
+from loralab import cli, matcore
+
+out = Path(sys.argv[1])
+sha = lambda data: hashlib.sha256(data).hexdigest()
+for method in ("lora", "condlora"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["train", "--method", method, "--max-steps", "100",
+                         "--out", str(out / method)])
+    assert code == 0, method
+stdout = io.StringIO()
+with contextlib.redirect_stdout(stdout):
+    code = cli.main(["analyze", "--model", str(out / "lora" / "model.ckpt"),
+                     "--adapter", str(out / "lora" / "adapter.ckpt"),
+                     "--adapter", str(out / "condlora" / "adapter.ckpt"),
+                     "--out", str(out / "analysis")])
+assert code == 0
+w0s = np.stack([matcore.gaussian(768, 768, 0, 1, seed) for seed in range(4)])
+x = matcore.solve(w0s, np.stack([matcore.gaussian(768, 8, 0, 1, 10 + s) for s in range(4)]))
+svd = matcore.svd(x)
+libs = glob.glob(os.path.join(os.path.dirname(np.__file__), "..", "numpy.libs", "*openblas*"))
+get_threads = getattr(ctypes.CDLL(libs[0]), "scipy_openblas_get_num_threads64_", None) if libs else None
+if get_threads:
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+print(json.dumps({
+    "adapters": sha(b"".join((out / m / "adapter.ckpt").read_bytes() for m in ("lora", "condlora"))),
+    "report_steps": sha("".join(
+        line for m in ("lora", "condlora")
+        for line in (out / m / "report.csv").read_text().splitlines(keepends=True)
+        if line[0].isdigit()).encode()),
+    "analyze": sha(stdout.getvalue().encode() + b"".join(
+        path.name.encode() + path.read_bytes()
+        for path in sorted((out / "analysis").iterdir()))),
+    "solve": sha(x.tobytes() + svd.u.tobytes() + svd.s.tobytes() + svd.vt.tobytes()),
+    "threads": get_threads() if get_threads else None,
+}))
+"""
+
+
+def test_outputs_are_bit_identical_at_one_and_two_blas_threads(tmp_path):
+    runs = {}
+    for threads in (1, 2):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads),
+                   PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        runs[threads] = subprocess.Popen(
+            [sys.executable, "-c", SCRIPT, str(tmp_path / str(threads))],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    digests = {}
+    for threads, proc in runs.items():
+        stdout, stderr = proc.communicate(timeout=120)
+        assert proc.returncode == 0, stderr
+        digests[threads] = json.loads(stdout)
+        assert digests[threads].pop("threads") in (None, threads)  # None: not this OpenBLAS build
+    assert digests[1] == digests[2]

@@ -190,6 +190,18 @@ def test_solve_rejects_nonfinite_and_bad_shapes():
         matcore.solve(np.eye(3), np.ones((4, 1)))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_condition_estimate_rejects_nonfinite_entries(value):
+    bad = matcore.gaussian(5, 5, 0, 1, 31)
+    bad[3, 1] = value
+    with pytest.raises(matcore.NumericError,
+                       match="^condition_estimate input contains non-finite entries$"):
+        matcore.condition_estimate(bad)
+    zero_pivot = np.eye(3)
+    zero_pivot[1, 1] = 0.0
+    assert math.isinf(matcore.condition_estimate(zero_pivot))
+
+
 # --- stacked solve ------------------------------------------------------------
 
 def _stack_case(n, count, seed=0):

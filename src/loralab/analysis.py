@@ -16,9 +16,10 @@ trained adapter carries. W0 must be square and invertible: ``_convert`` is
 the one place it is inverted, by a stacked ``matcore.solve`` that rejects an
 ill-conditioned W0 and names it.
 
-Work runs per stack of layers, not per layer: a grid's conversions come from
-one stacked ``matcore.solve`` and its bases from one stacked ``matcore.svd``,
-and the comparison takes one SVD per side over every target of both methods.
+Work runs per stack of layers, not per layer: a module's conversions, A^T and
+B side by side, come from one stacked ``matcore.solve`` that factors each W0
+once (``_conversions``), a grid's bases from one stacked ``matcore.svd``, and
+the comparison takes one SVD per side over every target of both methods.
 Each matrix gets the bits it would get alone, and ``_phi`` takes a whole grid
 or comparison column from one product of the stacked bases. ``analyze`` is
 the recipe of ``loralab analyze``: its grids in order, the baseline, the
@@ -175,26 +176,31 @@ def random_baseline_grid(rows: int, cols: int, n: int, i: int, j: int,
     return layer_similarity_grid(mats, i, j, side)
 
 
+def _conversions(weights: BaseWeights, params: AdapterParams, spec: AdapterSpec,
+                 module: str, which: str) -> dict[str, np.ndarray]:
+    """{factor: its conversions, d x r per target layer} for each factor of which ("AB" or one).
+
+    A^T and B sit side by side in one right-hand side, so one stacked ``_convert``
+    factors each W0 once and names a W0 it rejects, such as ``layer1.value``.
+    """
+    layers = spec.target_layers
+    w0s = [weights.projection(module, layer) for layer in layers]
+    factors = [adapter_factors(params, spec, w0, module, layer) for w0, layer in zip(w0s, layers)]
+    rhs = [np.hstack([{"A": a.T, "B": b}[factor] for factor in which]) for a, b in factors]
+    x = _convert(w0s, rhs, [f"layer{layer}.{module}" for layer in layers])
+    return dict(zip(which, np.split(x, len(which), axis=-1)))
+
+
 def conversion_grid(weights: BaseWeights, params: AdapterParams, spec: AdapterSpec,
                     module: str, which: str, i: int | None = None, j: int | None = None,
                     side: str = "left") -> SimilarityGrid:
-    """Layer-pair grid of phi between one module's conversion matrices.
-
-    All target layers' conversions come from one stacked solve (``_convert``);
-    a W0 it rejects is named as its tensor, such as ``layer1.value``.
-    """
+    """Layer-pair grid of phi between one module's conversion matrices (``_conversions``)."""
     if which not in ("A", "B"):
         raise ValueError(f"which must be 'A' or 'B', got {which!r}")
     i = spec.rank if i is None else i
     j = spec.rank if j is None else j
-    layers = spec.target_layers
-    w0s = [weights.projection(module, layer) for layer in layers]
-    rhs = []
-    for w0, layer in zip(w0s, layers):
-        a, b = adapter_factors(params, spec, w0, module, layer)
-        rhs.append(a.T if which == "A" else b)
-    mats = _convert(w0s, rhs, [f"layer{layer}.{module}" for layer in layers])
-    return layer_similarity_grid(mats, i, j, side, [str(layer) for layer in layers])
+    mats = _conversions(weights, params, spec, module, which)[which]
+    return layer_similarity_grid(mats, i, j, side, [str(layer) for layer in spec.target_layers])
 
 
 @dataclass
@@ -254,9 +260,10 @@ def analyze(weights: BaseWeights, loaded: list, i: int, j: int, side: str = "lef
     if len({(s.rank, s.target_modules, s.target_layers) for _, s in loaded}) > 1:
         raise ValueError("adapter checkpoints target different shapes; cannot compare")
     params, spec = loaded[0]
-    grids = {f"conv_{which} {module}": conversion_grid(weights, params, spec, module, which,
-                                                        i, j, side)
-             for module in spec.target_modules for which in ("A", "B")}
+    labels = [str(layer) for layer in spec.target_layers]
+    grids = {f"conv_{which} {module}": layer_similarity_grid(mats, i, j, side, labels)
+             for module in spec.target_modules
+             for which, mats in _conversions(weights, params, spec, module, "AB").items()}
     grids["random_baseline"] = random_baseline_grid(
         weights.config.d_model, spec.rank, len(spec.target_layers), i, j, side, baseline_seed)
     if len(loaded) == 1:

@@ -90,9 +90,15 @@ def as_matrix(obj, name: str = "matrix") -> np.ndarray:
     return a
 
 
+def _require_nonempty(shape: tuple[int, ...], op: str) -> None:
+    if 0 in shape:
+        raise ShapeError(f"{op} requires a non-empty matrix, got {'x'.join(map(str, shape))}")
+
+
 def _require_square(a: np.ndarray, op: str) -> None:
     if a.shape[0] != a.shape[1]:
         raise ShapeError(f"{op} requires a square matrix, got {a.shape[0]}x{a.shape[1]}")
+    _require_nonempty(a.shape, op)
 
 
 def _require_finite(a: np.ndarray, what: str) -> None:
@@ -116,8 +122,10 @@ def gaussian(rows: int, cols: int, mean: float = 0.0, std: float = 1.0, seed: in
     """rows x cols matrix of i.i.d. normal(mean, std) entries, row-major fill."""
     if rows < 1 or cols < 1:
         raise ShapeError(f"gaussian needs positive dimensions, got {rows}x{cols}")
-    if std < 0:
-        raise ValueError(f"std must be non-negative, got {std}")
+    if not math.isfinite(mean):
+        raise ValueError(f"mean must be finite, got {mean}")
+    if not (math.isfinite(std) and std >= 0):
+        raise ValueError(f"std must be finite and non-negative, got {std}")
     g = _rng.gaussian_block(rows * cols, seed).reshape(rows, cols)
     g *= std
     g += mean
@@ -293,6 +301,8 @@ def solve(a, rhs) -> np.ndarray:
     for a stack the error carries the matrix's index.
     """
     a, single = _as_stack(a)
+    if not len(a):  # only an array can hold no matrices; a list of none is 1-D
+        _require_nonempty(a.shape, "solve")
     _require_square(a[0], "solve")
     rhs = np.asarray(rhs, dtype=np.float64)
     if rhs.ndim != 3 - single:
@@ -351,6 +361,7 @@ def svd(a) -> SvdResult:
     a = np.asarray(a, dtype=np.float64)
     if a.ndim < 2:
         raise ShapeError(f"svd input must be 2-D or a stack of 2-D matrices, got {a.ndim}-D")
+    _require_nonempty(a.shape, "svd")
     _require_finite(a, "svd input")
     try:
         u, s, vt = np.linalg.svd(a, full_matrices=False)

@@ -1,10 +1,11 @@
 import io
 import math
+import types
 
 import numpy as np
 import pytest
 
-from loralab import _rng, adapters, analysis, matcore, model
+from loralab import _rng, adapters, analysis, matcore, model, trainer
 from loralab.adapters import AdapterSpec
 from loralab.model import ModelConfig
 
@@ -465,6 +466,50 @@ def test_grid_takes_one_svd_and_a_conversion_grid_one_solve(desk_weights, monkey
     spec = spec_pair()
     analysis.conversion_grid(desk_weights, random_params("lora", 14), spec, "query", "B", 1, 4)
     assert calls == {"svd": 2, "solve": 1}
+
+
+def test_analyze_factors_each_w0_once(desk_weights, monkeypatch):
+    solves = []  # (W0s, right-hand side columns) per matcore.solve call
+    real = matcore.solve
+
+    def counted(a, rhs):
+        solves.append((len(a), np.shape(rhs)[-1]))
+        return real(a, rhs)
+
+    monkeypatch.setattr(matcore, "solve", counted)
+    spec = spec_pair()
+    analysis.analyze(desk_weights, [(random_params("lora", 26), spec)], 4, 4)
+    assert solves == [(4, 8), (4, 8)]  # one per module, [A^T | B] on each of its 4 W0s
+    solves.clear()
+    analysis.conversion_grid(desk_weights, random_params("lora", 26), spec, "value", "B")
+    assert solves == [(4, 4)]
+
+
+def _assert_halves_equal_one_factor_solves(weights, params, spec, d):
+    for module in spec.target_modules:
+        both = analysis._conversions(weights, params, spec, module, "AB")
+        assert list(both) == ["A", "B"]
+        for which in "AB":
+            alone = analysis._conversions(weights, params, spec, module, which)[which]
+            assert both[which].shape == alone.shape == (len(spec.target_layers), d, spec.rank)
+            assert both[which].tobytes() == alone.tobytes(), (spec.method, module, which)
+
+
+@pytest.mark.parametrize("method", ["lora", "condlora"])
+@pytest.mark.parametrize("seed", [27, 28])
+def test_stacked_conversion_halves_equal_one_factor_solves_at_desk_dims(desk_weights, method,
+                                                                          seed):
+    spec = adapters.as_method(spec_pair(), method)
+    _assert_halves_equal_one_factor_solves(desk_weights, random_params(method, seed), spec, 32)
+
+
+def test_stacked_conversion_halves_equal_one_factor_solves_on_a_paper_dim_stack():
+    d, layers = 768, tuple(range(1, 13))
+    w0s = {l: matcore.gaussian(d, d, 0.0, 1 / math.sqrt(d), _rng.derive_seed(0, f"paper.w0.{l}"))
+           for l in layers}
+    weights = types.SimpleNamespace(projection=lambda module, layer: w0s[layer])  # query only
+    spec = AdapterSpec("condlora", 8, 8.0, ("query",), layers)
+    _assert_halves_equal_one_factor_solves(weights, trainer.generic_params(spec, d, 29), spec, d)
 
 
 @pytest.mark.parametrize("i, j", [(0, 2), (2, 0), (5, 2), (2, 5)])

@@ -202,6 +202,21 @@ def test_condition_estimate_rejects_nonfinite_entries(value):
     assert math.isinf(matcore.condition_estimate(zero_pivot))
 
 
+@pytest.mark.parametrize("op, args, shape", [
+    ("solve", (np.zeros((0, 0)), np.zeros((0, 1))), "0x0"),
+    ("solve", ([np.zeros((0, 0))] * 2, np.zeros((2, 0, 1))), "0x0"),
+    ("solve", (np.zeros((0, 3, 3)), np.zeros((0, 3, 1))), "0x3x3"),
+    ("invert", (np.zeros((0, 0)),), "0x0"),
+    ("condition_estimate", (np.zeros((0, 0)),), "0x0"),
+    ("svd", (np.zeros((0, 3)),), "0x3"),
+    ("svd", (np.zeros((2, 4, 0)),), "2x4x0"),
+], ids=["solve", "solve-list", "solve-stack", "invert", "condition_estimate", "svd",
+        "svd-stack"])
+def test_empty_matrices_are_shape_errors(op, args, shape):
+    with pytest.raises(matcore.ShapeError, match=f"^{op} requires a non-empty matrix, got {shape}$"):
+        getattr(matcore, op)(*args)
+
+
 # --- stacked solve ------------------------------------------------------------
 
 def _stack_case(n, count, seed=0):
@@ -390,6 +405,14 @@ def test_gaussian_scales_the_stream_bit_for_bit():
 def test_gaussian_rejects_negative_std():
     with pytest.raises(ValueError):
         matcore.gaussian(2, 2, 0.0, -1.0, 0)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_gaussian_rejects_nonfinite_mean_and_std(value):
+    with pytest.raises(ValueError, match="^mean must be finite"):
+        matcore.gaussian(1, 2, mean=value)
+    with pytest.raises(ValueError, match="^std must be finite and non-negative"):
+        matcore.gaussian(1, 2, std=value)
 
 
 # --- serialization -----------------------------------------------------------

@@ -29,11 +29,18 @@ Sub-streams are derived from a user seed and a short ASCII label:
 
 Integer outputs are bit-portable across platforms; Gaussian values depend on
 the platform's libm rounding in the last couple of ulps.
+
+Because any output can be drawn alone, ``gaussian_block`` shares its blocks
+of ``_PAIR_BLOCK`` pairs among up to one thread per CPU the process may run
+on; each value is computed by the same operations whatever thread draws it,
+so the bytes do not depend on the number of threads.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 
 import numpy as np
 
@@ -92,11 +99,21 @@ def fnv1a64(label: str) -> int:
 
 
 def check_seed(seed: int) -> int:
-    """``seed`` itself if it fits the generator's 64 bits, which would wrap
-    any other integer; otherwise a ValueError that names it."""
-    if not 0 <= seed <= MASK64:
-        raise ValueError(f"seed {seed} is {SEED_RULE}")
-    return seed
+    """``seed`` as a Python int if it is an integer that fits the generator's
+    64 bits; otherwise a ValueError that names it (another integer would
+    wrap, and a float would be truncated)."""
+    if not (_is_int(seed) and 0 <= seed <= MASK64):
+        raise ValueError(f"seed {seed!r} is {SEED_RULE}")
+    return int(seed)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_count(name: str, value: int) -> None:
+    if not (_is_int(value) and value >= 0):
+        raise ValueError(f"{name} {value!r} is not a non-negative integer")
 
 
 def derive_seed(seed: int, label: str) -> int:
@@ -106,51 +123,125 @@ def derive_seed(seed: int, label: str) -> int:
 
 def raw64_block(seed: int, start: int, count: int) -> np.ndarray:
     """Vectorized outputs [start, start + count) of stream ``seed``."""
-    counters = np.arange(start + 1, start + 1 + count, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        z = np.uint64(check_seed(seed)) + counters * np.uint64(GAMMA)
-        z ^= z >> np.uint64(30)
-        z *= np.uint64(_MIX1)
-        z ^= z >> np.uint64(27)
-        z *= np.uint64(_MIX2)
-        z ^= z >> np.uint64(31)
+    seed = check_seed(seed)
+    _check_count("start", start)
+    _check_count("count", count)
+    z = np.empty(count, dtype=np.uint64)
+    _mix(z, np.empty_like(z), seed, start, np.arange(1, count + 1, dtype=np.uint64))
     return z
+
+
+def _mix(z: np.ndarray, tmp: np.ndarray, seed: int, start: int, steps: np.ndarray) -> None:
+    """Write outputs [start, start + z.size) into z, given steps = 1, 2, ...
+    (at least z.size of them) and tmp, a scratch array of z's size.
+
+    Output start + k - 1 mixes seed + (start + k) * GAMMA, that is
+    (seed + start * GAMMA) + k * GAMMA (mod 2**64).
+    """
+    with np.errstate(over="ignore"):
+        np.multiply(steps[:z.size], np.uint64(GAMMA), out=z)
+        z += np.uint64((seed + start * GAMMA) & MASK64)
+        np.right_shift(z, np.uint64(30), out=tmp)
+        z ^= tmp
+        z *= np.uint64(_MIX1)
+        np.right_shift(z, np.uint64(27), out=tmp)
+        z ^= tmp
+        z *= np.uint64(_MIX2)
+        np.right_shift(z, np.uint64(31), out=tmp)
+        z ^= tmp
 
 
 def uniform_block(seed: int, start: int, count: int) -> np.ndarray:
     return (raw64_block(seed, start, count) >> np.uint64(11)).astype(np.float64) * _TWO53
 
 
-def gaussian_block(n: int, seed: int) -> np.ndarray:
-    """n standard normals, filled in output order from counter 0.
+def gaussian_block(n: int, seed: int, scale: tuple[float, float] | None = None) -> np.ndarray:
+    """n standard normals, filled in output order from counter 0; with
+    ``scale`` = (mean, std), each value g becomes g * std + mean (rounded
+    after the product and after the sum) while its block is in cache.
 
-    Pairs are drawn ``_PAIR_BLOCK`` at a time, so the temporaries stay small
-    whatever n is; every value is the one a single full-length pass gives.
+    Pairs are drawn ``_PAIR_BLOCK`` at a time into buffers each worker
+    allocates once, so the temporaries stay small whatever n is; every value
+    is the one a single full-length pass gives.
+    With k = min(blocks, CPUs this process may run on), the calling thread
+    fills blocks 0, k, 2k, ... and k - 1 helper threads the others; all are
+    joined before the call returns, and an error in any block is raised
+    here. A call of one block starts no thread.
     """
+    _check_count("n", n)
+    seed = check_seed(seed)
     pairs = (n + 1) // 2
     out = np.empty(2 * pairs, dtype=np.float64)
-    for start in range(0, pairs, _PAIR_BLOCK):
-        stop = min(start + _PAIR_BLOCK, pairs)
-        z = raw64_block(seed, 2 * start, 2 * (stop - start))
-        u1 = (z[0::2] >> np.uint64(11)).astype(np.float64)
-        u1 += 1.0
-        u1 *= _TWO53
-        radius = np.log(u1, out=u1)
+    workers = 1
+    if pairs > _PAIR_BLOCK:
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        workers = min(-(-pairs // _PAIR_BLOCK), cpus or 1)
+    errors = []
+
+    def helper(first: int) -> None:
+        try:
+            _fill(out, seed, first, workers, scale)
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = []
+    try:
+        for first in range(1, workers):
+            thread = threading.Thread(target=helper, args=(first,))
+            thread.start()
+            threads.append(thread)
+        _fill(out, seed, 0, workers, scale)
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+    return out[:n]
+
+
+def _fill(out: np.ndarray, seed: int, first: int, step: int,
+          scale: tuple[float, float] | None) -> None:
+    """Draw blocks first, first + step, ... of out's pairs into out, through
+    one set of block buffers allocated once per call."""
+    pairs = out.size // 2
+    size = min(_PAIR_BLOCK, pairs)
+    steps = np.arange(1, 2 * size + 1, dtype=np.uint64)
+    z_buf, tmp_buf = np.empty(2 * size, dtype=np.uint64), np.empty(2 * size, dtype=np.uint64)
+    radius_buf, angle_buf = np.empty(size), np.empty(size)
+    for start in range(first * _PAIR_BLOCK, pairs, step * _PAIR_BLOCK):
+        count = min(_PAIR_BLOCK, pairs - start)
+        z, tmp = z_buf[:2 * count], tmp_buf[:2 * count]
+        radius, angle = radius_buf[:count], angle_buf[:count]
+        _mix(z, tmp, seed, 2 * start, steps)
+        bits = tmp[:count]  # the mix's scratch, free again
+        np.right_shift(z[0::2], np.uint64(11), out=bits)
+        radius[...] = bits
+        radius += 1.0
+        radius *= _TWO53
+        np.log(radius, out=radius)
         radius *= -2.0
         np.sqrt(radius, out=radius)
-        angle = (z[1::2] >> np.uint64(11)).astype(np.float64)
+        np.right_shift(z[1::2], np.uint64(11), out=bits)
+        angle[...] = bits
         angle *= _TWO53
         angle *= 2.0 * math.pi
-        even, odd = out[2 * start:2 * stop:2], out[2 * start + 1:2 * stop:2]
+        block = out[2 * start:2 * (start + count)]
+        even, odd = block[0::2], block[1::2]
         np.cos(angle, out=even)
         even *= radius
         np.sin(angle, out=odd)
         odd *= radius
-    return out[:n]
+        if scale is not None:
+            mean, std = scale
+            block *= std
+            block += mean
 
 
 def randint_block(n: int, bound: int, seed: int, start: int = 0) -> np.ndarray:
     """n integers uniform on [0, bound), via floor(u * bound)."""
+    _check_count("n", n)
+    check_seed(seed)
+    _check_count("start", start)
     if bound <= 0:
         raise ValueError(f"bound must be positive, got {bound}")
     u = uniform_block(seed, start, n)

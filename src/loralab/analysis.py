@@ -49,26 +49,50 @@ def _check_count(shape: tuple[int, ...], count: int) -> None:
         )
 
 
-def _basis(x: np.ndarray, count: int, side: str) -> np.ndarray:
-    """Top ``count`` singular vectors of each matrix of x (…, rows, cols), as columns."""
+def _check_rank(s: np.ndarray, count: int, shape: tuple[int, int], names: list[str] | None) -> None:
+    """Raise a NumericError naming the first matrix, of a stack with singular values
+    s (…, k), whose count-th singular value is at or below numpy's ``matrix_rank``
+    tolerance s_max * max(rows, cols) * eps: its top-count subspace is whatever
+    the SVD happens to return, so no phi of it means anything."""
+    s = np.abs(s.reshape(-1, s.shape[-1]))  # LAPACK may return -0.0
+    tol = s[:, 0] * max(shape) * np.finfo(np.float64).eps
+    bad = np.flatnonzero(s[:, count - 1] <= tol)
+    if bad.size:
+        k = bad[0]
+        name = names[k] if names is not None else f"matrix {k}"
+        raise matcore.NumericError(
+            f"{name}: rank below {count} (singular value {count} is {s[k, count - 1]:.3g}, "
+            f"tolerance {tol[k]:.3g})"
+        )
+
+
+def _basis(x: np.ndarray, count: int, side: str, names: list[str] | None = None) -> np.ndarray:
+    """Top ``count`` singular vectors of each matrix of x (…, rows, cols), as columns.
+
+    A matrix of rank below count raises a NumericError under its entry of names.
+    """
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}, got {side!r}")
     _check_count(x.shape, count)
     result = matcore.svd(x)
+    _check_rank(result.s, count, x.shape[-2:], names)
     if side == "left":
         return result.u[..., :count]
     return result.vt[..., :count, :].swapaxes(-1, -2)
 
 
-def _delta_basis(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _delta_basis(a: np.ndarray, b: np.ndarray, names: list[str] | None = None) -> np.ndarray:
     """Top-r left singular vectors of every B @ A (d x r), without forming the d x d products.
 
     a and b are stacks (…, r, d) and (…, d, r). With B = Q R, B @ A = Q (R @ A),
     so the left singular vectors of B @ A are Q times those of the r x d
-    matrix R @ A.
+    matrix R @ A, which has B @ A's singular values. A product of rank below r
+    raises a NumericError under its entry of names.
     """
     q, r = np.linalg.qr(b)
-    return q @ matcore.svd(r @ a).u
+    result = matcore.svd(r @ a)
+    _check_rank(result.s, a.shape[-2], (b.shape[-2], a.shape[-1]), names)
+    return q @ result.u
 
 
 def _phi(bx: np.ndarray, by: np.ndarray, i: int, j: int) -> np.ndarray:
@@ -85,8 +109,8 @@ def _phi(bx: np.ndarray, by: np.ndarray, i: int, j: int) -> np.ndarray:
 
 def subspace_similarity(x, y, i: int, j: int, side: str = "left") -> float:
     """phi(X, Y, i, j) over top singular-vector subspaces; clamped to [0, 1]."""
-    bx = _basis(matcore.as_matrix(x), i, side)
-    by = _basis(matcore.as_matrix(y), j, side)
+    bx = _basis(matcore.as_matrix(x), i, side, ["x"])
+    by = _basis(matcore.as_matrix(y), j, side, ["y"])
     if bx.shape[0] != by.shape[0]:
         raise ShapeError(
             f"{side} singular vectors live in different spaces: "
@@ -159,7 +183,7 @@ def layer_similarity_grid(matrices, i: int, j: int, side: str = "left",
         if m.shape != shape:
             raise ShapeError(f"grid matrices must share a shape: {shape} vs {m.shape}")
     _check_count(shape, min(i, j))
-    bases = _basis(np.stack(mats), max(i, j), side)
+    bases = _basis(np.stack(mats), max(i, j), side, [f"layer{label}" for label in labels])
     values = _phi(bases[:, None, :, :i], bases[None, :, :, :j], i, j)
     return SimilarityGrid(list(labels), values, side, i, j)
 
@@ -200,7 +224,17 @@ def conversion_grid(weights: BaseWeights, params: AdapterParams, spec: AdapterSp
     i = spec.rank if i is None else i
     j = spec.rank if j is None else j
     mats = _conversions(weights, params, spec, module, which)[which]
-    return layer_similarity_grid(mats, i, j, side, [str(layer) for layer in spec.target_layers])
+    return _named_grid(f"conv_{which} {module}", mats, i, j, side,
+                       [str(layer) for layer in spec.target_layers])
+
+
+def _named_grid(name: str, mats, i: int, j: int, side: str, labels: list[str]) -> SimilarityGrid:
+    """``layer_similarity_grid`` whose NumericError names the grid, such as
+    ``conv_B value layer1: rank below 4 ...``."""
+    try:
+        return layer_similarity_grid(mats, i, j, side, labels)
+    except matcore.NumericError as exc:
+        raise matcore.NumericError(f"{name} {exc}") from None
 
 
 @dataclass
@@ -235,9 +269,12 @@ def compare_lora_condlora(lora_params, cond_params, weights: BaseWeights,
     a = np.stack([f[0] for f in factors])
     b = np.stack([f[1] for f in factors])
     r, n = spec.rank, len(targets)
+    names = [f"{method} layer{l}.{m}" for method in ("lora", "condlora") for m, l in targets]
     phi_a, phi_b, phi_delta = (
         _phi(bases[:n], bases[n:], r, r).tolist()
-        for bases in (_basis(a, r, "right"), _basis(b, r, "left"), _delta_basis(a, b))
+        for bases in (_basis(a, r, "right", [f"comparison A of {x}" for x in names]),
+                      _basis(b, r, "left", [f"comparison B of {x}" for x in names]),
+                      _delta_basis(a, b, [f"comparison BA of {x}" for x in names]))
     )
     return [ComparisonRow(m, l, *phis)
             for (m, l), *phis in zip(targets, phi_a, phi_b, phi_delta)]
@@ -261,9 +298,11 @@ def analyze(weights: BaseWeights, loaded: list, i: int, j: int, side: str = "lef
         raise ValueError("adapter checkpoints target different shapes; cannot compare")
     params, spec = loaded[0]
     labels = [str(layer) for layer in spec.target_layers]
-    grids = {f"conv_{which} {module}": layer_similarity_grid(mats, i, j, side, labels)
-             for module in spec.target_modules
-             for which, mats in _conversions(weights, params, spec, module, "AB").items()}
+    grids = {}
+    for module in spec.target_modules:
+        for which, mats in _conversions(weights, params, spec, module, "AB").items():
+            name = f"conv_{which} {module}"
+            grids[name] = _named_grid(name, mats, i, j, side, labels)
     grids["random_baseline"] = random_baseline_grid(
         weights.config.d_model, spec.rank, len(spec.target_layers), i, j, side, baseline_seed)
     if len(loaded) == 1:

@@ -119,17 +119,18 @@ def matmul(a, b) -> np.ndarray:
 
 
 def gaussian(rows: int, cols: int, mean: float = 0.0, std: float = 1.0, seed: int = 0) -> np.ndarray:
-    """rows x cols matrix of i.i.d. normal(mean, std) entries, row-major fill."""
+    """rows x cols matrix of i.i.d. normal(mean, std) entries, row-major fill.
+
+    Entry k is g_k * std + mean, g_k being ``_rng.gaussian_block``'s value k,
+    rounded after the product and after the sum (also at std 1, mean 0).
+    """
     if rows < 1 or cols < 1:
         raise ShapeError(f"gaussian needs positive dimensions, got {rows}x{cols}")
     if not math.isfinite(mean):
         raise ValueError(f"mean must be finite, got {mean}")
     if not (math.isfinite(std) and std >= 0):
         raise ValueError(f"std must be finite and non-negative, got {std}")
-    g = _rng.gaussian_block(rows * cols, seed).reshape(rows, cols)
-    g *= std
-    g += mean
-    return g
+    return _rng.gaussian_block(rows * cols, seed, (mean, std)).reshape(rows, cols)
 
 
 def _rows(a: np.ndarray) -> np.ndarray:

@@ -411,6 +411,38 @@ def test_compare_delta_repeats_b_when_a_has_full_row_rank(desk_weights):
             assert abs(row.phi_delta - row.phi_b) <= 1e-12, (seed, row)
 
 
+# --- rank-deficient conversions ----------------------------------------------------
+
+def test_zero_b_factors_are_a_numeric_error_naming_grid_and_layer(desk_weights):
+    # zero-initialized B (an untrained adapter) spans no subspace, so no phi of it means anything
+    geometry = spec_pair()
+    untrained = {method: (adapters.init_params(adapters.as_method(geometry, method), 32, 5),
+                          adapters.as_method(geometry, method))
+                 for method in adapters.METHODS}
+    for method, loaded in untrained.items():
+        with pytest.raises(matcore.NumericError, match="^conv_B query layer1: rank below 4 "):
+            analysis.analyze(desk_weights, [loaded], 4, 4)
+    with pytest.raises(matcore.NumericError, match="^comparison B of condlora layer1.query: "):
+        analysis.compare_lora_condlora(random_params("lora", 3), untrained["condlora"][0],
+                                       desk_weights, geometry)
+    with pytest.raises(matcore.NumericError, match="^y: rank below 2 "):
+        analysis.subspace_similarity(matcore.gaussian(8, 2, 0, 1, 4), np.zeros((8, 2)), 2, 2)
+
+
+def test_one_rank_deficient_layer_is_named(desk_weights):
+    spec = adapters.as_method(spec_pair(), "lora")
+    params = random_params("lora", 21)
+    tensors = dict(params.tensors)
+    b = tensors["lora.value.3.B"].copy()
+    b[:, 1] = b[:, 0]
+    tensors["lora.value.3.B"] = b
+    with pytest.raises(matcore.NumericError, match="^conv_B value layer3: rank below 4 "):
+        analysis.conversion_grid(desk_weights, adapters.AdapterParams(tensors), spec, "value", "B")
+    grid = analysis.conversion_grid(desk_weights, adapters.AdapterParams(tensors), spec,
+                                    "value", "B", 3, 3)
+    assert grid.values.shape == (4, 4)
+
+
 # --- stacked analysis against a per-layer reference --------------------------------
 
 @pytest.mark.parametrize("method", adapters.METHODS)

@@ -1,8 +1,11 @@
-"""Results do not depend on the BLAS thread count.
+"""Results do not depend on the BLAS thread count, nor on how many CPUs the
+Gaussian fill may share its blocks among.
 
 The same script runs in two fresh processes, with OPENBLAS_NUM_THREADS and
 OMP_NUM_THREADS set to 1 and to 2 before numpy loads. Each prints one sha256
-per kind of output, and the two processes must print the same ones.
+per kind of output, and the two processes must print the same ones. Likewise
+a model spanning many fill blocks is built in a process pinned to one CPU
+before loralab loads and in one left unpinned.
 """
 
 import json
@@ -10,6 +13,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).parents[1] / "src"
 
@@ -70,3 +75,34 @@ def test_outputs_are_bit_identical_at_one_and_two_blas_threads(tmp_path):
         digests[threads] = json.loads(stdout)
         assert digests[threads].pop("threads") in (None, threads)  # None: not this OpenBLAS build
     assert digests[1] == digests[2]
+
+
+MODEL_SCRIPT = r"""
+import hashlib, json, os, sys
+if sys.argv[1] == "pinned":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from loralab import model
+weights = model.build_model(model.ModelConfig(n_layers=1, d_model=768, n_heads=12, d_ff=3072))
+digest = hashlib.sha256()
+for name in weights.names():
+    digest.update(name.encode() + weights[name].tobytes())
+print(json.dumps({"cpus": len(os.sched_getaffinity(0)), "model": digest.hexdigest()}))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no sched_setaffinity here")
+def test_model_is_bit_identical_pinned_to_one_cpu_and_unpinned():
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("this process may run on one CPU only, so both children would fill alike")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    runs = {pin: subprocess.Popen([sys.executable, "-c", MODEL_SCRIPT, pin], env=env,
+                                  stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+            for pin in ("pinned", "unpinned")}
+    results = {}
+    for pin, proc in runs.items():
+        stdout, stderr = proc.communicate(timeout=120)
+        assert proc.returncode == 0, stderr
+        results[pin] = json.loads(stdout)
+    assert results["pinned"]["cpus"] == 1 and results["unpinned"]["cpus"] > 1
+    assert results["pinned"]["model"] == results["unpinned"]["model"]

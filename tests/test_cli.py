@@ -203,6 +203,25 @@ def test_analyze_singular_projection_exit_two(tmp_path, trained_pair, capsys):
     assert err.startswith("error: ") and "--pseudoinverse" in err and err.count("\n") == 1
 
 
+def test_analyze_untrained_pair_exit_two(tmp_path, capsys):
+    # --max-steps 0 leaves LoRA's B and CondLoRA's theta_B zero: no subspace to compare
+    cfg = write_tiny_config(tmp_path)
+    for method in ("lora", "condlora"):
+        code, _, _ = run_cli(capsys, "train", "--config", str(cfg), "--method", method,
+                             "--max-steps", "0", "--out", str(tmp_path / method))
+        assert code == 0
+    code, out, err = run_cli(
+        capsys, "analyze", "--model", str(tmp_path / "lora" / "model.ckpt"),
+        "--adapter", str(tmp_path / "lora" / "adapter.ckpt"),
+        "--adapter", str(tmp_path / "condlora" / "adapter.ckpt"),
+        "--out", str(tmp_path / "analysis"),
+    )
+    assert code == 2
+    assert err.startswith("numeric error: conv_B query layer1: rank below 2 (singular value 2 is 0")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "analysis").exists()
+
+
 @pytest.mark.parametrize("which, edit, message", [
     ("model", lambda line: line + " bogus=3", "unknown key 'bogus'"),
     ("model", lambda line: line.replace(" d_ff=32", " d_ff=3.5"), "bad value for d_ff: '3.5'"),

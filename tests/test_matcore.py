@@ -402,6 +402,23 @@ def test_gaussian_scales_the_stream_bit_for_bit():
     assert np.array_equal(g.view(np.uint64), reference.view(np.uint64))
 
 
+@pytest.mark.parametrize("rows, cols", [(1, 2 * _rng._PAIR_BLOCK - 1), (1, 2 * _rng._PAIR_BLOCK),
+                                        (1, 2 * _rng._PAIR_BLOCK + 1), (1, 4 * _rng._PAIR_BLOCK + 1),
+                                        (768, 3072)])
+def test_gaussian_bytes_do_not_depend_on_the_worker_count(monkeypatch, rows, cols):
+    def force_cpus(cpus):
+        monkeypatch.setattr(_rng.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+
+    force_cpus(1)
+    g = _rng.gaussian_block(rows * cols, 6).reshape(rows, cols)
+    for mean, std in [(0.0, 1.0), (0.0, 0.0), (0.25, 1.7), (0.0, 1 / math.sqrt(768))]:
+        reference = (g * std + mean).tobytes()
+        for cpus in (1, 2, 3):
+            force_cpus(cpus)
+            assert matcore.gaussian(rows, cols, mean, std, 6).tobytes() == reference, (mean, std, cpus)
+
+
 def test_gaussian_rejects_negative_std():
     with pytest.raises(ValueError):
         matcore.gaussian(2, 2, 0.0, -1.0, 0)

@@ -1,7 +1,14 @@
+import math
+import re
+import threading
+
 import numpy as np
 import pytest
 
-from loralab import _rng
+from loralab import _rng, model
+
+P = _rng._PAIR_BLOCK
+SCALES = [(0.0, 1.0), (0.0, 0.0), (0.25, 1.7), (0.0, 1 / math.sqrt(768))]
 
 
 def test_vectorized_matches_scalar_reference_bitwise():
@@ -89,3 +96,81 @@ def test_randint_block_range_and_determinism():
 def test_randint_rejects_bad_bound():
     with pytest.raises(ValueError):
         _rng.randint_block(4, 0, 1)
+
+
+@pytest.mark.parametrize("call, name, value", [
+    (lambda: _rng.gaussian_block(-1, 3), "n", -1),
+    (lambda: _rng.gaussian_block(-2, 3), "n", -2),
+    (lambda: _rng.gaussian_block(2.5, 3), "n", 2.5),
+    (lambda: _rng.randint_block(-1, 5, 3), "n", -1),
+    (lambda: _rng.raw64_block(3, 0, -4), "count", -4),
+    (lambda: _rng.raw64_block(3, -1, 4), "start", -1),
+])
+def test_a_negative_or_fractional_count_is_an_error(call, name, value):
+    with pytest.raises(ValueError, match=re.escape(f"{name} {value} is not a non-negative integer")):
+        call()
+
+
+# --- the fill shared among threads -------------------------------------------------
+
+def force_cpus(monkeypatch, cpus):
+    """Make the process look as if it may run on ``cpus`` CPUs."""
+    monkeypatch.setattr(_rng.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+@pytest.fixture()
+def fill_calls(monkeypatch):
+    """Every (first block, step) that ``_rng._fill`` is called with."""
+    calls, real = [], _rng._fill
+
+    def fill(out, seed, first, step, scale):
+        calls.append((first, step))
+        real(out, seed, first, step, scale)
+
+    monkeypatch.setattr(_rng, "_fill", fill)
+    return calls
+
+
+@pytest.mark.parametrize("n", [2 * P - 1, 2 * P, 2 * P + 1, 4 * P + 1, 768 * 3072])
+def test_gaussian_block_bytes_do_not_depend_on_the_worker_count(monkeypatch, fill_calls, n):
+    force_cpus(monkeypatch, 1)
+    g = _rng.gaussian_block(n, 5)
+    references = [g.tobytes()] + [(g * std + mean).tobytes() for mean, std in SCALES]
+    blocks = -(-((n + 1) // 2) // P)
+    for cpus in (1, 2, 3):
+        force_cpus(monkeypatch, cpus)
+        fill_calls.clear()
+        draws = [_rng.gaussian_block(n, 5)] + [_rng.gaussian_block(n, 5, s) for s in SCALES]
+        assert [d.tobytes() for d in draws] == references, cpus
+        workers = min(cpus, blocks)
+        assert sorted(set(fill_calls)) == [(first, workers) for first in range(workers)]
+
+
+@pytest.mark.parametrize("failing", [0, 1])
+def test_an_error_in_any_block_is_raised_and_no_thread_survives(monkeypatch, failing):
+    force_cpus(monkeypatch, 2)
+    real = _rng._fill
+
+    def fill(out, seed, first, step, scale):
+        if first == failing:
+            raise RuntimeError(f"block {first} failed")
+        real(out, seed, first, step, scale)
+
+    monkeypatch.setattr(_rng, "_fill", fill)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"^block {failing} failed$"):
+        _rng.gaussian_block(4 * P + 1, 3)
+    assert threading.active_count() == before
+
+
+def test_a_one_block_call_and_a_desk_model_start_no_thread(monkeypatch):
+    force_cpus(monkeypatch, 8)
+
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading, "Thread", no_thread)
+    _rng.gaussian_block(2 * P, 3)
+    model.build_model(model.ModelConfig())
+    with pytest.raises(AssertionError, match="a thread was started"):
+        _rng.gaussian_block(2 * P + 1, 3)

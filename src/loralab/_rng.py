@@ -31,16 +31,16 @@ Integer outputs are bit-portable across platforms; Gaussian values depend on
 the platform's libm rounding in the last couple of ulps.
 
 Because any output can be drawn alone, ``gaussian_block`` shares its blocks
-of ``_PAIR_BLOCK`` pairs among up to one thread per CPU the process may run
-on; each value is computed by the same operations whatever thread draws it,
-so the bytes do not depend on the number of threads.
+of ``_PAIR_BLOCK`` pairs among the calling thread and the helpers of a
+``ThreadPoolExecutor`` made for the call, up to one thread per CPU the
+process may run on; each value is computed by the same operations whatever
+thread draws it, so the bytes do not depend on the number of threads.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import threading
 
 import numpy as np
 
@@ -116,6 +116,15 @@ def _check_count(name: str, value: int) -> None:
         raise ValueError(f"{name} {value!r} is not a non-negative integer")
 
 
+def check_int(name: str, value: int, low: int) -> None:
+    """A ValueError that names ``value`` unless it is an integer (bool
+    excluded) of at least ``low``: the rule for sizes and bounds."""
+    if not _is_int(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+
+
 def derive_seed(seed: int, label: str) -> int:
     """Deterministic sub-stream seed for ``label`` under a master seed."""
     return mix64(check_seed(seed) ^ fnv1a64(label))
@@ -164,9 +173,11 @@ def gaussian_block(n: int, seed: int, scale: tuple[float, float] | None = None) 
     allocates once, so the temporaries stay small whatever n is; every value
     is the one a single full-length pass gives.
     With k = min(blocks, CPUs this process may run on), the calling thread
-    fills blocks 0, k, 2k, ... and k - 1 helper threads the others; all are
-    joined before the call returns, and an error in any block is raised
-    here. A call of one block starts no thread.
+    fills blocks 0, k, 2k, ... and a ``ThreadPoolExecutor`` of k - 1 helpers
+    the others; leaving the pool joins every helper, also when the caller's
+    own blocks fail, and ``result()`` raises a helper's error here. With
+    k = 1 (one block, or one CPU) the calling thread fills every block and
+    no pool is made.
     """
     _check_count("n", n)
     seed = check_seed(seed)
@@ -176,26 +187,18 @@ def gaussian_block(n: int, seed: int, scale: tuple[float, float] | None = None) 
     if pairs > _PAIR_BLOCK:
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
         workers = min(-(-pairs // _PAIR_BLOCK), cpus or 1)
-    errors = []
-
-    def helper(first: int) -> None:
-        try:
-            _fill(out, seed, first, workers, scale)
-        except BaseException as exc:
-            errors.append(exc)
-
-    threads = []
-    try:
-        for first in range(1, workers):
-            thread = threading.Thread(target=helper, args=(first,))
-            thread.start()
-            threads.append(thread)
-        _fill(out, seed, 0, workers, scale)
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
+    if workers == 1:
+        _fill(out, seed, 0, 1, scale)
+    else:
+        # imported here: concurrent.futures loads logging (about 12 ms and
+        # 0.7 MB), which a process of one-block draws never needs
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(workers - 1) as pool:
+            helpers = [pool.submit(_fill, out, seed, first, workers, scale)
+                       for first in range(1, workers)]
+            _fill(out, seed, 0, workers, scale)
+            for helper in helpers:
+                helper.result()
     return out[:n]
 
 
@@ -238,11 +241,13 @@ def _fill(out: np.ndarray, seed: int, first: int, step: int,
 
 
 def randint_block(n: int, bound: int, seed: int, start: int = 0) -> np.ndarray:
-    """n integers uniform on [0, bound), via floor(u * bound)."""
+    """n integers uniform on [0, bound), via floor(u * bound); bound is an
+    integer in [1, 2**53], since above that u's 53 bits miss integers."""
     _check_count("n", n)
     check_seed(seed)
     _check_count("start", start)
-    if bound <= 0:
-        raise ValueError(f"bound must be positive, got {bound}")
+    check_int("bound", bound, 1)
+    if bound > 1 << 53:
+        raise ValueError(f"bound must be <= 2**53, got {bound}")
     u = uniform_block(seed, start, n)
     return np.minimum((u * bound).astype(np.int64), bound - 1)

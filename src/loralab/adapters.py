@@ -54,8 +54,7 @@ class AdapterSpec:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.rank < 1:
-            raise ValueError(f"rank must be >= 1, got {self.rank}")
+        _rng.check_int("rank", self.rank, 1)
         if not (self.alpha > 0) or not math.isfinite(self.alpha):
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         if not self.target_modules:
@@ -70,8 +69,7 @@ class AdapterSpec:
         if len(set(self.target_layers)) != len(self.target_layers):
             raise ValueError(f"duplicate target layers in {self.target_layers}")
         for l in self.target_layers:
-            if l < 1:
-                raise ValueError(f"layers are 1-based, got {l}")
+            _rng.check_int("target layer", l, 1)
 
     @property
     def k(self) -> int:

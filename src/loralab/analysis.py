@@ -255,9 +255,10 @@ def compare_lora_condlora(lora_params, cond_params, weights: BaseWeights,
     The factors of every target of both methods form one stack per side, so
     one SVD gives every A basis, one every B basis, and one QR and one SVD
     every delta basis. The delta subspaces come from the factors (see
-    ``_delta_basis``); the d x d deltas are never formed. Whenever A has full
-    row rank r, the column space of B·A is that of B, so ``phi_delta``
-    repeats ``phi_b`` up to rounding; it differs only for rank-deficient A.
+    ``_delta_basis``); the d x d deltas are never formed. Every returned row
+    has ``phi_delta`` = ``phi_b`` up to rounding: an A or B of rank below r
+    raises a NumericError at its own basis first, and with A of full row
+    rank r the column space of B·A is that of B.
     """
     targets = list(spec.targets())
     factors = [

@@ -124,8 +124,8 @@ def gaussian(rows: int, cols: int, mean: float = 0.0, std: float = 1.0, seed: in
     Entry k is g_k * std + mean, g_k being ``_rng.gaussian_block``'s value k,
     rounded after the product and after the sum (also at std 1, mean 0).
     """
-    if rows < 1 or cols < 1:
-        raise ShapeError(f"gaussian needs positive dimensions, got {rows}x{cols}")
+    _rng.check_int("rows", rows, 1)
+    _rng.check_int("cols", cols, 1)
     if not math.isfinite(mean):
         raise ValueError(f"mean must be finite, got {mean}")
     if not (math.isfinite(std) and std >= 0):

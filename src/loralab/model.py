@@ -71,8 +71,8 @@ class ModelConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            if f.name != "seed" and getattr(self, f.name) < 1:
-                raise ValueError(f"{f.name} must be >= 1, got {getattr(self, f.name)}")
+            if f.name != "seed":
+                _rng.check_int(f.name, getattr(self, f.name), 1)
         if self.d_model % self.n_heads != 0:
             raise ValueError(
                 f"d_model ({self.d_model}) must be divisible by n_heads ({self.n_heads})"

@@ -57,10 +57,8 @@ class TrainConfig:
         if not (self.learning_rate > 0) or not math.isfinite(self.learning_rate):
             raise ValueError(
                 f"learning_rate must be positive and finite, got {self.learning_rate}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.max_steps < 0:
-            raise ValueError(f"max_steps must be >= 0, got {self.max_steps}")
+        _rng.check_int("batch_size", self.batch_size, 1)
+        _rng.check_int("max_steps", self.max_steps, 0)
 
 
 @dataclass

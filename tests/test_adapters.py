@@ -35,14 +35,20 @@ def test_spec_validation():
         AdapterSpec("other", 4, 4.0)
     with pytest.raises(ValueError):
         AdapterSpec("lora", 0, 4.0)
+    for rank in (True, 2.0, "4"):
+        with pytest.raises(ValueError, match=f"^rank must be an integer, got {rank!r}$"):
+            AdapterSpec("lora", rank, 1.0)
     with pytest.raises(ValueError):
         AdapterSpec("lora", 4, 0.0)
     with pytest.raises(ValueError):
         AdapterSpec("lora", 4, 4.0, target_modules=())
     with pytest.raises(ValueError):
         AdapterSpec("lora", 4, 4.0, target_modules=("gate",))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^target layer must be >= 1, got 0$"):
         AdapterSpec("lora", 4, 4.0, target_layers=(0,))
+    for layer in (True, 2.0):
+        with pytest.raises(ValueError, match=f"^target layer must be an integer, got {layer!r}$"):
+            AdapterSpec("lora", 4, 4.0, target_layers=(layer, 3))
     with pytest.raises(ValueError):
         lora_spec(rank=64).validate_for(DESK)
     with pytest.raises(ValueError):

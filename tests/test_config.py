@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -76,6 +78,21 @@ def test_non_finite_values_fail_outside_files_too():
     for lr in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="learning_rate must be positive and finite"):
             TrainConfig(learning_rate=lr, max_steps=1)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("max_steps", 10.5, "max_steps must be an integer, got 10.5"),
+    ("max_steps", True, "max_steps must be an integer, got True"),
+    ("max_steps", -1, "max_steps must be >= 0, got -1"),
+    ("batch_size", 2.5, "batch_size must be an integer, got 2.5"),
+    ("batch_size", False, "batch_size must be an integer, got False"),
+    ("batch_size", 0, "batch_size must be >= 1, got 0"),
+], ids=["max_steps-10.5", "max_steps-True", "max_steps--1",
+        "batch_size-2.5", "batch_size-False", "batch_size-0"])
+def test_train_config_sizes_are_integers(field, value, message):
+    sizes = {"max_steps": 10, "batch_size": 2, field: value}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        TrainConfig(learning_rate=0.01, **sizes)
 
 
 def test_parse_rejects_invalid_combination():

@@ -1,5 +1,6 @@
 import io
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -430,6 +431,23 @@ def test_gaussian_rejects_nonfinite_mean_and_std(value):
         matcore.gaussian(1, 2, mean=value)
     with pytest.raises(ValueError, match="^std must be finite and non-negative"):
         matcore.gaussian(1, 2, std=value)
+
+
+@pytest.mark.parametrize("rows, cols, message", [
+    (True, 3, "rows must be an integer, got True"),
+    (2, 3.0, "cols must be an integer, got 3.0"),
+    (2.0, 3, "rows must be an integer, got 2.0"),
+    (0, 3, "rows must be >= 1, got 0"),
+    (2, -1, "cols must be >= 1, got -1"),
+], ids=["True-3", "2-3.0", "2.0-3", "0-3", "2--1"])
+def test_gaussian_names_a_bad_dimension(rows, cols, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        matcore.gaussian(rows, cols, 0, 1, 1)
+
+
+def test_gaussian_takes_numpy_integer_dimensions():
+    assert matcore.gaussian(np.int64(2), np.uint8(3), 0, 1, 1).tobytes() == \
+        matcore.gaussian(2, 3, 0, 1, 1).tobytes()
 
 
 # --- serialization -----------------------------------------------------------

@@ -24,6 +24,11 @@ def test_config_validation():
         ModelConfig(d_model=30, n_heads=4)
     with pytest.raises(ValueError):
         ModelConfig(n_layers=0)
+    for field, value in (("n_heads", 4.0), ("n_layers", True), ("d_model", 32.0),
+                         ("vocab_size", "64"), ("max_len", None)):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+            ModelConfig(**{field: value})
+    assert ModelConfig(n_layers=np.int64(2)).n_layers == 2
 
 
 def test_build_model_deterministic():

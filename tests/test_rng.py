@@ -93,9 +93,25 @@ def test_randint_block_range_and_determinism():
     assert len(np.unique(draws)) == 64
 
 
-def test_randint_rejects_bad_bound():
-    with pytest.raises(ValueError):
-        _rng.randint_block(4, 0, 1)
+@pytest.mark.parametrize("bound, message", [
+    (0, "bound must be >= 1, got 0"),
+    (-3, "bound must be >= 1, got -3"),
+    (2.5, "bound must be an integer, got 2.5"),
+    (float("nan"), "bound must be an integer, got nan"),
+    (float("inf"), "bound must be an integer, got inf"),
+    (True, "bound must be an integer, got True"),
+    (2**53 + 1, f"bound must be <= 2**53, got {2**53 + 1}"),
+    (2**70, f"bound must be <= 2**53, got {2**70}"),
+], ids=["0", "-3", "2.5", "nan", "inf", "True", "2**53+1", "2**70"])
+def test_randint_rejects_bad_bound(bound, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _rng.randint_block(4, bound, 1)
+
+
+def test_randint_takes_the_largest_bound():
+    draws = _rng.randint_block(1000, 2**53, 1)
+    assert draws.dtype == np.int64 and draws.min() >= 0 and draws.max() < 2**53
+    assert (draws == (_rng.raw64_block(1, 0, 1000) >> np.uint64(11)).astype(np.int64)).all()
 
 
 @pytest.mark.parametrize("call, name, value", [
@@ -146,7 +162,7 @@ def test_gaussian_block_bytes_do_not_depend_on_the_worker_count(monkeypatch, fil
         assert sorted(set(fill_calls)) == [(first, workers) for first in range(workers)]
 
 
-@pytest.mark.parametrize("failing", [0, 1])
+@pytest.mark.parametrize("failing", [None, 0, 1])
 def test_an_error_in_any_block_is_raised_and_no_thread_survives(monkeypatch, failing):
     force_cpus(monkeypatch, 2)
     real = _rng._fill
@@ -158,8 +174,11 @@ def test_an_error_in_any_block_is_raised_and_no_thread_survives(monkeypatch, fai
 
     monkeypatch.setattr(_rng, "_fill", fill)
     before = threading.active_count()
-    with pytest.raises(RuntimeError, match=f"^block {failing} failed$"):
+    if failing is None:
         _rng.gaussian_block(4 * P + 1, 3)
+    else:
+        with pytest.raises(RuntimeError, match=f"^block {failing} failed$"):
+            _rng.gaussian_block(4 * P + 1, 3)
     assert threading.active_count() == before
 
 
@@ -172,5 +191,8 @@ def test_a_one_block_call_and_a_desk_model_start_no_thread(monkeypatch):
     monkeypatch.setattr(threading, "Thread", no_thread)
     _rng.gaussian_block(2 * P, 3)
     model.build_model(model.ModelConfig())
+    force_cpus(monkeypatch, 1)
+    _rng.gaussian_block(2 * P + 1, 3)
+    force_cpus(monkeypatch, 8)
     with pytest.raises(AssertionError, match="a thread was started"):
         _rng.gaussian_block(2 * P + 1, 3)

@@ -33,14 +33,17 @@ the platform's libm rounding in the last couple of ulps.
 Because any output can be drawn alone, ``gaussian_block`` shares its blocks
 of ``_PAIR_BLOCK`` pairs among the calling thread and the helpers of a
 ``ThreadPoolExecutor`` made for the call, up to one thread per CPU the
-process may run on; each value is computed by the same operations whatever
-thread draws it, so the bytes do not depend on the number of threads.
+process may run on (``run_shares``, which ``matcore.solve`` uses for its
+chunks too); each value is computed by the same operations whatever thread
+draws it, so the bytes do not depend on the number of threads.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import os
+from typing import Callable
 
 import numpy as np
 
@@ -125,6 +128,29 @@ def check_int(name: str, value: int, low: int) -> None:
         raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
+_SIGNS = {  # check_real's sign rules: (wording, test)
+    None: ("finite", lambda value: True),
+    "positive": ("positive and finite", lambda value: value > 0),
+    "non-negative": ("finite and non-negative", lambda value: value >= 0),
+}
+
+
+def check_real(name: str, value: float, sign: str | None = None) -> None:
+    """A ValueError that names ``value`` unless it is a real number (a Python
+    or numpy one; bool and str excluded) that is finite and, with ``sign``
+    "positive" or "non-negative", above or at least 0: the rule for scales
+    and rates."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    rule, holds = _SIGNS[sign]
+    try:
+        ok = math.isfinite(value) and holds(value)
+    except OverflowError:  # an int beyond float's range
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be {rule}, got {value}")
+
+
 def derive_seed(seed: int, label: str) -> int:
     """Deterministic sub-stream seed for ``label`` under a master seed."""
     return mix64(check_seed(seed) ^ fnv1a64(label))
@@ -171,35 +197,43 @@ def gaussian_block(n: int, seed: int, scale: tuple[float, float] | None = None) 
 
     Pairs are drawn ``_PAIR_BLOCK`` at a time into buffers each worker
     allocates once, so the temporaries stay small whatever n is; every value
-    is the one a single full-length pass gives.
-    With k = min(blocks, CPUs this process may run on), the calling thread
-    fills blocks 0, k, 2k, ... and a ``ThreadPoolExecutor`` of k - 1 helpers
-    the others; leaving the pool joins every helper, also when the caller's
-    own blocks fail, and ``result()`` raises a helper's error here. With
-    k = 1 (one block, or one CPU) the calling thread fills every block and
-    no pool is made.
+    is the one a single full-length pass gives. The blocks are independent,
+    and ``run_shares`` shares them among the CPUs.
     """
     _check_count("n", n)
     seed = check_seed(seed)
     pairs = (n + 1) // 2
     out = np.empty(2 * pairs, dtype=np.float64)
-    workers = 1
-    if pairs > _PAIR_BLOCK:
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        workers = min(-(-pairs // _PAIR_BLOCK), cpus or 1)
-    if workers == 1:
-        _fill(out, seed, 0, 1, scale)
-    else:
-        # imported here: concurrent.futures loads logging (about 12 ms and
-        # 0.7 MB), which a process of one-block draws never needs
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(workers - 1) as pool:
-            helpers = [pool.submit(_fill, out, seed, first, workers, scale)
-                       for first in range(1, workers)]
-            _fill(out, seed, 0, workers, scale)
-            for helper in helpers:
-                helper.result()
+    run_shares(lambda first, step: _fill(out, seed, first, step, scale), -(-pairs // _PAIR_BLOCK))
     return out[:n]
+
+
+def run_shares(work: Callable[[int, int], object], shares: int) -> None:
+    """Run ``work(first, k)`` for first = 0, ..., k - 1, each share taking
+    the independent parts first, first + k, ... of ``shares`` such parts,
+    with k = min(shares, CPUs this process may run on).
+
+    The calling thread runs share 0 and a ``ThreadPoolExecutor`` of k - 1
+    helpers the others; leaving the pool joins every helper, also when the
+    caller's own share fails, and ``result()`` raises a helper's error here.
+    With k = 1 (one part, or one CPU) the calling thread runs ``work(0, 1)``
+    and no pool is made.
+    """
+    workers = 1
+    if shares > 1:
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        workers = min(shares, cpus or 1)
+    if workers == 1:
+        work(0, 1)
+        return
+    # imported here: concurrent.futures loads logging (about 12 ms and
+    # 0.7 MB), which a process of one-part calls never needs
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(workers - 1) as pool:
+        helpers = [pool.submit(work, first, workers) for first in range(1, workers)]
+        work(0, workers)
+        for helper in helpers:
+            helper.result()
 
 
 def _fill(out: np.ndarray, seed: int, first: int, step: int,

@@ -27,7 +27,6 @@ go through it, and training through its adjoint ``factor_grads`` too.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import IO
 
@@ -55,8 +54,7 @@ class AdapterSpec:
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         _rng.check_int("rank", self.rank, 1)
-        if not (self.alpha > 0) or not math.isfinite(self.alpha):
-            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
+        _rng.check_real("alpha", self.alpha, "positive")
         if not self.target_modules:
             raise ValueError("target_modules must be non-empty")
         for m in self.target_modules:

@@ -11,12 +11,17 @@ the operations that carry correctness contracts:
   column by column on a contiguous transposed copy), refuses matrices whose
   pivot-ratio condition estimate exceeds ``COND_LIMIT`` (1e12), and
   substitutes on the columns of ``rhs`` only, recursively with GEMMs. ``a``
-  may be a stack of matrices: every step then runs once over the stack,
-  chunks of which fit in one reused ``_LU_WORKSPACE``-byte buffer, and each
-  matrix gets the bits of its own 2-D solve. Both constants come from a
-  measured sweep (``BENCH_recursive_lu.json``): a base of 32 keeps a desk
-  W0 (d=32) in one base case, and 20 MiB holds four 768x768 matrices, whose
-  chunk spreads the per-column dispatch of the base case over four LUs.
+  may be a stack of matrices: every step then runs once over a chunk of
+  the stack that fits one ``_LU_WORKSPACE``-byte buffer, and each matrix
+  gets the bits of its own 2-D solve. The chunks are independent, so they
+  are shared among the CPUs the process may run on (``_rng.run_shares``),
+  each worker reusing a workspace of its own; the chunking depends on the
+  bytes only, so every output and every error is the same on one CPU or
+  many. The constants come from measured sweeps: a base of 32 keeps a desk
+  W0 (d=32) in one base case (``BENCH_recursive_lu.json``), and 27 MiB
+  holds six 768x768 matrices, so that the 12 W0s of a paper-dim module are
+  two chunks, one per CPU of a two-CPU host, each spreading the per-column
+  dispatch of the base case over six LUs (``BENCH_parallel_solve.json``).
   ``invert(a)`` is ``solve(a, I)``; ``condition_estimate`` reads the pivots of
   the same LU.
 * ``svd`` factors one matrix or a stack, with a deterministic sign convention:
@@ -53,7 +58,7 @@ from . import _rng
 
 COND_LIMIT = 1e12
 _LU_BASE = 32  # columns, or rows, that a recursion's base case takes one by one
-_LU_WORKSPACE = 20 << 20  # bytes of the LU workspace that a stacked solve reuses for each chunk
+_LU_WORKSPACE = 27 << 20  # bytes of the LU workspace of a stacked solve's chunk
 _HEADER_LIMIT = 1 << 20  # bytes a checkpoint's header line may take, its newline included
 
 
@@ -126,16 +131,21 @@ def gaussian(rows: int, cols: int, mean: float = 0.0, std: float = 1.0, seed: in
     """
     _rng.check_int("rows", rows, 1)
     _rng.check_int("cols", cols, 1)
-    if not math.isfinite(mean):
-        raise ValueError(f"mean must be finite, got {mean}")
-    if not (math.isfinite(std) and std >= 0):
-        raise ValueError(f"std must be finite and non-negative, got {std}")
+    _rng.check_real("mean", mean)
+    _rng.check_real("std", std, "non-negative")
     return _rng.gaussian_block(rows * cols, seed, (mean, std)).reshape(rows, cols)
 
 
 def _rows(a: np.ndarray) -> np.ndarray:
     """View of a stack (k, n, m) whose [i] is row i of every matrix, shaped (k, 1, m)."""
     return a.swapaxes(0, 1)[:, :, None]
+
+
+def _subtract_products(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """c[s] -= a[s] @ b[s] for every matrix s, one product at a time, so that
+    the temporary is one matrix's product and not the stack's."""
+    for cs, as_, bs in zip(c, a, b):
+        cs -= as_ @ bs
 
 
 def _unit_lower_solve(l: np.ndarray, x: np.ndarray) -> None:
@@ -149,7 +159,7 @@ def _unit_lower_solve(l: np.ndarray, x: np.ndarray) -> None:
     if n > _LU_BASE:
         h = n // 2
         _unit_lower_solve(l[:, :h, :h], x[:, :h])
-        x[:, h:] -= l[:, h:, :h] @ x[:, :h]
+        _subtract_products(x[:, h:], l[:, h:, :h], x[:, :h])
         _unit_lower_solve(l[:, h:, h:], x[:, h:])
         return
     l_rows, x_rows = _rows(l), _rows(x)
@@ -167,7 +177,7 @@ def _upper_solve(u: np.ndarray, x: np.ndarray) -> None:
     if n > _LU_BASE:
         h = n // 2
         _upper_solve(u[:, h:, h:], x[:, h:])
-        x[:, :h] -= u[:, :h, h:] @ x[:, h:]
+        _subtract_products(x[:, :h], u[:, :h, h:], x[:, h:])
         _upper_solve(u[:, :h, :h], x[:, :h])
         return
     u_rows, x_rows = _rows(u), _rows(x)
@@ -178,9 +188,13 @@ def _upper_solve(u: np.ndarray, x: np.ndarray) -> None:
 
 
 def _reorder(a: np.ndarray, order: np.ndarray) -> None:
-    """Row i of every a[s] becomes its row order[s, i]; only the rows that move are touched."""
-    s, i = np.nonzero(order != np.arange(order.shape[1]))
-    a[s, i] = a[s, order[s, i]]
+    """Row i of every a[s] becomes its row order[s, i]; only the rows that
+    move are touched, one matrix at a time, so that the gathered copy is one
+    matrix's moved rows."""
+    rows = np.arange(order.shape[1])
+    for m, o in zip(a, order):
+        i = np.flatnonzero(o != rows)
+        m[i] = m[o[i]]
 
 
 def _lu_base(a: np.ndarray) -> np.ndarray:
@@ -244,7 +258,7 @@ def _lu_factor(a: np.ndarray) -> np.ndarray:
     order = _lu_factor(left)
     _reorder(right, order)
     _unit_lower_solve(left[:, :h], right[:, :h])
-    right[:, h:] -= left[:, h:] @ right[:, :h]
+    _subtract_products(right[:, h:], left[:, h:], right[:, :h])
     below = _lu_factor(right[:, h:])
     _reorder(left[:, h:], below)
     order[:, h:] = np.take_along_axis(order[:, h:], below, axis=1)
@@ -294,12 +308,17 @@ def solve(a, rhs) -> np.ndarray:
     ``a`` is one (n, n) matrix and ``rhs`` (n, r), giving x (n, r); or ``a``
     is a stack of k such matrices (a 3-D array or a sequence of 2-D arrays)
     and ``rhs`` (k, n, r), giving x (k, n, r). A stack is factored and
-    substituted as a whole, one chunk at a time in one LU workspace of at
-    most _LU_WORKSPACE bytes, or one matrix where that is larger. Every
-    matrix gets the bits its own 2-D solve gives.
+    substituted in chunks of as many matrices as fit in _LU_WORKSPACE bytes
+    (at least one), whatever the CPU count. With w = min(chunks, CPUs this
+    process may run on), worker i takes chunks i, i + w, ... in a workspace
+    of its own: the calling thread is worker 0, and a thread pool runs the
+    others only when there are two chunks or more (``_rng.run_shares``).
+    Every matrix gets the bits its own 2-D solve gives.
 
     Rejects a matrix whose pivot-ratio condition estimate exceeds COND_LIMIT;
-    for a stack the error carries the matrix's index.
+    for a stack the error carries the matrix's index. A worker stops at its
+    first failing chunk, and the error raised is that of the lowest-indexed
+    failing chunk, whichever worker finished first.
     """
     a, single = _as_stack(a)
     if not len(a):  # only an array can hold no matrices; a list of none is 1-D
@@ -318,28 +337,47 @@ def solve(a, rhs) -> np.ndarray:
         )
     x = np.empty(rhs.shape)
     chunk = max(1, _LU_WORKSPACE // (8 * n * n))
-    workspace = np.empty((min(chunk, count), n, n))
-    for c0 in range(0, count, chunk):
-        b = rhs[c0 : c0 + chunk]
-        lu = workspace[: len(b)]
-        for i, m in enumerate(a[c0 : c0 + chunk]):
-            lu[i] = m
-        _require_finite(lu, "solve input")
-        _require_finite(b, "solve right-hand side")
-        try:
-            perm = _lu_factor(lu)
-        except SingularMatrixError as exc:
-            raise SingularMatrixError(math.inf, None if single else c0 + exc.index) from None
-        cond = _pivot_ratios(lu)
-        if (cond > COND_LIMIT).any():
-            s = int(np.argmax(cond > COND_LIMIT))
-            raise SingularMatrixError(float(cond[s]), None if single else c0 + s)
-        out = x[c0 : c0 + chunk]
-        out[...] = b[np.arange(len(b))[:, None], perm]
-        _unit_lower_solve(lu, out)
-        _upper_solve(lu, out)
-        _require_finite(out, "solve result")
+    starts = range(0, count, chunk)
+    errors: dict[int, NumericError] = {}  # chunk start -> the error that stopped its worker
+
+    def solve_chunks(first: int, step: int) -> None:
+        workspace = np.empty((min(chunk, count), n, n))
+        for c0 in starts[first::step]:
+            part = slice(c0, c0 + chunk)
+            try:
+                _solve_chunk(a[part], rhs[part], workspace, x[part])
+            except NumericError as exc:
+                errors[c0] = exc
+                return
+
+    _rng.run_shares(solve_chunks, len(starts))
+    if errors:
+        c0 = min(errors)
+        exc = errors[c0]
+        if isinstance(exc, SingularMatrixError):
+            raise SingularMatrixError(exc.condition, None if single else c0 + exc.index) from None
+        raise exc
     return x[0] if single else x
+
+
+def _solve_chunk(a, b: np.ndarray, workspace: np.ndarray, out: np.ndarray) -> None:
+    """Solve the chunk a (k matrices, k <= len(workspace)) for b into out,
+    factoring in the workspace's first k matrices; a rejected matrix raises
+    SingularMatrixError with its index in the chunk."""
+    lu = workspace[: len(b)]
+    for i, m in enumerate(a):
+        lu[i] = m
+    _require_finite(lu, "solve input")
+    _require_finite(b, "solve right-hand side")
+    perm = _lu_factor(lu)
+    cond = _pivot_ratios(lu)
+    if (cond > COND_LIMIT).any():
+        s = int(np.argmax(cond > COND_LIMIT))
+        raise SingularMatrixError(float(cond[s]), s)
+    out[...] = b[np.arange(len(b))[:, None], perm]
+    _unit_lower_solve(lu, out)
+    _upper_solve(lu, out)
+    _require_finite(out, "solve result")
 
 
 def invert(a) -> np.ndarray:

@@ -54,9 +54,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (self.learning_rate > 0) or not math.isfinite(self.learning_rate):
-            raise ValueError(
-                f"learning_rate must be positive and finite, got {self.learning_rate}")
+        _rng.check_real("learning_rate", self.learning_rate, "positive")
         _rng.check_int("batch_size", self.batch_size, 1)
         _rng.check_int("max_steps", self.max_steps, 0)
 

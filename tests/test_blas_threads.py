@@ -1,11 +1,12 @@
 """Results do not depend on the BLAS thread count, nor on how many CPUs the
-Gaussian fill may share its blocks among.
+Gaussian fill and the stacked solve may share their work among.
 
 The same script runs in two fresh processes, with OPENBLAS_NUM_THREADS and
 OMP_NUM_THREADS set to 1 and to 2 before numpy loads. Each prints one sha256
 per kind of output, and the two processes must print the same ones. Likewise
-a model spanning many fill blocks is built in a process pinned to one CPU
-before loralab loads and in one left unpinned.
+a model spanning many fill blocks is built, and a stack of two LU chunks
+solved, in a process pinned to one CPU before loralab loads and in one left
+unpinned.
 """
 
 import json
@@ -81,12 +82,17 @@ MODEL_SCRIPT = r"""
 import hashlib, json, os, sys
 if sys.argv[1] == "pinned":
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-from loralab import model
+import numpy as np
+from loralab import matcore, model
 weights = model.build_model(model.ModelConfig(n_layers=1, d_model=768, n_heads=12, d_ff=3072))
 digest = hashlib.sha256()
 for name in weights.names():
     digest.update(name.encode() + weights[name].tobytes())
-print(json.dumps({"cpus": len(os.sched_getaffinity(0)), "model": digest.hexdigest()}))
+count = 2 * (matcore._LU_WORKSPACE // (8 * 768 * 768))  # two chunks of the stacked solve
+w0s = np.stack([matcore.gaussian(768, 768, 0, 768 ** -0.5, 50 + s) for s in range(count)])
+x = matcore.solve(w0s, np.stack([matcore.gaussian(768, 16, 0, 1, 90 + s) for s in range(count)]))
+print(json.dumps({"cpus": len(os.sched_getaffinity(0)), "model": digest.hexdigest(),
+                  "solve": hashlib.sha256(x.tobytes()).hexdigest()}))
 """
 
 
@@ -106,3 +112,4 @@ def test_model_is_bit_identical_pinned_to_one_cpu_and_unpinned():
         results[pin] = json.loads(stdout)
     assert results["pinned"]["cpus"] == 1 and results["unpinned"]["cpus"] > 1
     assert results["pinned"]["model"] == results["unpinned"]["model"]
+    assert results["pinned"]["solve"] == results["unpinned"]["solve"]

@@ -1,5 +1,6 @@
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -70,6 +71,29 @@ def test_parse_rejects_non_finite_and_non_positive_floats(text):
 def test_parse_rejects_empty_list_items(text):
     with pytest.raises(ConfigError, match=rf"bad value for {text.split()[0]}: '.*' \(empty item\)"):
         parse_config(text + "\n")
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: AdapterSpec("lora", 4, True), "alpha must be a real number, got True"),
+    (lambda: AdapterSpec("lora", 4, "1"), "alpha must be a real number, got '1'"),
+    (lambda: TrainConfig(learning_rate=True, max_steps=1),
+     "learning_rate must be a real number, got True"),
+    (lambda: TrainConfig(learning_rate="0.01", max_steps=1),
+     "learning_rate must be a real number, got '0.01'"),
+    (lambda: matcore.gaussian(1, 2, mean=True), "mean must be a real number, got True"),
+    (lambda: matcore.gaussian(1, 2, std=True), "std must be a real number, got True"),
+], ids=["alpha-True", "alpha-str", "learning_rate-True", "learning_rate-str", "mean-True",
+        "std-True"])
+def test_real_fields_reject_bools_and_strings(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
+
+
+def test_real_fields_take_numpy_reals():
+    assert AdapterSpec("lora", 4, np.float64(2.0)).alpha == 2.0
+    assert TrainConfig(learning_rate=np.float32(0.5), max_steps=1).learning_rate == 0.5
+    assert np.array_equal(matcore.gaussian(2, 3, np.int64(1), np.float64(0.5), 4),
+                          matcore.gaussian(2, 3, 1.0, 0.5, 4))
 
 
 def test_non_finite_values_fail_outside_files_too():

@@ -1,6 +1,8 @@
 import io
 import math
 import re
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -220,6 +222,11 @@ def test_empty_matrices_are_shape_errors(op, args, shape):
 
 # --- stacked solve ------------------------------------------------------------
 
+def force_cpus(monkeypatch, cpus):
+    """Make the process look as if it may run on ``cpus`` CPUs."""
+    monkeypatch.setattr(_rng.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
 def _stack_case(n, count, seed=0):
     mats = [matcore.gaussian(n, n, 0, 1, 400 + n + 10 * s + seed) for s in range(count)]
     rhs = np.stack([matcore.gaussian(n, 3, 0, 1, 900 + n + 10 * s + seed) for s in range(count)])
@@ -248,6 +255,7 @@ def test_solve_bits_do_not_depend_on_memory_layout():
 
 
 def test_stacked_solve_in_small_chunks_gives_the_same_bits(monkeypatch):
+    force_cpus(monkeypatch, 1)  # one worker takes the chunks in order
     n, count = BASE + 6, 7
     mats, rhs = _stack_case(n, count)
     whole = matcore.solve(mats, rhs)
@@ -268,6 +276,7 @@ def test_stacked_solve_copies_one_chunk_at_a_time(monkeypatch):
     # A stack of 12 with a workspace of 3 matrices: the LU copy, its factor
     # and substitution temporaries stay within two workspaces, where a copy
     # of the whole stack alone would take four.
+    force_cpus(monkeypatch, 1)  # one worker, so one workspace
     n, count = 128, 12
     mats, _ = _stack_case(n, count)
     rhs = np.ones((count, n, 8))
@@ -280,6 +289,81 @@ def test_stacked_solve_copies_one_chunk_at_a_time(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 2 * workspace + rhs.nbytes + x.nbytes, peak
+
+
+def test_stacked_solve_on_two_workers_copies_one_chunk_each(monkeypatch):
+    # As above with two workers: each has its own workspace, and the
+    # temporaries of both stay within the same allowance of one more.
+    force_cpus(monkeypatch, 2)
+    n, count = 128, 12
+    mats, _ = _stack_case(n, count)
+    rhs = np.ones((count, n, 8))
+    workspace = 3 * 8 * n * n
+    monkeypatch.setattr(matcore, "_LU_WORKSPACE", workspace)
+    matcore.solve(mats[:6], rhs[:6])  # the pool's first use loads concurrent.futures
+    tracemalloc.start()
+    try:
+        x = matcore.solve(mats, rhs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * workspace + rhs.nbytes + x.nbytes, peak
+
+
+@pytest.mark.parametrize("n, per_chunk, count", [(BASE + 6, 2, 7), (2 * BASE + 9, 3, 12)])
+def test_stacked_solve_bytes_do_not_depend_on_the_worker_count(monkeypatch, n, per_chunk, count):
+    mats, rhs = _stack_case(n, count)
+    force_cpus(monkeypatch, 1)
+    whole = matcore.solve(mats, rhs).tobytes()
+    monkeypatch.setattr(matcore, "_LU_WORKSPACE", per_chunk * 8 * n * n)
+    for cpus in (1, 2, 3):
+        force_cpus(monkeypatch, cpus)
+        assert matcore.solve(mats, rhs).tobytes() == whole, cpus
+        assert matcore.solve(np.stack(mats), rhs).tobytes() == whole, cpus
+    # one worker per chunk, switching threads as often as the interpreter allows
+    force_cpus(monkeypatch, count)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert matcore.solve(mats, rhs).tobytes() == whole
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("kind", ["zero pivot", "near singular"])
+def test_stacked_solve_names_the_lowest_failing_chunk_at_every_worker_count(monkeypatch, kind):
+    # Chunks of 2: members 3 (chunk 1) and 7 (chunk 3) are singular, and
+    # member 7 fails in the first base panel, long before member 3 does.
+    n = 2 * BASE + 9
+    mats, _ = _stack_case(n, 8, seed=5)
+    col = _late_column(n)
+    if kind == "zero pivot":
+        mats[3][:, col] = 0.0
+    else:
+        mats[3][:, col] = mats[3][:, col - 1] + 1e-14 * mats[3][:, 3]
+    mats[7][:, 0] = 0.0
+    monkeypatch.setattr(matcore, "_LU_WORKSPACE", 2 * 8 * n * n)
+    for cpus in (1, 2, 3, 4):
+        force_cpus(monkeypatch, cpus)
+        with pytest.raises(matcore.SingularMatrixError, match="^matrix 3: singular matrix") as info:
+            matcore.solve(mats, np.ones((8, n, 1)))
+        assert info.value.index == 3, cpus
+
+
+def test_a_one_chunk_stack_starts_no_thread(monkeypatch):
+    force_cpus(monkeypatch, 8)
+
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading, "Thread", no_thread)
+    n = BASE + 6
+    mats, rhs = _stack_case(n, 4)
+    monkeypatch.setattr(matcore, "_LU_WORKSPACE", 4 * 8 * n * n)
+    matcore.solve(mats, rhs)
+    monkeypatch.setattr(matcore, "_LU_WORKSPACE", 2 * 8 * n * n)
+    with pytest.raises(AssertionError, match="a thread was started"):
+        matcore.solve(mats, rhs)
 
 
 @pytest.mark.parametrize("per_chunk", [None, 1])
@@ -407,16 +491,12 @@ def test_gaussian_scales_the_stream_bit_for_bit():
                                         (1, 2 * _rng._PAIR_BLOCK + 1), (1, 4 * _rng._PAIR_BLOCK + 1),
                                         (768, 3072)])
 def test_gaussian_bytes_do_not_depend_on_the_worker_count(monkeypatch, rows, cols):
-    def force_cpus(cpus):
-        monkeypatch.setattr(_rng.os, "sched_getaffinity", lambda pid: set(range(cpus)),
-                            raising=False)
-
-    force_cpus(1)
+    force_cpus(monkeypatch, 1)
     g = _rng.gaussian_block(rows * cols, 6).reshape(rows, cols)
     for mean, std in [(0.0, 1.0), (0.0, 0.0), (0.25, 1.7), (0.0, 1 / math.sqrt(768))]:
         reference = (g * std + mean).tobytes()
         for cpus in (1, 2, 3):
-            force_cpus(cpus)
+            force_cpus(monkeypatch, cpus)
             assert matcore.gaussian(rows, cols, mean, std, 6).tobytes() == reference, (mean, std, cpus)
 
 

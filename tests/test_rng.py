@@ -114,6 +114,30 @@ def test_randint_takes_the_largest_bound():
     assert (draws == (_rng.raw64_block(1, 0, 1000) >> np.uint64(11)).astype(np.int64)).all()
 
 
+@pytest.mark.parametrize("value, sign, message", [
+    (True, None, "x must be a real number, got True"),
+    (np.bool_(False), "non-negative", "x must be a real number, got np.False_"),
+    ("1", "positive", "x must be a real number, got '1'"),
+    (None, None, "x must be a real number, got None"),
+    (1 + 0j, None, "x must be a real number, got (1+0j)"),
+    (float("nan"), None, "x must be finite, got nan"),
+    (-math.inf, "non-negative", "x must be finite and non-negative, got -inf"),
+    (-1e-300, "non-negative", "x must be finite and non-negative, got -1e-300"),
+    (0, "positive", "x must be positive and finite, got 0"),
+    (np.float32(-2), "positive", "x must be positive and finite, got -2.0"),
+    (10**400, "positive", f"x must be positive and finite, got {10**400}"),
+], ids=["True", "np.False_", "str", "None", "complex", "nan", "-inf", "-1e-300", "0",
+        "float32", "10**400"])
+def test_check_real_names_the_value_and_its_rule(value, sign, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _rng.check_real("x", value, sign)
+
+
+@pytest.mark.parametrize("value", [0, -3, 2.5, np.float32(0.5), np.float64(-1e300), np.int64(7)])
+def test_check_real_takes_python_and_numpy_reals(value):
+    _rng.check_real("x", value)
+
+
 @pytest.mark.parametrize("call, name, value", [
     (lambda: _rng.gaussian_block(-1, 3), "n", -1),
     (lambda: _rng.gaussian_block(-2, 3), "n", -2),

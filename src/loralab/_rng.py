@@ -33,8 +33,8 @@ the platform's libm rounding in the last couple of ulps.
 Because any output can be drawn alone, ``gaussian_block`` shares its blocks
 of ``_PAIR_BLOCK`` pairs among the calling thread and the helpers of a
 ``ThreadPoolExecutor`` made for the call, up to one thread per CPU the
-process may run on (``run_shares``, which ``matcore.solve`` uses for its
-chunks too); each value is computed by the same operations whatever thread
+process may run on (``run_shares``, which ``matcore.solve`` and
+``model.run_chunks`` use for their chunks too); each value is computed by the same operations whatever thread
 draws it, so the bytes do not depend on the number of threads.
 """
 
@@ -114,14 +114,10 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def _check_count(name: str, value: int) -> None:
-    if not (_is_int(value) and value >= 0):
-        raise ValueError(f"{name} {value!r} is not a non-negative integer")
-
-
 def check_int(name: str, value: int, low: int) -> None:
     """A ValueError that names ``value`` unless it is an integer (bool
-    excluded) of at least ``low``: the rule for sizes and bounds."""
+    excluded) of at least ``low``: the rule for counts, starts, sizes and
+    bounds."""
     if not _is_int(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < low:
@@ -159,8 +155,8 @@ def derive_seed(seed: int, label: str) -> int:
 def raw64_block(seed: int, start: int, count: int) -> np.ndarray:
     """Vectorized outputs [start, start + count) of stream ``seed``."""
     seed = check_seed(seed)
-    _check_count("start", start)
-    _check_count("count", count)
+    check_int("start", start, 0)
+    check_int("count", count, 0)
     z = np.empty(count, dtype=np.uint64)
     _mix(z, np.empty_like(z), seed, start, np.arange(1, count + 1, dtype=np.uint64))
     return z
@@ -200,7 +196,7 @@ def gaussian_block(n: int, seed: int, scale: tuple[float, float] | None = None) 
     is the one a single full-length pass gives. The blocks are independent,
     and ``run_shares`` shares them among the CPUs.
     """
-    _check_count("n", n)
+    check_int("n", n, 0)
     seed = check_seed(seed)
     pairs = (n + 1) // 2
     out = np.empty(2 * pairs, dtype=np.float64)
@@ -208,10 +204,17 @@ def gaussian_block(n: int, seed: int, scale: tuple[float, float] | None = None) 
     return out[:n]
 
 
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on: its affinity set where
+    the platform has one, else the CPU count."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return cpus or 1
+
+
 def run_shares(work: Callable[[int, int], object], shares: int) -> None:
     """Run ``work(first, k)`` for first = 0, ..., k - 1, each share taking
     the independent parts first, first + k, ... of ``shares`` such parts,
-    with k = min(shares, CPUs this process may run on).
+    with k = min(shares, ``usable_cpus()``).
 
     The calling thread runs share 0 and a ``ThreadPoolExecutor`` of k - 1
     helpers the others; leaving the pool joins every helper, also when the
@@ -219,10 +222,7 @@ def run_shares(work: Callable[[int, int], object], shares: int) -> None:
     With k = 1 (one part, or one CPU) the calling thread runs ``work(0, 1)``
     and no pool is made.
     """
-    workers = 1
-    if shares > 1:
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        workers = min(shares, cpus or 1)
+    workers = min(shares, usable_cpus()) if shares > 1 else 1
     if workers == 1:
         work(0, 1)
         return
@@ -277,9 +277,9 @@ def _fill(out: np.ndarray, seed: int, first: int, step: int,
 def randint_block(n: int, bound: int, seed: int, start: int = 0) -> np.ndarray:
     """n integers uniform on [0, bound), via floor(u * bound); bound is an
     integer in [1, 2**53], since above that u's 53 bits miss integers."""
-    _check_count("n", n)
+    check_int("n", n, 0)
     check_seed(seed)
-    _check_count("start", start)
+    check_int("start", start, 0)
     check_int("bound", bound, 1)
     if bound > 1 << 53:
         raise ValueError(f"bound must be <= 2**53, got {bound}")

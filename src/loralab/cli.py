@@ -14,6 +14,7 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -135,6 +136,22 @@ def cmd_count_params(args) -> int:
     return EXIT_OK
 
 
+def _environment() -> dict:
+    """What a run's throughput depends on besides its config: numpy, its
+    BLAS, the BLAS thread variables and the CPUs the chunks are shared among."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # a numpy without a build record
+        blas = {}
+    return {
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "blas_threads": {name: os.environ.get(name) for name in
+                         ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+        "usable_cpus": _rng.usable_cpus(),
+    }
+
+
 def cmd_train(args) -> int:
     cfg = _load_experiment(args)
     weights = model.build_model(cfg.model_config())
@@ -154,6 +171,7 @@ def cmd_train(args) -> int:
         "trainable_params": report.trainable_param_count,
         "wall_clock_seconds": report.wall_clock_seconds,
         "seeds": {"model": cfg.seed_model, "adapter": cfg.seed_adapter, "data": cfg.seed_data},
+        "environment": _environment(),
     }
     with contextlib.ExitStack() as files:  # no file is replaced until all four are written
         model_fh, adapter_fh, report_fh, run_fh = (

@@ -27,13 +27,17 @@ forward-only pass reuses. A batch runs in chunks of at most ``_WORKSPACE``
 bytes of buffers (8 MiB, the fastest budget of a measured sweep of batch-256
 desk steps, ``BENCH_chunked_step.json``), so the workspace is bounded by that
 budget, not by the batch; ``forward_pass`` chunks a forward-only pass itself
-and ``trainer.loss_and_grads`` chunks a training step. Every product of the
-pass is taken per example, so an example's logits have the same bits alone
-and in any batch or chunk, and chunked logits have the bits of one whole
-pass. A caller that runs many passes keeps one Cache, which reallocates only
-when the geometry or the token length changes or a chunk outgrows it, so a
-training step allocates nothing large and does not page-fault; a caller that
-passes none gets a fresh one.
+and ``trainer.loss_and_grads`` chunks a training step. ``run_chunks`` shares
+a batch's chunks among the CPUs the process may run on, one workspace per
+worker: worker 0 uses the cache's own buffers and each other worker a Cache
+the first one keeps, so the workspace is bounded by the budget times the
+workers. Every product of the pass is taken per example, so an example's
+logits have the same bits alone and in any batch or chunk, and chunked
+logits, put back in chunk order, have the bits of one whole pass on any
+number of CPUs. A caller that runs many passes keeps one Cache, which
+reallocates only when the geometry or the token length changes or a chunk
+outgrows it, so a training step allocates nothing large and does not
+page-fault; a caller that passes none gets a fresh one.
 
 Ownership. ``BaseWeights`` stores a read-only float64 array as it is and
 copies any other. ``build_model`` and ``load_model`` mark their fresh arrays
@@ -45,8 +49,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 from dataclasses import dataclass, fields
-from typing import IO, Iterator
+from typing import IO, Callable, Iterator
 
 import numpy as np
 
@@ -373,6 +378,10 @@ class Cache:
     model geometry or the token length changes or a chunk outgrows them; a
     smaller chunk gets their leading views. Every array a pass returns is
     fresh.
+
+    ``_worker(i)`` is the workspace of worker i of ``run_chunks``: the cache
+    itself for worker 0, and for each other worker a Cache of the same kind,
+    made on its first use and kept with this one.
     """
 
     def __init__(self, keep_layers: bool = False):
@@ -380,6 +389,14 @@ class Cache:
         self.weights: BaseWeights | None = None
         self._key: tuple | None = None
         self._capacity = self._batch = 0
+        self._workers: dict[int, Cache] = {}
+
+    def _worker(self, index: int) -> "Cache":
+        if index == 0:
+            return self
+        if index not in self._workers:  # only worker ``index`` asks for it
+            self._workers[index] = Cache(self.keep_layers)
+        return self._workers[index]
 
     def _groups(self, config: ModelConfig, batch: int, length: int) -> list[dict]:
         """The {name: shape} groups of the per-example buffers: layers, scratch, grad."""
@@ -439,8 +456,9 @@ def forward_pass(
     ``projections`` overrides attention weights per (module, layer); the
     caller is responsible for their shapes. With no ``cache`` the pass uses a
     fresh forward-only one. A forward-only cache runs the batch in the chunks
-    of ``Cache.chunks``; a kept one (``keep_layers``) runs what it is given as
-    one pass, for ``backward``, so its caller hands it one chunk at a time.
+    of ``Cache.chunks``, shared among the CPUs by ``run_chunks``; a kept one
+    (``keep_layers``) runs what it is given as one pass, for ``backward``, so
+    its caller hands it one chunk at a time.
     """
     config = weights.config
     tokens = validate_tokens(config, tokens)
@@ -448,8 +466,49 @@ def forward_pass(
     projections = projections or {}
     if cache.keep_layers:
         return _pass(weights, tokens, projections, cache)
-    return np.concatenate([_pass(weights, tokens[rows], projections, cache)
-                           for rows in cache.chunks(config, *tokens.shape)])
+    logits: list[np.ndarray] = []
+    run_chunks(cache, cache.chunks(config, *tokens.shape),
+               lambda rows, workspace: _pass(weights, tokens[rows], projections, workspace),
+               logits.append)
+    return np.concatenate(logits)
+
+
+def run_chunks(cache: Cache, chunks: list[slice], work: Callable[[slice, Cache], object],
+               fold: Callable[[object], None]) -> None:
+    """``fold(work(rows, workspace))`` for every chunk, the folds in chunk order.
+
+    With w = min(len(chunks), usable CPUs), worker i takes chunks i, i + w,
+    ... in its own workspace ``cache._worker(i)`` (``_rng.run_shares``: the
+    calling thread is worker 0, and one chunk makes no pool). A worker that
+    finishes a chunk folds every finished result whose earlier chunks are all
+    folded, so the folds run in chunk order whatever w is, one at a time, and
+    no worker waits for another. A worker stops at its first failing chunk,
+    and the error raised is that of the lowest-indexed failing chunk,
+    whichever worker finished first.
+    """
+    done: dict[int, object] = {}  # finished chunks not yet folded: result or error
+    folded = 0
+    lock = threading.Lock()
+
+    def share(first: int, step: int) -> None:
+        nonlocal folded
+        workspace = cache._worker(first)
+        for index in range(first, len(chunks), step):
+            try:
+                result = work(chunks[index], workspace)
+            except Exception as exc:
+                result = exc
+            with lock:
+                done[index] = result
+                while folded in done and not isinstance(done[folded], Exception):
+                    fold(done.pop(folded))
+                    folded += 1
+            if isinstance(result, Exception):
+                return
+
+    _rng.run_shares(share, len(chunks))
+    if folded < len(chunks):  # every earlier chunk was folded, so this one failed
+        raise done[folded]
 
 
 def _pass(weights: BaseWeights, tokens: np.ndarray,

@@ -83,7 +83,7 @@ class TeacherTask:
 
     def batch(self, index, batch_size: int) -> tuple[np.ndarray, np.ndarray]:
         tokens = _token_batch(self._config, self.seed, str(index), batch_size, self.seq_len)
-        targets = model.forward(self._teacher, None, tokens, self._cache)
+        targets = model.forward_pass(self._teacher, tokens, cache=self._cache)
         return tokens, targets
 
     def eval_batch(self, batch_size: int) -> tuple[np.ndarray, np.ndarray]:

@@ -3,17 +3,23 @@
 Gradients are explicit. ``loss_and_grads`` builds every adapted projection
 W = W0 + s·B·A (s = alpha / r) with ``adapters.adapted``, then runs the batch
 in the chunks of ``model.Cache.chunks`` through a
-``model.Cache(keep_layers=True)`` (``_steps`` reuses one for every step). Per
-chunk it runs ``model.forward_pass``, takes dL/dlogits in closed form,
-normalised by the whole batch (MSE on float targets: 2(logits - y)/N over the
-batch's N entries; cross-entropy on integer labels: (softmax - onehot)/batch),
-and gets dL/dW per target from ``model.backward``; it sums the chunks' losses
-and dL/dW and maps the sums onto the adapter tensors with
-``adapters.factor_grads``, once. An example's logits have the same bits in
+``model.Cache(keep_layers=True)`` (``_steps`` reuses one for every step).
+The chunks are shared among the CPUs the process may run on
+(``model.run_chunks``), each worker in a workspace of its own that the Cache
+keeps. Per chunk a worker runs ``model.forward_pass``, takes dL/dlogits in
+closed form, normalised by the whole batch (MSE on float targets:
+2(logits - y)/N over the batch's N entries; cross-entropy on integer labels:
+(softmax - onehot)/batch), and gets dL/dW per target from ``model.backward``.
+A chunk's loss and dL/dW are added to the step's sums once every earlier
+chunk's are, so the sums are taken in chunk order, as one worker takes them,
+and only chunks finished ahead of that order wait; the sums are mapped onto
+the adapter tensors with ``adapters.factor_grads``, once. So a step has the
+same bits on any number of CPUs. An example's logits have the same bits in
 any chunk, a chunk of one example included. A batch of one chunk (the desk
-batch of 16) keeps the bits of one whole pass; a larger one sums its loss and
-dL/dW in another order, within 1e-14 relative (normwise) of one pass. The
-targets alone pick the loss, so a task fixes it by what its batches hold.
+batch of 16) keeps the bits of one whole pass and starts no thread; a larger
+one sums its loss and dL/dW in another order, within 1e-14 relative
+(normwise) of one pass. The targets alone pick the loss, so a task fixes it
+by what its batches hold.
 ``finite_difference_check`` provides the independent oracle: it only ever
 evaluates ``loss_only``, the forward-only pass.
 
@@ -128,8 +134,11 @@ def loss_and_grads(weights: BaseWeights, params: AdapterParams, spec: AdapterSpe
     ``cache``, a ``model.Cache(keep_layers=True)``, is the activation
     workspace; a caller that steps repeatedly passes the same one. The batch
     goes through it in the chunks of ``Cache.chunks``, forward and backward
-    per chunk, and the chunks' losses and dL/dW are summed: a batch of one
-    chunk gets the bits of one pass, a larger one sums in another order.
+    per chunk, shared among the CPUs by ``model.run_chunks``, and the chunks'
+    losses and dL/dW are summed in chunk order: a batch of one chunk gets the
+    bits of one pass, a larger one sums in another order, the same on any
+    number of CPUs. A non-finite loss is a ``NumericError``; with several,
+    it is the lowest-indexed chunk's.
     """
     tokens, targets = batch
     factors, projections = adapters.adapted(weights, params, spec)
@@ -138,18 +147,27 @@ def loss_and_grads(weights: BaseWeights, params: AdapterParams, spec: AdapterSpe
     tokens = model.validate_tokens(weights.config, tokens)
     total = tokens.shape[0]
     labels = _labels(targets, (total, weights.config.n_outputs))
-    loss, dws = 0.0, {}
-    for rows in cache.chunks(weights.config, *tokens.shape):
-        logits = model.forward_pass(weights, tokens[rows], projections, cache)
+
+    def chunk(rows: slice, workspace: model.Cache):
+        logits = model.forward_pass(weights, tokens[rows], projections, workspace)
         part, dlogits = _loss(logits, labels[rows], total)
         if not np.isfinite(part):
             raise matcore.NumericError(f"non-finite loss {part!r}")
+        return part, model.backward(workspace, dlogits, projections)
+
+    loss, dws = 0.0, {}
+
+    def fold(result) -> None:
+        nonlocal loss
+        part, grads = result
         loss += part
-        for key, dw in model.backward(cache, dlogits, projections).items():
+        for key, dw in grads.items():
             if key in dws:
                 dws[key] += dw
             else:
                 dws[key] = dw
+
+    model.run_chunks(cache, cache.chunks(weights.config, *tokens.shape), chunk, fold)
     return loss, adapters.factor_grads(weights, params, spec, factors, dws)
 
 

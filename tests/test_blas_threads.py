@@ -1,12 +1,13 @@
 """Results do not depend on the BLAS thread count, nor on how many CPUs the
-Gaussian fill and the stacked solve may share their work among.
+Gaussian fill, the stacked solve and a training step may share their work
+among.
 
 The same script runs in two fresh processes, with OPENBLAS_NUM_THREADS and
 OMP_NUM_THREADS set to 1 and to 2 before numpy loads. Each prints one sha256
 per kind of output, and the two processes must print the same ones. Likewise
-a model spanning many fill blocks is built, and a stack of two LU chunks
-solved, in a process pinned to one CPU before loralab loads and in one left
-unpinned.
+a model spanning many fill blocks is built, a stack of two LU chunks solved
+and a desk training step of four batch chunks taken, in a process pinned to
+one CPU before loralab loads and in one left unpinned.
 """
 
 import json
@@ -83,7 +84,8 @@ import hashlib, json, os, sys
 if sys.argv[1] == "pinned":
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 import numpy as np
-from loralab import matcore, model
+from loralab import matcore, model, trainer
+from loralab.config import ExperimentConfig
 weights = model.build_model(model.ModelConfig(n_layers=1, d_model=768, n_heads=12, d_ff=3072))
 digest = hashlib.sha256()
 for name in weights.names():
@@ -91,8 +93,17 @@ for name in weights.names():
 count = 2 * (matcore._LU_WORKSPACE // (8 * 768 * 768))  # two chunks of the stacked solve
 w0s = np.stack([matcore.gaussian(768, 768, 0, 768 ** -0.5, 50 + s) for s in range(count)])
 x = matcore.solve(w0s, np.stack([matcore.gaussian(768, 16, 0, 1, 90 + s) for s in range(count)]))
+desk = ExperimentConfig()
+desk_weights = model.build_model(desk.model_config())
+spec = desk.adapter_spec("lora")
+params = trainer.generic_params(spec, desk.d_model, 7)
+batch = desk.make_task(desk_weights).batch(1, 100)  # four chunks of a step, one of targets
+loss, grads = trainer.loss_and_grads(desk_weights, params, spec, batch)
+step = hashlib.sha256(loss.hex().encode() + batch[1].tobytes())
+for key, g in grads.items():
+    step.update(key.encode() + g.tobytes())
 print(json.dumps({"cpus": len(os.sched_getaffinity(0)), "model": digest.hexdigest(),
-                  "solve": hashlib.sha256(x.tobytes()).hexdigest()}))
+                  "solve": hashlib.sha256(x.tobytes()).hexdigest(), "step": step.hexdigest()}))
 """
 
 
@@ -113,3 +124,4 @@ def test_model_is_bit_identical_pinned_to_one_cpu_and_unpinned():
     assert results["pinned"]["cpus"] == 1 and results["unpinned"]["cpus"] > 1
     assert results["pinned"]["model"] == results["unpinned"]["model"]
     assert results["pinned"]["solve"] == results["unpinned"]["solve"]
+    assert results["pinned"]["step"] == results["unpinned"]["step"]

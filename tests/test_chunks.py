@@ -4,15 +4,18 @@ A forward-only pass in chunks has the bits of one whole pass, since every
 example's arithmetic is the same in any batch, an example alone included. A
 training step sums its chunks' losses and dL/dW, so it matches the one-chunk
 result within ``GRAD_TOL``, and a batch that fits in one chunk gets the bits of
-one pass.
+one pass. The chunks are shared among the CPUs, and the bits and errors do not
+depend on how many.
 """
 
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from loralab import _rng, adapters, model, tasks, trainer
+from loralab import _rng, adapters, matcore, model, tasks, trainer
 from loralab.config import ExperimentConfig
 
 DESK = ExperimentConfig()
@@ -104,17 +107,128 @@ def test_a_batch_of_one_chunk_gets_the_bits_of_one_pass(weights, kind):
         assert np.array_equal(grads[key], g), key
 
 
-def test_a_training_step_workspace_does_not_grow_with_the_batch(weights):
+def test_a_training_step_workspace_does_not_grow_with_the_batch(weights, force_cpus):
     # At batch 1024 a whole-batch workspace is about 300 MB: the teacher's
-    # forward-only one and the step's kept one. Each chunk fits in the budget.
+    # forward-only one and the step's kept one. Each chunk fits in the budget,
+    # and with w workers each of the two caches holds w workspaces.
+    spec = DESK.adapter_spec("lora")
+    params = adapters.init_params(spec, DESK.d_model, 1)
+    for workers in (1, 2):
+        force_cpus(workers)
+        task = tasks.build_task("teacher", weights, seed=2, rank=4)
+        model.forward_pass(weights, tokens(300))  # a first pool loads concurrent.futures
+        tracemalloc.start()
+        try:
+            batch = task.batch(1, 1024)
+            trainer.loss_and_grads(weights, params, spec, batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (2 * workers + 1) * model._WORKSPACE, (workers, peak)
+
+
+def test_a_training_step_holds_no_chunk_gradient_it_has_summed(force_cpus, monkeypatch):
+    # One example per chunk and 1 MiB of dL/dW per chunk: the step adds each
+    # chunk's dL/dW to its sums as the chunk finishes, so at 64 chunks its
+    # peak is that of 4, where keeping every chunk's until the end held 64 MiB.
+    force_cpus(1)
+    monkeypatch.setattr(model, "_WORKSPACE", 1)
+    wide = model.build_model(model.ModelConfig(n_layers=1, d_model=256, n_heads=4, d_ff=256))
+    spec = adapters.AdapterSpec("lora", 2, 2.0, ("query", "value"), (1,))
+    params = trainer.generic_params(spec, 256, 1)
+    cache = model.Cache(keep_layers=True)
+    peaks = []
+    for batch in (4, 64):
+        toks = _rng.randint_block(batch * 4, 64, batch).reshape(batch, 4)
+        step = (toks, np.zeros(batch, dtype=np.int64))
+        trainer.loss_and_grads(wide, params, spec, step, cache)  # sizes the workspace
+        tracemalloc.start()
+        try:
+            trainer.loss_and_grads(wide, params, spec, step, cache)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] + (1 << 20), peaks
+
+
+# --- chunks shared among the CPUs (model.run_chunks) ---------------------------------
+
+@pytest.mark.parametrize("kind", tasks.TASK_KINDS, ids=["mse", "cross_entropy"])
+def test_chunk_bytes_do_not_depend_on_the_worker_count(weights, force_cpus, kind):
+    # Batch 100 is four chunks of a training step; 300 is three of a forward-only pass.
+    assert len(model.Cache(keep_layers=True).chunks(weights.config, 100, LENGTH)) == 4
+    assert len(model.Cache().chunks(weights.config, 300, LENGTH)) == 3
+    spec = DESK.adapter_spec("condlora")
+    params = trainer.generic_params(spec, DESK.d_model, seed=11)
+    task = tasks.build_task(kind, weights, seed=7, rank=4)
+    step_cache = model.Cache(keep_layers=True)
+
+    def outputs(cpus):
+        force_cpus(cpus)
+        batch = task.batch(1, 100)
+        loss, grads = trainer.loss_and_grads(weights, params, spec, batch, step_cache)
+        logits = model.forward_pass(weights, tokens(300, seed=3))
+        return ([loss.hex(), batch[1].tobytes(), logits.tobytes()]
+                + [key.encode() + g.tobytes() for key, g in grads.items()])
+
+    reference = outputs(1)
+    assert outputs(2) == reference
+    assert outputs(3) == reference
+    # one worker per chunk, switching threads as often as the interpreter allows
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert outputs(4) == reference
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(step_cache._workers) == [1, 2, 3]  # a kept workspace for each helper
+
+
+def test_a_batch_of_one_chunk_starts_no_thread(weights, monkeypatch, force_cpus):
+    force_cpus(8)
+
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading, "Thread", no_thread)
     task = tasks.build_task("teacher", weights, seed=2, rank=4)
     spec = DESK.adapter_spec("lora")
     params = adapters.init_params(spec, DESK.d_model, 1)
-    tracemalloc.start()
-    try:
-        batch = task.batch(1, 1024)
-        trainer.loss_and_grads(weights, params, spec, batch)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 3 * model._WORKSPACE, peak
+    trainer.loss_and_grads(weights, params, spec, task.batch(1, 16))
+    trainer.loss_only(weights, params, spec, task.eval_batch(64))
+    force_cpus(1)
+    trainer.loss_and_grads(weights, params, spec, task.batch(1, 100))
+    force_cpus(8)
+    with pytest.raises(AssertionError, match="a thread was started"):
+        trainer.loss_and_grads(weights, params, spec, task.batch(1, 100))
+
+
+def test_a_step_raises_the_error_of_its_lowest_failing_chunk(weights, monkeypatch, force_cpus):
+    # Four chunks of 25: chunk 1 has an infinite target and chunk 3 a NaN
+    # one. From 3 workers on, chunks 1 and 3 are on different workers, and
+    # chunk 1's loss waits until chunk 3 has failed.
+    spec = DESK.adapter_spec("lora")
+    params = trainer.generic_params(spec, DESK.d_model, seed=12)
+    toks, targets = tasks.build_task("teacher", weights, seed=3, rank=4).batch(1, 100)
+    targets = targets.copy()
+    targets[30, 0], targets[80, 0] = np.inf, np.nan
+    failed, real = [], trainer._loss
+
+    def loss(logits, labels, total=None):
+        if np.isnan(labels).any():
+            failed.append(3)
+            chunk_3_failed.set()
+        elif np.isinf(labels).any():
+            if cpus >= 3:
+                assert chunk_3_failed.wait(timeout=30)
+            failed.append(1)
+        return real(logits, labels, total)
+
+    monkeypatch.setattr(trainer, "_loss", loss)
+    for cpus in (1, 2, 3, 4):
+        force_cpus(cpus)
+        failed.clear()
+        chunk_3_failed = threading.Event()
+        with pytest.raises(matcore.NumericError, match=r"^non-finite loss inf$"):
+            trainer.loss_and_grads(weights, params, spec, (toks, targets))
+        assert failed == ([1] if cpus < 3 else [3, 1]), cpus

@@ -93,6 +93,29 @@ def test_train_writes_outputs(tmp_path, capsys):
     assert "lora" in out
 
 
+def test_train_records_its_environment(tmp_path, capsys, monkeypatch, force_cpus):
+    force_cpus(3)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    out_dir = tmp_path / "run"
+    code, _, _ = run_cli(capsys, "train", "--config", str(write_tiny_config(tmp_path)),
+                         "--max-steps", "2", "--out", str(out_dir))
+    assert code == 0
+    summary = json.loads((out_dir / "run.json").read_text())
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert summary["environment"] == {
+        "numpy": np.__version__,
+        "blas": {"name": blas["name"], "version": blas["version"]},
+        "blas_threads": {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None,
+                         "MKL_NUM_THREADS": None},
+        "usable_cpus": 3,
+    }
+    assert list(summary)[:-1] == ["method", "task", "max_steps", "initial_loss", "final_loss",
+                                  "examples_per_second", "trainable_params",
+                                  "wall_clock_seconds", "seeds"]
+
+
 def test_train_zero_steps_single_report_entry(tmp_path, capsys):
     cfg = write_tiny_config(tmp_path)
     out_dir = tmp_path / "zero"

@@ -222,11 +222,6 @@ def test_empty_matrices_are_shape_errors(op, args, shape):
 
 # --- stacked solve ------------------------------------------------------------
 
-def force_cpus(monkeypatch, cpus):
-    """Make the process look as if it may run on ``cpus`` CPUs."""
-    monkeypatch.setattr(_rng.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-
-
 def _stack_case(n, count, seed=0):
     mats = [matcore.gaussian(n, n, 0, 1, 400 + n + 10 * s + seed) for s in range(count)]
     rhs = np.stack([matcore.gaussian(n, 3, 0, 1, 900 + n + 10 * s + seed) for s in range(count)])
@@ -254,8 +249,8 @@ def test_solve_bits_do_not_depend_on_memory_layout():
     assert matcore.solve(np.asfortranarray(mats[1]), rhs[1]).tobytes() == want[1].tobytes()
 
 
-def test_stacked_solve_in_small_chunks_gives_the_same_bits(monkeypatch):
-    force_cpus(monkeypatch, 1)  # one worker takes the chunks in order
+def test_stacked_solve_in_small_chunks_gives_the_same_bits(monkeypatch, force_cpus):
+    force_cpus(1)  # one worker takes the chunks in order
     n, count = BASE + 6, 7
     mats, rhs = _stack_case(n, count)
     whole = matcore.solve(mats, rhs)
@@ -272,11 +267,11 @@ def test_stacked_solve_in_small_chunks_gives_the_same_bits(monkeypatch):
     assert chunks == [3, 3, 1]
 
 
-def test_stacked_solve_copies_one_chunk_at_a_time(monkeypatch):
+def test_stacked_solve_copies_one_chunk_at_a_time(monkeypatch, force_cpus):
     # A stack of 12 with a workspace of 3 matrices: the LU copy, its factor
     # and substitution temporaries stay within two workspaces, where a copy
     # of the whole stack alone would take four.
-    force_cpus(monkeypatch, 1)  # one worker, so one workspace
+    force_cpus(1)  # one worker, so one workspace
     n, count = 128, 12
     mats, _ = _stack_case(n, count)
     rhs = np.ones((count, n, 8))
@@ -291,10 +286,10 @@ def test_stacked_solve_copies_one_chunk_at_a_time(monkeypatch):
     assert peak < 2 * workspace + rhs.nbytes + x.nbytes, peak
 
 
-def test_stacked_solve_on_two_workers_copies_one_chunk_each(monkeypatch):
+def test_stacked_solve_on_two_workers_copies_one_chunk_each(monkeypatch, force_cpus):
     # As above with two workers: each has its own workspace, and the
     # temporaries of both stay within the same allowance of one more.
-    force_cpus(monkeypatch, 2)
+    force_cpus(2)
     n, count = 128, 12
     mats, _ = _stack_case(n, count)
     rhs = np.ones((count, n, 8))
@@ -311,17 +306,18 @@ def test_stacked_solve_on_two_workers_copies_one_chunk_each(monkeypatch):
 
 
 @pytest.mark.parametrize("n, per_chunk, count", [(BASE + 6, 2, 7), (2 * BASE + 9, 3, 12)])
-def test_stacked_solve_bytes_do_not_depend_on_the_worker_count(monkeypatch, n, per_chunk, count):
+def test_stacked_solve_bytes_do_not_depend_on_the_worker_count(monkeypatch, force_cpus, n,
+                                                               per_chunk, count):
     mats, rhs = _stack_case(n, count)
-    force_cpus(monkeypatch, 1)
+    force_cpus(1)
     whole = matcore.solve(mats, rhs).tobytes()
     monkeypatch.setattr(matcore, "_LU_WORKSPACE", per_chunk * 8 * n * n)
     for cpus in (1, 2, 3):
-        force_cpus(monkeypatch, cpus)
+        force_cpus(cpus)
         assert matcore.solve(mats, rhs).tobytes() == whole, cpus
         assert matcore.solve(np.stack(mats), rhs).tobytes() == whole, cpus
     # one worker per chunk, switching threads as often as the interpreter allows
-    force_cpus(monkeypatch, count)
+    force_cpus(count)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -331,7 +327,8 @@ def test_stacked_solve_bytes_do_not_depend_on_the_worker_count(monkeypatch, n, p
 
 
 @pytest.mark.parametrize("kind", ["zero pivot", "near singular"])
-def test_stacked_solve_names_the_lowest_failing_chunk_at_every_worker_count(monkeypatch, kind):
+def test_stacked_solve_names_the_lowest_failing_chunk_at_every_worker_count(
+        monkeypatch, force_cpus, kind):
     # Chunks of 2: members 3 (chunk 1) and 7 (chunk 3) are singular, and
     # member 7 fails in the first base panel, long before member 3 does.
     n = 2 * BASE + 9
@@ -344,14 +341,14 @@ def test_stacked_solve_names_the_lowest_failing_chunk_at_every_worker_count(monk
     mats[7][:, 0] = 0.0
     monkeypatch.setattr(matcore, "_LU_WORKSPACE", 2 * 8 * n * n)
     for cpus in (1, 2, 3, 4):
-        force_cpus(monkeypatch, cpus)
+        force_cpus(cpus)
         with pytest.raises(matcore.SingularMatrixError, match="^matrix 3: singular matrix") as info:
             matcore.solve(mats, np.ones((8, n, 1)))
         assert info.value.index == 3, cpus
 
 
-def test_a_one_chunk_stack_starts_no_thread(monkeypatch):
-    force_cpus(monkeypatch, 8)
+def test_a_one_chunk_stack_starts_no_thread(monkeypatch, force_cpus):
+    force_cpus(8)
 
     def no_thread(*args, **kwargs):
         raise AssertionError("a thread was started")
@@ -490,13 +487,13 @@ def test_gaussian_scales_the_stream_bit_for_bit():
 @pytest.mark.parametrize("rows, cols", [(1, 2 * _rng._PAIR_BLOCK - 1), (1, 2 * _rng._PAIR_BLOCK),
                                         (1, 2 * _rng._PAIR_BLOCK + 1), (1, 4 * _rng._PAIR_BLOCK + 1),
                                         (768, 3072)])
-def test_gaussian_bytes_do_not_depend_on_the_worker_count(monkeypatch, rows, cols):
-    force_cpus(monkeypatch, 1)
+def test_gaussian_bytes_do_not_depend_on_the_worker_count(rows, cols, force_cpus):
+    force_cpus(1)
     g = _rng.gaussian_block(rows * cols, 6).reshape(rows, cols)
     for mean, std in [(0.0, 1.0), (0.0, 0.0), (0.25, 1.7), (0.0, 1 / math.sqrt(768))]:
         reference = (g * std + mean).tobytes()
         for cpus in (1, 2, 3):
-            force_cpus(monkeypatch, cpus)
+            force_cpus(cpus)
             assert matcore.gaussian(rows, cols, mean, std, 6).tobytes() == reference, (mean, std, cpus)
 
 

@@ -147,16 +147,13 @@ def test_check_real_takes_python_and_numpy_reals(value):
     (lambda: _rng.raw64_block(3, -1, 4), "start", -1),
 ])
 def test_a_negative_or_fractional_count_is_an_error(call, name, value):
-    with pytest.raises(ValueError, match=re.escape(f"{name} {value} is not a non-negative integer")):
+    # counts and starts follow _rng.check_int, the rule for sizes
+    rule = ">= 0, got" if isinstance(value, int) else "an integer, got"
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be {rule} {value}")):
         call()
 
 
 # --- the fill shared among threads -------------------------------------------------
-
-def force_cpus(monkeypatch, cpus):
-    """Make the process look as if it may run on ``cpus`` CPUs."""
-    monkeypatch.setattr(_rng.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-
 
 @pytest.fixture()
 def fill_calls(monkeypatch):
@@ -172,13 +169,13 @@ def fill_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [2 * P - 1, 2 * P, 2 * P + 1, 4 * P + 1, 768 * 3072])
-def test_gaussian_block_bytes_do_not_depend_on_the_worker_count(monkeypatch, fill_calls, n):
-    force_cpus(monkeypatch, 1)
+def test_gaussian_block_bytes_do_not_depend_on_the_worker_count(fill_calls, n, force_cpus):
+    force_cpus(1)
     g = _rng.gaussian_block(n, 5)
     references = [g.tobytes()] + [(g * std + mean).tobytes() for mean, std in SCALES]
     blocks = -(-((n + 1) // 2) // P)
     for cpus in (1, 2, 3):
-        force_cpus(monkeypatch, cpus)
+        force_cpus(cpus)
         fill_calls.clear()
         draws = [_rng.gaussian_block(n, 5)] + [_rng.gaussian_block(n, 5, s) for s in SCALES]
         assert [d.tobytes() for d in draws] == references, cpus
@@ -187,8 +184,8 @@ def test_gaussian_block_bytes_do_not_depend_on_the_worker_count(monkeypatch, fil
 
 
 @pytest.mark.parametrize("failing", [None, 0, 1])
-def test_an_error_in_any_block_is_raised_and_no_thread_survives(monkeypatch, failing):
-    force_cpus(monkeypatch, 2)
+def test_an_error_in_any_block_is_raised_and_no_thread_survives(monkeypatch, force_cpus, failing):
+    force_cpus(2)
     real = _rng._fill
 
     def fill(out, seed, first, step, scale):
@@ -206,8 +203,8 @@ def test_an_error_in_any_block_is_raised_and_no_thread_survives(monkeypatch, fai
     assert threading.active_count() == before
 
 
-def test_a_one_block_call_and_a_desk_model_start_no_thread(monkeypatch):
-    force_cpus(monkeypatch, 8)
+def test_a_one_block_call_and_a_desk_model_start_no_thread(monkeypatch, force_cpus):
+    force_cpus(8)
 
     def no_thread(*args, **kwargs):
         raise AssertionError("a thread was started")
@@ -215,8 +212,8 @@ def test_a_one_block_call_and_a_desk_model_start_no_thread(monkeypatch):
     monkeypatch.setattr(threading, "Thread", no_thread)
     _rng.gaussian_block(2 * P, 3)
     model.build_model(model.ModelConfig())
-    force_cpus(monkeypatch, 1)
+    force_cpus(1)
     _rng.gaussian_block(2 * P + 1, 3)
-    force_cpus(monkeypatch, 8)
+    force_cpus(8)
     with pytest.raises(AssertionError, match="a thread was started"):
         _rng.gaussian_block(2 * P + 1, 3)

@@ -34,16 +34,20 @@ Because any output can be drawn alone, ``gaussian_block`` shares its blocks
 of ``_PAIR_BLOCK`` pairs among the calling thread and the helpers of a
 ``ThreadPoolExecutor`` made for the call, up to one thread per CPU the
 process may run on (``run_shares``, which ``matcore.solve`` and
-``model.run_chunks`` use for their chunks too); each value is computed by the same operations whatever thread
-draws it, so the bytes do not depend on the number of threads.
+``model.run_chunks`` use for their chunks too, with OpenBLAS held to one
+thread while the pool runs); each value is computed by the same operations
+whatever thread draws it, so the bytes do not depend on the number of
+threads.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
 import numbers
 import os
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -219,6 +223,7 @@ def run_shares(work: Callable[[int, int], object], shares: int) -> None:
     The calling thread runs share 0 and a ``ThreadPoolExecutor`` of k - 1
     helpers the others; leaving the pool joins every helper, also when the
     caller's own share fails, and ``result()`` raises a helper's error here.
+    While the pool runs, OpenBLAS runs on one thread (``_one_blas_thread``).
     With k = 1 (one part, or one CPU) the calling thread runs ``work(0, 1)``
     and no pool is made.
     """
@@ -229,11 +234,53 @@ def run_shares(work: Callable[[int, int], object], shares: int) -> None:
     # imported here: concurrent.futures loads logging (about 12 ms and
     # 0.7 MB), which a process of one-part calls never needs
     from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(workers - 1) as pool:
+    with _one_blas_thread(), ThreadPoolExecutor(workers - 1) as pool:
         helpers = [pool.submit(work, first, workers) for first in range(1, workers)]
         work(0, workers)
         for helper in helpers:
             helper.result()
+
+
+@contextlib.contextmanager
+def _one_blas_thread() -> Iterator[None]:
+    """OpenBLAS on one thread within, and on as many as before after.
+
+    A pool of ``run_shares`` already keeps every usable CPU busy; an OpenBLAS
+    that also splits each product among threads of its own oversubscribes
+    them, and at its default of one thread per CPU a batch-256 training step
+    ran at about 60% of its one-thread speed (``BENCH_chunk_budget.json``).
+    A product has the same bits at any BLAS thread count, so no output
+    changes. Where numpy's BLAS is not the OpenBLAS of its wheel, nothing
+    is done.
+    """
+    blas = _openblas()
+    threads = blas[0]() if blas else 1
+    if threads > 1:
+        blas[1](1)
+    try:
+        yield
+    finally:
+        if threads > 1:
+            blas[1](threads)
+
+
+@functools.cache
+def _openblas() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """The thread-count getter and setter of the scipy-openblas64 bundled
+    with numpy's wheel (in ``numpy.libs``), or None where there is none."""
+    import ctypes
+    import glob
+
+    here = os.path.dirname(np.__file__)
+    for path in sorted(glob.glob(os.path.join(here, "..", "numpy.libs", "*openblas*"))):
+        lib = ctypes.CDLL(os.path.realpath(path))  # the copy numpy loaded, not a second one
+        get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        put = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        if get is not None and put is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
 
 
 def _fill(out: np.ndarray, seed: int, first: int, step: int,

@@ -242,7 +242,7 @@ _CHECKPOINT = matcore.CheckpointFormat(
     "SPEC",
     {
         "method": ("method", str, str),
-        "r": ("rank", int, str),
+        "r": ("rank", matcore.parse_int, str),
         "alpha": ("alpha", matcore.positive_float, matcore.format_float),
         "modules": ("target_modules", matcore.parse_items, matcore.format_items),
         "layers": ("target_layers", matcore.parse_layers, matcore.format_items),

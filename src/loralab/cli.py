@@ -45,12 +45,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _seed(text: str) -> int:
-    """A --seed-* or --baseline-seed value, read as the seeds.* config keys are."""
-    try:
-        return matcore.parse_seed(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad value {text!r} ({exc})") from None
+def _flag(parse):
+    """The argparse type of a flag read as its config key is, by ``parse``:
+    an error names the flag, the text and the rule."""
+    def read(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"bad value {text!r} ({exc})") from None
+    return read
+
+
+_seed = _flag(matcore.parse_seed)  # --seed-* and --baseline-seed, as the seeds.* keys
 
 
 def build_parser() -> _Parser:
@@ -73,7 +79,8 @@ def build_parser() -> _Parser:
     p.add_argument("--out", dest="output_dir", help="output directory")
     p.add_argument("--method", choices=adapters.METHODS)
     p.add_argument("--task", choices=tasks.TASK_KINDS)
-    p.add_argument("--max-steps", type=int, dest="max_steps")
+    p.add_argument("--max-steps", type=_flag(matcore.int_at_least("max_steps", 0)),
+                   dest="max_steps")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("analyze", help="conversion-matrix grids and adapter comparison")
@@ -136,9 +143,11 @@ def cmd_count_params(args) -> int:
     return EXIT_OK
 
 
-def _environment() -> dict:
+def _environment(cfg: ExperimentConfig) -> dict:
     """What a run's throughput depends on besides its config: numpy, its
-    BLAS, the BLAS thread variables and the CPUs the chunks are shared among."""
+    BLAS, the BLAS thread variables, the CPUs the chunks are shared among,
+    and how ``model.chunks`` cuts a training step's batch and the held-out
+    batch (chunk count, and examples per chunk, the larger first)."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):  # a numpy without a build record
@@ -149,7 +158,15 @@ def _environment() -> dict:
         "blas_threads": {name: os.environ.get(name) for name in
                          ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
         "usable_cpus": _rng.usable_cpus(),
+        "chunks": {"step": _chunking(cfg, cfg.batch_size),
+                   "held_out": _chunking(cfg, trainer.EVAL_BATCHES * cfg.batch_size)},
     }
+
+
+def _chunking(cfg: ExperimentConfig, batch: int) -> dict:
+    sizes = [rows.stop - rows.start
+             for rows in model.chunks(cfg.model_config(), batch, cfg.seq_len)]
+    return {"count": len(sizes), "examples_per_chunk": sorted(set(sizes), reverse=True)}
 
 
 def cmd_train(args) -> int:
@@ -171,7 +188,7 @@ def cmd_train(args) -> int:
         "trainable_params": report.trainable_param_count,
         "wall_clock_seconds": report.wall_clock_seconds,
         "seeds": {"model": cfg.seed_model, "adapter": cfg.seed_adapter, "data": cfg.seed_data},
-        "environment": _environment(),
+        "environment": _environment(cfg),
     }
     with contextlib.ExitStack() as files:  # no file is replaced until all four are written
         model_fh, adapter_fh, report_fh, run_fh = (

@@ -2,7 +2,9 @@
 
 Files hold ``key = value`` pairs with dotted keys (``model.d_model = 32``)
 and ``#`` comments. ``_FIELDS`` is a ``matcore.Fields`` table, as for the
-checkpoint headers, and ``matcore.read_fields`` reads it. Optional fields are
+checkpoint headers, and ``matcore.read_fields`` reads it; an integer key
+below its lower bound fails as its line is read, naming the line and key, as
+any other bad value does. Optional fields are
 omitted when unset and resolved at use time: alpha to the rank, the learning
 rate per method, the target layers to every layer. No key picks the loss: the
 task's targets do (see ``trainer``), and no key sets the teacher's rank:
@@ -98,17 +100,17 @@ class ExperimentConfig:
 
 # key -> (field, parser, formatter), the table type of the checkpoint headers
 _FIELDS: matcore.Fields = {
-    **{f"model.{name}": (name, int, str) for name in _MODEL_FIELDS},
+    **{f"model.{name}": (name, matcore.int_at_least(name, 1), str) for name in _MODEL_FIELDS},
     "adapter.method": ("method", str, str),
-    "adapter.rank": ("rank", int, str),
+    "adapter.rank": ("rank", matcore.int_at_least("rank", 1), str),
     "adapter.alpha": ("alpha", matcore.positive_float, matcore.format_float),
     "adapter.target_modules": ("target_modules", matcore.parse_items, matcore.format_items),
     "adapter.target_layers": ("target_layers", matcore.parse_layers, matcore.format_items),
-    "train.batch_size": ("batch_size", int, str),
+    "train.batch_size": ("batch_size", matcore.int_at_least("batch_size", 1), str),
     "train.learning_rate": ("learning_rate", matcore.positive_float, matcore.format_float),
-    "train.max_steps": ("max_steps", int, str),
+    "train.max_steps": ("max_steps", matcore.int_at_least("max_steps", 0), str),
     "task": ("task", str, str),
-    "task.seq_len": ("seq_len", int, str),
+    "task.seq_len": ("seq_len", matcore.int_at_least("seq_len", 1), str),
     "output_dir": ("output_dir", str, str),
     **{f"seeds.{name}": (f"seed_{name}", matcore.parse_seed, str)
        for name in ("model", "adapter", "data")},

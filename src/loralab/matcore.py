@@ -506,8 +506,28 @@ def parse_items(text: str) -> tuple[str, ...]:
     return items
 
 
+def parse_int(text: str) -> int:
+    """An integer as ``int`` reads it; other text fails with the reason
+    alone, as the caller's message names the text."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError("not an integer") from None
+
+
 def parse_layers(text: str) -> tuple[int, ...]:
-    return tuple(int(item) for item in parse_items(text))
+    return tuple(parse_int(item) for item in parse_items(text))
+
+
+def int_at_least(name: str, low: int) -> Callable[[str], int]:
+    """The parser of the integer ``name`` of at least ``low``, checked by
+    ``_rng.check_int`` as the dataclass that takes it checks it, so a value
+    below ``low`` fails where it is read, with its line and key."""
+    def parse(text: str) -> int:
+        value = parse_int(text)
+        _rng.check_int(name, value, low)
+        return value
+    return parse
 
 
 def positive_float(text: str) -> float:
@@ -520,7 +540,7 @@ def positive_float(text: str) -> float:
 def parse_seed(text: str) -> int:
     """A seed of the generator (``_rng.check_seed``). The caller's message
     names the text, so a seed out of range fails with the rule alone."""
-    value = int(text)
+    value = parse_int(text)
     try:
         return _rng.check_seed(value)
     except ValueError:

@@ -23,21 +23,26 @@ preallocated buffers of a ``Cache``, views into one block, as llm.c's
 ``gpt2_forward`` sizes and allocates its ``acts_memory`` once. A
 ``Cache(keep_layers=True)`` keeps each layer's activations for ``backward``; a
 plain ``Cache()`` holds one layer's buffers, which every layer of a
-forward-only pass reuses. A batch runs in chunks of at most ``_WORKSPACE``
-bytes of buffers (8 MiB, the fastest budget of a measured sweep of batch-256
-desk steps, ``BENCH_chunked_step.json``), so the workspace is bounded by that
-budget, not by the batch; ``forward_pass`` chunks a forward-only pass itself
-and ``trainer.loss_and_grads`` chunks a training step. ``run_chunks`` shares
-a batch's chunks among the CPUs the process may run on, one workspace per
-worker: worker 0 uses the cache's own buffers and each other worker a Cache
-the first one keeps, so the workspace is bounded by the budget times the
-workers. Every product of the pass is taken per example, so an example's
-logits have the same bits alone and in any batch or chunk, and chunked
-logits, put back in chunk order, have the bits of one whole pass on any
-number of CPUs. A caller that runs many passes keeps one Cache, which
-reallocates only when the geometry or the token length changes or a chunk
-outgrows it, so a training step allocates nothing large and does not
-page-fault; a caller that passes none gets a fresh one.
+forward-only pass reuses. A batch runs in chunks of as many examples as a
+training step's buffers hold in ``_WORKSPACE`` bytes (18 MiB, up to 65
+desk examples; a forward-only pass takes the same chunks in about a quarter
+of the bytes), so the workspace is bounded by that budget, not by the batch;
+``forward_pass`` chunks a forward-only pass itself and
+``trainer.loss_and_grads`` chunks a training step. Of a sweep of 8-32 MiB
+over batches of 64 to 1024 on one and two CPUs (``BENCH_chunk_budget.json``)
+the budget trained batch 256 fastest on two CPUs and slowed no batch beyond
+the run-to-run spread, at one BLAS thread and at OpenBLAS's default (which
+``_rng.run_shares`` holds to one thread while chunks share the CPUs).
+``run_chunks`` shares a batch's chunks among the CPUs the process may run
+on, one workspace per worker: worker 0 uses the cache's own buffers and
+each other worker a Cache the first one keeps, so the workspace is bounded
+by the budget times the workers. Every product of the pass is taken per
+example, so an example's logits have the same bits alone and in any batch
+or chunk, and chunked logits, put back in chunk order, have the bits of
+one whole pass on any number of CPUs. A caller that runs many passes keeps
+one Cache, which reallocates only when the geometry or the token length
+changes or a chunk outgrows it, so a training step allocates nothing large
+and does not page-fault; a caller that passes none gets a fresh one.
 
 Ownership. ``BaseWeights`` stores a read-only float64 array as it is and
 copies any other. ``build_model`` and ``load_model`` mark their fresh arrays
@@ -60,7 +65,9 @@ from . import _rng, matcore
 ATTENTION_MODULES = ("query", "key", "value", "output")
 LN_EPS = 1e-5
 _GELU_C = math.sqrt(2.0 / math.pi)
-_WORKSPACE = 8 << 20  # bytes of activation workspace per chunk of a batch (Cache.chunks)
+# bytes of a training step's activation workspace per chunk of a batch (chunks):
+# up to 65 desk examples, so a batch of 256 is four chunks (BENCH_chunk_budget.json)
+_WORKSPACE = 18 << 20
 
 
 @dataclass(frozen=True)
@@ -358,6 +365,43 @@ def _carve(groups: list[dict[str, tuple[int, ...]]]) -> list[dict[str, np.ndarra
     return views
 
 
+def _groups(config: ModelConfig, batch: int, length: int, keep_layers: bool) -> list[dict]:
+    """The {name: shape} groups of a Cache's per-example buffers: layers, scratch, grad."""
+    act = (batch, length, config.d_model)
+    wide = (batch, length, config.d_ff)
+    rows = (batch, length, 1)
+    heads = (batch, config.n_heads, length, length)
+    layer = dict(q=act, k=act, v=act, p=heads, ctx=act, xhat1=act, inv1=rows,
+                 a=wide, t=wide, xhat2=act, inv2=rows, y=act)
+    scratch = dict(embed=act, y1=act, h=wide, head_rows=heads[:3] + (1,),
+                   fold=heads[:3] + (length // 2,))
+    grad = dict(dx=act, du=act, tmp=act, dctx=act, dm=act, da=wide, slope=wide,
+                dp=heads, dp_tmp=heads, dot=rows, mean=rows) if keep_layers else {}
+    return [layer] * (config.n_layers if keep_layers else 1) + [scratch, grad]
+
+
+def chunks(config: ModelConfig, batch: int, length: int) -> list[slice]:
+    """Consecutive slices covering a batch of ``batch`` x ``length`` tokens.
+
+    The fewest chunks whose buffers would fit in ``_WORKSPACE`` bytes in
+    a training step's workspace (a chunk is one example where one example
+    alone does not fit), so the workspace does not grow with the batch; a
+    batch that fits is one chunk. A forward-only pass is cut the same
+    way, in about a quarter of the bytes: cut by its own buffers, its
+    chunks would hold four times the examples, which ran slower out of
+    cache on one CPU and left batches of 66 to 253 examples in one chunk
+    on one of two CPUs. Sizes differ by at most one, the larger first,
+    so the first chunk sizes the buffers for all.
+    """
+    per_example = 8 * sum(math.prod(shape) for group in _groups(config, 1, length, True)
+                          for shape in group.values())
+    cap = max(1, _WORKSPACE // per_example)
+    n = -(-batch // cap)
+    size, extra = divmod(batch, n)
+    ends = itertools.accumulate([size + 1] * extra + [size] * (n - extra), initial=0)
+    return [slice(start, end) for start, end in itertools.pairwise(ends)]
+
+
 class Cache:
     """The activation workspace of ``forward_pass`` for one chunk of a batch.
 
@@ -373,11 +417,10 @@ class Cache:
     its own here. ``scratch`` also holds the fold buffer of ``_row_max``, and
     ``ones`` the ones columns of ``_row_sum``.
 
-    ``chunks`` splits a batch into chunks whose buffers fit in ``_WORKSPACE``
-    bytes. Buffers are allocated by the first pass and again only when the
-    model geometry or the token length changes or a chunk outgrows them; a
-    smaller chunk gets their leading views. Every array a pass returns is
-    fresh.
+    A pass gets one chunk of a batch (``chunks``) at a time. Buffers are
+    allocated by the first pass and again only when the model geometry or
+    the token length changes or a chunk outgrows them; a smaller chunk gets
+    their leading views. Every array a pass returns is fresh.
 
     ``_worker(i)`` is the workspace of worker i of ``run_chunks``: the cache
     itself for worker 0, and for each other worker a Cache of the same kind,
@@ -398,37 +441,6 @@ class Cache:
             self._workers[index] = Cache(self.keep_layers)
         return self._workers[index]
 
-    def _groups(self, config: ModelConfig, batch: int, length: int) -> list[dict]:
-        """The {name: shape} groups of the per-example buffers: layers, scratch, grad."""
-        act = (batch, length, config.d_model)
-        wide = (batch, length, config.d_ff)
-        rows = (batch, length, 1)
-        heads = (batch, config.n_heads, length, length)
-        layer = dict(q=act, k=act, v=act, p=heads, ctx=act, xhat1=act, inv1=rows,
-                     a=wide, t=wide, xhat2=act, inv2=rows, y=act)
-        scratch = dict(embed=act, y1=act, h=wide, head_rows=heads[:3] + (1,),
-                       fold=heads[:3] + (length // 2,))
-        grad = dict(dx=act, du=act, tmp=act, dctx=act, dm=act, da=wide, slope=wide,
-                    dp=heads, dp_tmp=heads, dot=rows, mean=rows) if self.keep_layers else {}
-        return [layer] * (config.n_layers if self.keep_layers else 1) + [scratch, grad]
-
-    def chunks(self, config: ModelConfig, batch: int, length: int) -> list[slice]:
-        """Consecutive slices covering a batch of ``batch`` x ``length`` tokens.
-
-        The fewest chunks whose buffers fit in ``_WORKSPACE`` bytes (a chunk
-        is one example where one example alone does not fit), so the
-        workspace does not grow with the batch; a batch that fits is one
-        chunk. Sizes differ by at most one, the larger first, so the first
-        chunk sizes the buffers for all.
-        """
-        per_example = 8 * sum(math.prod(shape) for group in self._groups(config, 1, length)
-                              for shape in group.values())
-        cap = max(1, _WORKSPACE // per_example)
-        n = -(-batch // cap)
-        size, extra = divmod(batch, n)
-        ends = itertools.accumulate([size + 1] * extra + [size] * (n - extra), initial=0)
-        return [slice(start, end) for start, end in itertools.pairwise(ends)]
-
     def _fit(self, weights: BaseWeights, batch: int, length: int) -> None:
         self.weights = weights
         config = weights.config
@@ -436,7 +448,8 @@ class Cache:
         if key != self._key or batch > self._capacity:
             self._key, self._capacity, self._batch = key, batch, 0
             ones = dict(d=(config.d_model, 1), len=(length, 1))
-            *self._full, self.ones = _carve(self._groups(config, batch, length) + [ones])
+            *self._full, self.ones = _carve(_groups(config, batch, length, self.keep_layers)
+                                            + [ones])
             for a in self.ones.values():
                 a.fill(1.0)
         if batch != self._batch:
@@ -456,7 +469,7 @@ def forward_pass(
     ``projections`` overrides attention weights per (module, layer); the
     caller is responsible for their shapes. With no ``cache`` the pass uses a
     fresh forward-only one. A forward-only cache runs the batch in the chunks
-    of ``Cache.chunks``, shared among the CPUs by ``run_chunks``; a kept one
+    of ``chunks``, shared among the CPUs by ``run_chunks``; a kept one
     (``keep_layers``) runs what it is given as one pass, for ``backward``, so
     its caller hands it one chunk at a time.
     """
@@ -467,7 +480,7 @@ def forward_pass(
     if cache.keep_layers:
         return _pass(weights, tokens, projections, cache)
     logits: list[np.ndarray] = []
-    run_chunks(cache, cache.chunks(config, *tokens.shape),
+    run_chunks(cache, chunks(config, *tokens.shape),
                lambda rows, workspace: _pass(weights, tokens[rows], projections, workspace),
                logits.append)
     return np.concatenate(logits)
@@ -625,7 +638,8 @@ def forward(
 # --- checkpoint io ----------------------------------------------------------
 
 _CHECKPOINT = matcore.CheckpointFormat(
-    "CONFIG", {f.name: (f.name, int, str) for f in fields(ModelConfig)}, ModelConfig, tensor_layout
+    "CONFIG", {f.name: (f.name, matcore.parse_int, str) for f in fields(ModelConfig)},
+    ModelConfig, tensor_layout
 )
 
 

@@ -2,7 +2,7 @@
 
 Gradients are explicit. ``loss_and_grads`` builds every adapted projection
 W = W0 + s·B·A (s = alpha / r) with ``adapters.adapted``, then runs the batch
-in the chunks of ``model.Cache.chunks`` through a
+in the chunks of ``model.chunks`` through a
 ``model.Cache(keep_layers=True)`` (``_steps`` reuses one for every step).
 The chunks are shared among the CPUs the process may run on
 (``model.run_chunks``), each worker in a workspace of its own that the Cache
@@ -50,6 +50,7 @@ ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
 FD_STEP = 1e-5  # central-difference step of the gradient oracle
 GENERIC_STD = 0.2  # std of generic_params' displacement off the training init
+EVAL_BATCHES = 4  # train_run's held-out batch, in training batches
 
 
 @dataclass
@@ -133,7 +134,7 @@ def loss_and_grads(weights: BaseWeights, params: AdapterParams, spec: AdapterSpe
 
     ``cache``, a ``model.Cache(keep_layers=True)``, is the activation
     workspace; a caller that steps repeatedly passes the same one. The batch
-    goes through it in the chunks of ``Cache.chunks``, forward and backward
+    goes through it in the chunks of ``model.chunks``, forward and backward
     per chunk, shared among the CPUs by ``model.run_chunks``, and the chunks'
     losses and dL/dW are summed in chunk order: a batch of one chunk gets the
     bits of one pass, a larger one sums in another order, the same on any
@@ -167,7 +168,7 @@ def loss_and_grads(weights: BaseWeights, params: AdapterParams, spec: AdapterSpe
             else:
                 dws[key] = dw
 
-    model.run_chunks(cache, cache.chunks(weights.config, *tokens.shape), chunk, fold)
+    model.run_chunks(cache, model.chunks(weights.config, *tokens.shape), chunk, fold)
     return loss, adapters.factor_grads(weights, params, spec, factors, dws)
 
 
@@ -260,7 +261,7 @@ def _steps(weights: BaseWeights, spec: AdapterSpec, task, config: TrainConfig,
 
 
 def train_run(weights: BaseWeights, spec: AdapterSpec, task, config: TrainConfig,
-              eval_batches: int = 4) -> tuple[AdapterParams, TrainReport]:
+              eval_batches: int = EVAL_BATCHES) -> tuple[AdapterParams, TrainReport]:
     """Adapter training; deterministic given (model, adapter, data) seeds.
 
     The initial and final losses are measured on a fixed held-out batch so

@@ -7,7 +7,9 @@ OMP_NUM_THREADS set to 1 and to 2 before numpy loads. Each prints one sha256
 per kind of output, and the two processes must print the same ones. Likewise
 a model spanning many fill blocks is built, a stack of two LU chunks solved
 and a desk training step of four batch chunks taken, in a process pinned to
-one CPU before loralab loads and in one left unpinned.
+one CPU before loralab loads and in one left unpinned. While a pool shares
+work among the CPUs, OpenBLAS runs on one thread, and on its own count again
+after.
 """
 
 import json
@@ -18,13 +20,15 @@ from pathlib import Path
 
 import pytest
 
+from loralab import _rng
+
 SRC = Path(__file__).parents[1] / "src"
 
 SCRIPT = r"""
-import contextlib, ctypes, glob, hashlib, io, json, os, sys
+import contextlib, hashlib, io, json, sys
 from pathlib import Path
 import numpy as np
-from loralab import cli, matcore
+from loralab import _rng, cli, matcore
 
 out = Path(sys.argv[1])
 sha = lambda data: hashlib.sha256(data).hexdigest()
@@ -43,10 +47,7 @@ assert code == 0
 w0s = np.stack([matcore.gaussian(768, 768, 0, 1, seed) for seed in range(4)])
 x = matcore.solve(w0s, np.stack([matcore.gaussian(768, 8, 0, 1, 10 + s) for s in range(4)]))
 svd = matcore.svd(x)
-libs = glob.glob(os.path.join(os.path.dirname(np.__file__), "..", "numpy.libs", "*openblas*"))
-get_threads = getattr(ctypes.CDLL(libs[0]), "scipy_openblas_get_num_threads64_", None) if libs else None
-if get_threads:
-    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+blas = _rng._openblas()
 print(json.dumps({
     "adapters": sha(b"".join((out / m / "adapter.ckpt").read_bytes() for m in ("lora", "condlora"))),
     "report_steps": sha("".join(
@@ -57,7 +58,7 @@ print(json.dumps({
         path.name.encode() + path.read_bytes()
         for path in sorted((out / "analysis").iterdir()))),
     "solve": sha(x.tobytes() + svd.u.tobytes() + svd.s.tobytes() + svd.vt.tobytes()),
-    "threads": get_threads() if get_threads else None,
+    "threads": blas[0]() if blas else None,
 }))
 """
 
@@ -97,7 +98,9 @@ desk = ExperimentConfig()
 desk_weights = model.build_model(desk.model_config())
 spec = desk.adapter_spec("lora")
 params = trainer.generic_params(spec, desk.d_model, 7)
-batch = desk.make_task(desk_weights).batch(1, 100)  # four chunks of a step, one of targets
+size = next(b for b in range(4, 10**6)
+            if len(model.chunks(desk.model_config(), b, desk.seq_len)) == 4)
+batch = desk.make_task(desk_weights).batch(1, size)  # the smallest batch of four step chunks
 loss, grads = trainer.loss_and_grads(desk_weights, params, spec, batch)
 step = hashlib.sha256(loss.hex().encode() + batch[1].tobytes())
 for key, g in grads.items():
@@ -125,3 +128,24 @@ def test_model_is_bit_identical_pinned_to_one_cpu_and_unpinned():
     assert results["pinned"]["model"] == results["unpinned"]["model"]
     assert results["pinned"]["solve"] == results["unpinned"]["solve"]
     assert results["pinned"]["step"] == results["unpinned"]["step"]
+
+
+def test_a_pool_runs_openblas_on_one_thread_and_restores_its_count(force_cpus):
+    blas = _rng._openblas()
+    if blas is None:
+        pytest.skip("numpy's BLAS is not an OpenBLAS found here")
+    get, put = blas
+    before = get()
+    force_cpus(2)
+    seen = []
+    try:
+        put(2)
+        _rng.run_shares(lambda first, step: seen.append(get()), 2)
+        assert seen == [1, 1] and get() == 2
+        _rng.run_shares(lambda first, step: seen.append(get()), 1)  # no pool, no change
+        assert seen[2:] == [2]
+        with pytest.raises(ZeroDivisionError):
+            _rng.run_shares(lambda first, step: 1 / 0, 2)
+        assert get() == 2
+    finally:
+        put(before)

@@ -1,4 +1,4 @@
-"""Batches run in workspace-sized chunks (``model.Cache.chunks``).
+"""Batches run in workspace-sized chunks (``model.chunks``).
 
 A forward-only pass in chunks has the bits of one whole pass, since every
 example's arithmetic is the same in any batch, an example alone included. A
@@ -8,6 +8,7 @@ one pass. The chunks are shared among the CPUs, and the bits and errors do not
 depend on how many.
 """
 
+import itertools
 import sys
 import threading
 import tracemalloc
@@ -21,9 +22,20 @@ from loralab.config import ExperimentConfig
 DESK = ExperimentConfig()
 LENGTH = DESK.seq_len
 WHOLE = 1 << 40  # a budget that fits any batch here in one chunk
-# Normwise relative. At batch 256, 128 chunks of two gave at most 9.2e-16 and
-# the default budget's 9 chunks at most 6.4e-16, over both tasks and methods.
+BUDGET = model._WORKSPACE  # the shipped budget
+# Normwise relative. At batch 256, 256 chunks of one gave at most 9.5e-16 and
+# the default budget's 4 chunks at most 6.2e-16, over both tasks and methods.
 GRAD_TOL = 1e-14
+
+
+def smallest_batch(chunks):
+    """The smallest batch that ``model.chunks`` cuts into ``chunks`` chunks at the shipped budget."""
+    return next(batch for batch in itertools.count(chunks)
+                if len(model.chunks(DESK.model_config(), batch, LENGTH)) == chunks)
+
+
+STEP_BATCH = smallest_batch(4)  # four chunks of a training step
+PASS_BATCH = smallest_batch(3)  # three chunks of a forward-only pass
 
 
 @pytest.fixture(scope="module")
@@ -44,13 +56,36 @@ def workspace_bytes(cache):
 @pytest.mark.parametrize("keep_layers", [False, True], ids=["forward-only", "kept"])
 def test_chunks_split_a_batch_into_near_equal_parts_within_the_budget(
         weights, monkeypatch, keep_layers):
-    cache = model.Cache(keep_layers)
-    model.forward_pass(weights, tokens(1), cache=cache)
-    per_example = workspace_bytes(cache)
+    # A forward-only pass and a training step are both cut by the bytes of a
+    # training step's workspace; the chunks each hands to run_chunks are read.
+    kept = model.Cache(keep_layers=True)
+    model.forward_pass(weights, tokens(1), cache=kept)
+    per_example = workspace_bytes(kept)
+    spec = DESK.adapter_spec("lora")
+    params = trainer.generic_params(spec, DESK.d_model, seed=8)
+
+    class Cut(Exception):
+        pass
+
+    def record(cache, chunks, work, fold):
+        raise Cut(chunks)
+
+    def cut(batch):
+        toks = np.zeros((batch, LENGTH), dtype=np.int64)
+        with monkeypatch.context() as patch, pytest.raises(Cut) as info:
+            patch.setattr(model, "run_chunks", record)
+            if keep_layers:
+                trainer.loss_and_grads(weights, params, spec,
+                                       (toks, np.zeros((batch, DESK.n_outputs))))
+            else:
+                model.forward_pass(weights, toks)
+        assert info.value.args[0] == model.chunks(weights.config, batch, LENGTH)
+        return info.value.args[0]
+
     for cap in (1, 2, 3, 5, 29, 10**6):
         monkeypatch.setattr(model, "_WORKSPACE", cap * per_example)
         for batch in [*range(1, 130), 256, 257, 1024, 1025]:
-            chunks = cache.chunks(weights.config, batch, LENGTH)
+            chunks = cut(batch)
             sizes = [rows.stop - rows.start for rows in chunks]
             assert [rows.start for rows in chunks] == [0, *np.cumsum(sizes)[:-1]]
             assert sum(sizes) == batch
@@ -64,7 +99,7 @@ def test_forward_in_chunks_gives_the_bits_of_one_pass(weights, monkeypatch, batc
     toks = tokens(batch, seed=batch)
     monkeypatch.setattr(model, "_WORKSPACE", WHOLE)
     whole = model.forward(weights, None, toks)
-    for budget in (1, 1 << 20, 8 << 20):
+    for budget in (1, 1 << 20, BUDGET):
         monkeypatch.setattr(model, "_WORKSPACE", budget)
         assert np.array_equal(model.forward(weights, None, toks), whole), budget
 
@@ -77,7 +112,7 @@ def test_loss_and_grads_in_chunks_match_one_chunk(weights, monkeypatch, method, 
     batch = tasks.build_task(kind, weights, seed=5, rank=4).batch(1, 256)
     monkeypatch.setattr(model, "_WORKSPACE", WHOLE)
     loss, grads = trainer.loss_and_grads(weights, params, spec, batch)
-    for budget in (1, 8 << 20):
+    for budget in (1, BUDGET):
         monkeypatch.setattr(model, "_WORKSPACE", budget)
         chunked_loss, chunked = trainer.loss_and_grads(weights, params, spec, batch)
         assert abs(chunked_loss - loss) <= GRAD_TOL * loss
@@ -89,8 +124,8 @@ def test_loss_and_grads_in_chunks_match_one_chunk(weights, monkeypatch, method, 
 @pytest.mark.parametrize("kind", tasks.TASK_KINDS, ids=["mse", "cross_entropy"])
 def test_a_batch_of_one_chunk_gets_the_bits_of_one_pass(weights, kind):
     # The desk step (batch 16) and its held-out batch (64) are one chunk each.
-    assert len(model.Cache(keep_layers=True).chunks(weights.config, 16, LENGTH)) == 1
-    assert len(model.Cache().chunks(weights.config, 64, LENGTH)) == 1
+    assert len(model.chunks(weights.config, 16, LENGTH)) == 1
+    assert len(model.chunks(weights.config, 64, LENGTH)) == 1
     spec = DESK.adapter_spec("condlora")
     params = trainer.generic_params(spec, DESK.d_model, seed=10)
     toks, targets = tasks.build_task(kind, weights, seed=6, rank=4).batch(1, 16)
@@ -155,9 +190,8 @@ def test_a_training_step_holds_no_chunk_gradient_it_has_summed(force_cpus, monke
 
 @pytest.mark.parametrize("kind", tasks.TASK_KINDS, ids=["mse", "cross_entropy"])
 def test_chunk_bytes_do_not_depend_on_the_worker_count(weights, force_cpus, kind):
-    # Batch 100 is four chunks of a training step; 300 is three of a forward-only pass.
-    assert len(model.Cache(keep_layers=True).chunks(weights.config, 100, LENGTH)) == 4
-    assert len(model.Cache().chunks(weights.config, 300, LENGTH)) == 3
+    assert len(model.chunks(weights.config, STEP_BATCH, LENGTH)) == 4
+    assert len(model.chunks(weights.config, PASS_BATCH, LENGTH)) == 3
     spec = DESK.adapter_spec("condlora")
     params = trainer.generic_params(spec, DESK.d_model, seed=11)
     task = tasks.build_task(kind, weights, seed=7, rank=4)
@@ -165,9 +199,9 @@ def test_chunk_bytes_do_not_depend_on_the_worker_count(weights, force_cpus, kind
 
     def outputs(cpus):
         force_cpus(cpus)
-        batch = task.batch(1, 100)
+        batch = task.batch(1, STEP_BATCH)
         loss, grads = trainer.loss_and_grads(weights, params, spec, batch, step_cache)
-        logits = model.forward_pass(weights, tokens(300, seed=3))
+        logits = model.forward_pass(weights, tokens(PASS_BATCH, seed=3))
         return ([loss.hex(), batch[1].tobytes(), logits.tobytes()]
                 + [key.encode() + g.tobytes() for key, g in grads.items()])
 
@@ -197,21 +231,22 @@ def test_a_batch_of_one_chunk_starts_no_thread(weights, monkeypatch, force_cpus)
     trainer.loss_and_grads(weights, params, spec, task.batch(1, 16))
     trainer.loss_only(weights, params, spec, task.eval_batch(64))
     force_cpus(1)
-    trainer.loss_and_grads(weights, params, spec, task.batch(1, 100))
+    trainer.loss_and_grads(weights, params, spec, task.batch(1, STEP_BATCH))
     force_cpus(8)
     with pytest.raises(AssertionError, match="a thread was started"):
-        trainer.loss_and_grads(weights, params, spec, task.batch(1, 100))
+        trainer.loss_and_grads(weights, params, spec, task.batch(1, STEP_BATCH))
 
 
 def test_a_step_raises_the_error_of_its_lowest_failing_chunk(weights, monkeypatch, force_cpus):
-    # Four chunks of 25: chunk 1 has an infinite target and chunk 3 a NaN
-    # one. From 3 workers on, chunks 1 and 3 are on different workers, and
+    # Four chunks: chunk 1 has an infinite target and chunk 3 a NaN one.
+    # From 3 workers on, chunks 1 and 3 are on different workers, and
     # chunk 1's loss waits until chunk 3 has failed.
     spec = DESK.adapter_spec("lora")
     params = trainer.generic_params(spec, DESK.d_model, seed=12)
-    toks, targets = tasks.build_task("teacher", weights, seed=3, rank=4).batch(1, 100)
+    toks, targets = tasks.build_task("teacher", weights, seed=3, rank=4).batch(1, STEP_BATCH)
+    chunks = model.chunks(weights.config, STEP_BATCH, LENGTH)
     targets = targets.copy()
-    targets[30, 0], targets[80, 0] = np.inf, np.nan
+    targets[chunks[1].start, 0], targets[chunks[3].start, 0] = np.inf, np.nan
     failed, real = [], trainer._loss
 
     def loss(logits, labels, total=None):

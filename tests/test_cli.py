@@ -98,18 +98,33 @@ def test_train_records_its_environment(tmp_path, capsys, monkeypatch, force_cpus
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    cfg = write_tiny_config(tmp_path)
+    tiny = config_module.load_config(cfg)
+    kept = model.Cache(keep_layers=True)
+    # a budget of three step examples: batch 4 is two chunks of 2, held-out 16 uneven ones
+    model.forward_pass(model.build_model(tiny.model_config()), np.zeros((1, 8), int), cache=kept)
+    monkeypatch.setattr(model, "_WORKSPACE", 3 * sum(
+        a.nbytes for group in (*kept.layers, kept.scratch, kept.grad)
+        for name, a in group.items() if name not in ("x", "proj")))
     out_dir = tmp_path / "run"
-    code, _, _ = run_cli(capsys, "train", "--config", str(write_tiny_config(tmp_path)),
+    code, _, _ = run_cli(capsys, "train", "--config", str(cfg),
                          "--max-steps", "2", "--out", str(out_dir))
     assert code == 0
     summary = json.loads((out_dir / "run.json").read_text())
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    chunks = {name: [rows.stop - rows.start for rows in
+                     model.chunks(tiny.model_config(), batch, 8)]
+              for name, batch in (("step", 4), ("held_out", 16))}
+    assert chunks["step"] == [2, 2] and len(set(chunks["held_out"])) == 2, chunks
     assert summary["environment"] == {
         "numpy": np.__version__,
         "blas": {"name": blas["name"], "version": blas["version"]},
         "blas_threads": {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None,
                          "MKL_NUM_THREADS": None},
         "usable_cpus": 3,
+        "chunks": {name: {"count": len(sizes), "examples_per_chunk": [max(sizes), min(sizes)]
+                          if max(sizes) > min(sizes) else [max(sizes)]}
+                   for name, sizes in chunks.items()},
     }
     assert list(summary)[:-1] == ["method", "task", "max_steps", "initial_loss", "final_loss",
                                   "examples_per_second", "trainable_params",
@@ -393,15 +408,14 @@ def test_readme_command_line_matches_the_parser():
 
 
 def test_readme_chunk_sizes_match_the_workspace():
-    # README: "up to 29 examples of a desk training step, 112 of a forward-only pass"
+    # README: "up to 65 examples of a desk training step, 65 of a forward-only pass"
     readme = " ".join((Path(__file__).parents[1] / "README.md").read_text().split())
     step, forward = map(int, re.search(r"up to (\d+) examples of a desk training step, "
                                        r"(\d+) of a forward-only pass", readme).groups())
     desk = config_module.ExperimentConfig()
-    for keep_layers, most in ((True, step), (False, forward)):
-        chunks = model.Cache(keep_layers).chunks
-        assert len(chunks(desk.model_config(), most, desk.seq_len)) == 1, keep_layers
-        assert len(chunks(desk.model_config(), most + 1, desk.seq_len)) == 2, keep_layers
+    for most in (step, forward):  # a forward-only pass is cut as a training step is
+        assert len(model.chunks(desk.model_config(), most, desk.seq_len)) == 1, most
+        assert len(model.chunks(desk.model_config(), most + 1, desk.seq_len)) == 2, most
 
 
 def _subcommands() -> dict[str, set[str]]:
@@ -460,6 +474,16 @@ def test_a_seed_flag_outside_64_bits_is_an_error(tmp_path, capsys, flag, value):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("value, problem", [("-1", "max_steps must be >= 0, got -1"),
+                                            ("x", "not an integer")])
+def test_a_bad_max_steps_flag_names_the_flag(tmp_path, capsys, value, problem):
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(capsys, "train", "--max-steps", value, "--out", str(out_dir))
+    assert code == 1 and out == ""
+    assert err == f"error: argument --max-steps: bad value {value!r} ({problem})\n"
+    assert not out_dir.exists()
+
+
 def test_unknown_command_usage_error(capsys):
     code, _, err = run_cli(capsys, "frobnicate")
     assert code == 1
@@ -471,7 +495,7 @@ def test_bad_config_file_exit_one(tmp_path, capsys):
     code, _, err = run_cli(capsys, "count-params", "--config", str(cfg))
     assert code == 1
     assert err == (f"config error: {cfg}: line 1: bad value for model.d_model: 'nonsense' "
-                   "(invalid literal for int() with base 10: 'nonsense')\n")
+                   "(not an integer)\n")
 
 
 def test_config_errors_name_the_file(tmp_path, capsys):
@@ -497,7 +521,8 @@ def test_a_loss_kind_line_is_an_unknown_key(tmp_path, capsys):
 
 @pytest.mark.parametrize("old, new, problem", [
     ("task.seq_len = 8", "task.seq_len = 100", "seq_len 100 outside [1, 16]"),
-    ("task.seq_len = 8", "task.seq_len = 0", "seq_len 0 outside [1, 16]"),
+    ("task.seq_len = 8", "task.seq_len = 0",
+     "line 12: bad value for task.seq_len: '0' (seq_len must be >= 1, got 0)"),
     ("model.n_outputs = 4", "model.n_outputs = 1\ntask = parity",
      "parity needs n_outputs >= 2, got 1"),
 ])

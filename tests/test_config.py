@@ -128,6 +128,18 @@ def test_parse_rejects_invalid_combination():
         parse_config("task = mystery\n")
 
 
+@pytest.mark.parametrize("key, low", [
+    *((f"model.{name}", 1) for name in ("n_layers", "d_model", "n_heads", "d_ff", "vocab_size",
+                                        "max_len", "n_outputs")),
+    ("adapter.rank", 1), ("train.batch_size", 1), ("train.max_steps", 0), ("task.seq_len", 1),
+])
+def test_parse_names_the_line_and_key_of_an_integer_below_its_bound(key, low):
+    field = key.split(".")[1]
+    with pytest.raises(ConfigError, match=rf"^line 2: bad value for {re.escape(key)}: '{low - 1}' "
+                                           rf"\({field} must be >= {low}, got {low - 1}\)$"):
+        parse_config(f"# sizes\n{key} = {low - 1}\n")
+
+
 @pytest.mark.parametrize("key", ["seeds.model", "seeds.adapter", "seeds.data"])
 @pytest.mark.parametrize("value", [-1, 2 ** 64, -2 ** 70])
 def test_parse_rejects_a_seed_outside_64_bits(key, value):
@@ -159,7 +171,7 @@ def test_model_config_carries_model_seed():
 
 @pytest.mark.parametrize("config_text, header_text, problem", [
     ("model.width = 4", "width=4", "unknown key '{key}'"),
-    ("adapter.rank = four", "r=four", "bad value for {key}: 'four' (invalid literal for int()"),
+    ("adapter.rank = four", "r=four", "bad value for {key}: 'four' (not an integer)"),
     ("adapter.alpha = nan", "alpha=nan", "bad value for {key}: 'nan' (not a positive finite"),
 ])
 def test_config_and_header_errors_share_one_wording(tmp_path, config_text, header_text, problem):

@@ -171,7 +171,7 @@ def test_an_example_gets_the_bits_of_its_batch_row_when_alone(name):
         toks, targets = task.batch(f"invariance.{batch}", batch)
         rows = range(batch)
         if batch == 256:  # each chunk's first and last example, and every 37th
-            chunks = model.Cache().chunks(base.config, batch, cfg.seq_len)
+            chunks = model.chunks(base.config, batch, cfg.seq_len)
             rows = sorted({*range(0, batch, 37), *(r.start for r in chunks),
                            *(r.stop - 1 for r in chunks)})
         for weights in (base, teacher):

@@ -250,24 +250,26 @@ def _one_blas_thread() -> Iterator[None]:
     them, and at its default of one thread per CPU a batch-256 training step
     ran at about 60% of its one-thread speed (``BENCH_chunk_budget.json``).
     A product has the same bits at any BLAS thread count, so no output
-    changes. Where numpy's BLAS is not the OpenBLAS of its wheel, nothing
-    is done.
+    changes; a LAPACK factorization does not (``matcore`` holds one thread
+    around each of its calls for that reason). Where numpy's BLAS is not the
+    OpenBLAS of its wheel, nothing is done.
     """
     blas = _openblas()
-    threads = blas[0]() if blas else 1
+    threads = blas.scipy_openblas_get_num_threads64_() if blas else 1
     if threads > 1:
-        blas[1](1)
+        blas.scipy_openblas_set_num_threads64_(1)
     try:
         yield
     finally:
         if threads > 1:
-            blas[1](threads)
+            blas.scipy_openblas_set_num_threads64_(threads)
 
 
 @functools.cache
-def _openblas() -> tuple[Callable[[], int], Callable[[int], None]] | None:
-    """The thread-count getter and setter of the scipy-openblas64 bundled
-    with numpy's wheel (in ``numpy.libs``), or None where there is none."""
+def _openblas():
+    """The scipy-openblas64 bundled with numpy's wheel (in ``numpy.libs``),
+    as a ``ctypes.CDLL`` whose thread-count getter and setter are typed, or
+    None where there is none."""
     import ctypes
     import glob
 
@@ -279,7 +281,7 @@ def _openblas() -> tuple[Callable[[], int], Callable[[int], None]] | None:
         if get is not None and put is not None:
             get.argtypes, get.restype = [], ctypes.c_int
             put.argtypes, put.restype = [ctypes.c_int], None
-            return get, put
+            return lib
     return None
 
 

@@ -145,9 +145,11 @@ def cmd_count_params(args) -> int:
 
 def _environment(cfg: ExperimentConfig) -> dict:
     """What a run's throughput depends on besides its config: numpy, its
-    BLAS, the BLAS thread variables, the CPUs the chunks are shared among,
-    and how ``model.chunks`` cuts a training step's batch and the held-out
-    batch (chunk count, and examples per chunk, the larger first)."""
+    BLAS, the BLAS thread variables, whether the OpenBLAS bundled with
+    numpy's wheel was found (which decides both the BLAS thread hold of the
+    pools and ``matcore.solve``'s LU route), the CPUs the chunks are shared
+    among, and how ``model.chunks`` cuts a training step's batch and the
+    held-out batch (chunk count, and examples per chunk, the larger first)."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):  # a numpy without a build record
@@ -157,6 +159,7 @@ def _environment(cfg: ExperimentConfig) -> dict:
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
         "blas_threads": {name: os.environ.get(name) for name in
                          ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+        "bundled_openblas": _rng._openblas() is not None,
         "usable_cpus": _rng.usable_cpus(),
         "chunks": {"step": _chunking(cfg, cfg.batch_size),
                    "held_out": _chunking(cfg, trainer.EVAL_BATCHES * cfg.batch_size)},

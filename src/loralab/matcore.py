@@ -5,25 +5,40 @@ matrices around as 2-D C-contiguous float64 numpy arrays, or stacks of them. Thi
 the operations that carry correctness contracts:
 
 * ``matmul`` rejects mismatched shapes, naming both operands.
-* ``solve(a, rhs)`` runs one recursive partial-pivot LU of ``a`` (the
-  structure of LAPACK's dgetrf2: halves of the columns, one triangular solve
-  and one GEMM per split, panels of at most ``_LU_BASE`` columns factored
-  column by column on a contiguous transposed copy), refuses matrices whose
-  pivot-ratio condition estimate exceeds ``COND_LIMIT`` (1e12), and
-  substitutes on the columns of ``rhs`` only, recursively with GEMMs. ``a``
-  may be a stack of matrices: every step then runs once over a chunk of
-  the stack that fits one ``_LU_WORKSPACE``-byte buffer, and each matrix
-  gets the bits of its own 2-D solve. The chunks are independent, so they
-  are shared among the CPUs the process may run on (``_rng.run_shares``),
-  each worker reusing a workspace of its own; the chunking depends on the
-  bytes only, so every output and every error is the same on one CPU or
-  many. The constants come from measured sweeps: a base of 32 keeps a desk
-  W0 (d=32) in one base case (``BENCH_recursive_lu.json``), and 27 MiB
-  holds six 768x768 matrices, so that the 12 W0s of a paper-dim module are
-  two chunks, one per CPU of a two-CPU host, each spreading the per-column
-  dispatch of the base case over six LUs (``BENCH_parallel_solve.json``).
-  ``invert(a)`` is ``solve(a, I)``; ``condition_estimate`` reads the pivots of
-  the same LU.
+* ``solve(a, rhs)`` factors ``a`` once with partial pivoting by rows,
+  refuses matrices whose pivot-ratio condition estimate exceeds
+  ``COND_LIMIT`` (1e12; an exact zero pivot reads as inf), and substitutes
+  on the columns of ``rhs`` only. ``a`` may be a stack of matrices, which is
+  solved in chunks of as many matrices as fit ``_LU_WORKSPACE`` bytes; the
+  chunks are independent, so they are shared among the CPUs the process may
+  run on (``_rng.run_shares``). The chunking depends on the bytes only, so
+  every output and every error is the same on one CPU or many, and each
+  matrix gets the bits of its own 2-D solve. There are two routes:
+
+  - Where the OpenBLAS bundled with numpy's wheel (``_rng._openblas``)
+    exports LAPACK's ``dgetrf`` and ``dgetrs``, each matrix of a chunk is
+    factored by one getrf call on a column-major copy in a one-matrix
+    workspace per worker, and substituted by one getrs call. ctypes releases
+    the GIL, so the chunks really run at once; OpenBLAS is held to one
+    thread around every call (``_rng._one_blas_thread``), also where no pool
+    runs, since its getrf gave other bytes at two threads than at one.
+    12 paper-dim W0s took about 0.1 s on two CPUs (``BENCH_lapack_lu.json``).
+  - Elsewhere (numpy 1.x wheels, conda or distro builds, Accelerate) a
+    recursive LU in numpy calls factors a whole chunk at once in a workspace
+    of its own size: the structure of LAPACK's dgetrf2 (halves of the
+    columns, one triangular solve and one GEMM per split, panels of at most
+    ``_LU_BASE`` columns factored column by column on a contiguous
+    transposed copy) and substitution recursively with GEMMs. ``_LU_BASE``
+    governs this route only. Its thousands of small numpy calls hold the GIL,
+    so two chunks barely overlap.
+
+  The constants come from measured sweeps of the numpy route: a base of 32
+  keeps a desk W0 (d=32) in one base case (``BENCH_recursive_lu.json``), and
+  27 MiB holds six 768x768 matrices, so that the 12 W0s of a paper-dim
+  module are two chunks, one per CPU of a two-CPU host
+  (``BENCH_parallel_solve.json``); a desk stack is one chunk and starts no
+  thread. ``invert(a)`` is ``solve(a, I)``; ``condition_estimate`` reads the
+  pivots of the same LU.
 * ``svd`` factors one matrix or a stack, with a deterministic sign convention:
   the largest-magnitude entry of every left singular vector is non-negative.
 * ``gaussian`` draws from the counter-based generator in ``_rng`` so that a
@@ -46,6 +61,7 @@ caller describes its file with one ``CheckpointFormat``, whose header is a
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import math
 import os
@@ -271,16 +287,60 @@ def _pivot_ratios(lu: np.ndarray) -> np.ndarray:
 
 
 def condition_estimate(a) -> float:
-    """|largest pivot| / |smallest pivot| from the LU factorization."""
+    """|largest pivot| / |smallest pivot| of the LU factorization that
+    ``solve`` makes (LAPACK's where ``_lapack`` finds it), inf at an exact
+    zero pivot."""
     a = as_matrix(a)
     _require_square(a, "condition_estimate")
     _require_finite(a, "condition_estimate input")
+    n = a.shape[0]
+    if _lapack() is not None:
+        return _getrf(a, np.empty((n, n)), np.empty(n, np.int64))[1]
     lu = np.array(a, order="C")
     try:
         _lu_factor(lu[None])
     except SingularMatrixError:
         return math.inf
     return float(_pivot_ratios(lu))
+
+
+@functools.cache
+def _lapack():
+    """(getrf, getrs): LAPACK's dgetrf and dgetrs in the OpenBLAS that
+    ``_rng._openblas`` finds, typed for its ILP64 interface (every integer,
+    ``ipiv`` included, is an int64), or None where that library or either
+    routine is absent. ctypes releases the GIL for the call."""
+    blas = _rng._openblas()
+    routines = [getattr(blas, f"scipy_dgetr{step}_64_", None) for step in "fs"]
+    if blas is None or None in routines:
+        return None
+    import ctypes
+
+    f64, i64 = (np.ctypeslib.ndpointer(t, flags="C_CONTIGUOUS") for t in (np.float64, np.int64))
+    getrf, getrs = routines
+    # getrf(m, n, a, lda, ipiv, info) and getrs(trans, n, nrhs, a, lda, ipiv, b, ldb, info)
+    getrf.argtypes = [i64, i64, f64, i64, i64, i64]
+    getrs.argtypes = [ctypes.c_char_p, i64, i64, f64, i64, i64, f64, i64, i64]
+    getrf.restype = getrs.restype = None
+    return getrf, getrs
+
+
+def _getrf(m: np.ndarray, lu: np.ndarray, ipiv: np.ndarray) -> tuple[int, float]:
+    """(zero, ratio) of LAPACK's LU of the (n, n) matrix m, made in lu.
+
+    lu, a C-ordered (n, n) array, gets m.T, which LAPACK reads as m
+    column-major; so the rows of m are pivoted, as the numpy LU pivots them.
+    ipiv (n int64) gets LAPACK's pivots. zero is the 1-based column of the
+    first exact zero pivot (LAPACK's info), or 0; ratio is the pivot ratio,
+    inf at a zero pivot. OpenBLAS runs on one thread for the call: its getrf
+    gave other bytes at two threads than at one.
+    """
+    lu[...] = m.T
+    size, info = np.array([len(m)], np.int64), np.zeros(1, np.int64)
+    with _rng._one_blas_thread():
+        _lapack()[0](size, size, lu, size, ipiv, info)
+    zero = int(info[0])
+    return zero, math.inf if zero else float(_pivot_ratios(lu))
 
 
 def _as_stack(a) -> tuple[np.ndarray | list[np.ndarray], bool]:
@@ -309,16 +369,22 @@ def solve(a, rhs) -> np.ndarray:
     is a stack of k such matrices (a 3-D array or a sequence of 2-D arrays)
     and ``rhs`` (k, n, r), giving x (k, n, r). A stack is factored and
     substituted in chunks of as many matrices as fit in _LU_WORKSPACE bytes
-    (at least one), whatever the CPU count. With w = min(chunks, CPUs this
-    process may run on), worker i takes chunks i, i + w, ... in a workspace
-    of its own: the calling thread is worker 0, and a thread pool runs the
-    others only when there are two chunks or more (``_rng.run_shares``).
-    Every matrix gets the bits its own 2-D solve gives.
+    (at least one), whatever the CPU count and the route. With w = min(chunks,
+    CPUs this process may run on), worker i takes chunks i, i + w, ... in a
+    workspace of its own: the calling thread is worker 0, and a thread pool
+    runs the others only when there are two chunks or more
+    (``_rng.run_shares``). Where ``_lapack`` finds LAPACK's getrf and getrs,
+    each matrix is factored and substituted by them, one at a time in a
+    one-matrix workspace, on one OpenBLAS thread; elsewhere the numpy LU
+    factors a whole chunk in a workspace of the chunk's size. Every matrix
+    gets the bits its own 2-D solve gives.
 
     Rejects a matrix whose pivot-ratio condition estimate exceeds COND_LIMIT;
-    for a stack the error carries the matrix's index. A worker stops at its
-    first failing chunk, and the error raised is that of the lowest-indexed
-    failing chunk, whichever worker finished first.
+    for a stack the error carries the matrix's index. Within a chunk it is
+    the matrix with the earliest exact zero pivot, else the first over the
+    limit, on both routes. A worker stops at its first failing chunk, and the
+    error raised is that of the lowest-indexed failing chunk, whichever
+    worker finished first.
     """
     a, single = _as_stack(a)
     if not len(a):  # only an array can hold no matrices; a list of none is 1-D
@@ -337,11 +403,12 @@ def solve(a, rhs) -> np.ndarray:
         )
     x = np.empty(rhs.shape)
     chunk = max(1, _LU_WORKSPACE // (8 * n * n))
+    held = 1 if _lapack() is not None else min(chunk, count)  # matrices a workspace holds
     starts = range(0, count, chunk)
     errors: dict[int, NumericError] = {}  # chunk start -> the error that stopped its worker
 
     def solve_chunks(first: int, step: int) -> None:
-        workspace = np.empty((min(chunk, count), n, n))
+        workspace = np.empty((held, n, n))
         for c0 in starts[first::step]:
             part = slice(c0, c0 + chunk)
             try:
@@ -361,14 +428,26 @@ def solve(a, rhs) -> np.ndarray:
 
 
 def _solve_chunk(a, b: np.ndarray, workspace: np.ndarray, out: np.ndarray) -> None:
-    """Solve the chunk a (k matrices, k <= len(workspace)) for b into out,
-    factoring in the workspace's first k matrices; a rejected matrix raises
-    SingularMatrixError with its index in the chunk."""
-    lu = workspace[: len(b)]
+    """Solve the chunk a (k matrices) for b into out; a rejected matrix
+    raises SingularMatrixError with its index in the chunk.
+
+    Where ``_lapack`` finds LAPACK, each matrix is factored in turn in the
+    workspace's first matrix (``_lapack_solve``); elsewhere the numpy LU
+    factors the whole chunk at once in its first k matrices.
+    """
+    for m in a:
+        _require_finite(m, "solve input")
+    _require_finite(b, "solve right-hand side")
+    if _lapack() is None:
+        _numpy_solve(a, b, workspace[: len(b)], out)
+    else:
+        _lapack_solve(a, b, workspace[0], out)
+    _require_finite(out, "solve result")
+
+
+def _numpy_solve(a, b: np.ndarray, lu: np.ndarray, out: np.ndarray) -> None:
     for i, m in enumerate(a):
         lu[i] = m
-    _require_finite(lu, "solve input")
-    _require_finite(b, "solve right-hand side")
     perm = _lu_factor(lu)
     cond = _pivot_ratios(lu)
     if (cond > COND_LIMIT).any():
@@ -377,7 +456,33 @@ def _solve_chunk(a, b: np.ndarray, workspace: np.ndarray, out: np.ndarray) -> No
     out[...] = b[np.arange(len(b))[:, None], perm]
     _unit_lower_solve(lu, out)
     _upper_solve(lu, out)
-    _require_finite(out, "solve result")
+
+
+def _lapack_solve(a, b: np.ndarray, lu: np.ndarray, out: np.ndarray) -> None:
+    """Each matrix of a factored by getrf in lu (``_getrf``) and, if it
+    passes the gate, substituted by one getrs on its columns of b.
+
+    Every matrix is factored, so that a rejected one is the one the numpy
+    LU names, which goes column by column over the whole chunk.
+    """
+    getrs = _lapack()[1]
+    _, n, r = b.shape
+    ipiv, info = np.empty(n, np.int64), np.zeros(1, np.int64)
+    order, nrhs = np.array([n], np.int64), np.array([r], np.int64)
+    cols = np.empty((r, n))  # b[s] column-major
+    failed = {}  # matrix -> (its first zero pivot, or n + 1 for none; its condition)
+    for s, m in enumerate(a):
+        zero, cond = _getrf(m, lu, ipiv)
+        if cond > COND_LIMIT:
+            failed[s] = (zero or n + 1, cond)
+        elif not failed:
+            cols[...] = b[s].T
+            with _rng._one_blas_thread():
+                getrs(b"N", order, nrhs, lu, order, ipiv, cols, order, info)
+            out[s] = cols.T
+    if failed:
+        s = min(failed, key=lambda s: (failed[s][0], s))
+        raise SingularMatrixError(failed[s][1], s)
 
 
 def invert(a) -> np.ndarray:

@@ -4,7 +4,9 @@ among.
 
 The same script runs in two fresh processes, with OPENBLAS_NUM_THREADS and
 OMP_NUM_THREADS set to 1 and to 2 before numpy loads. Each prints one sha256
-per kind of output, and the two processes must print the same ones. Likewise
+per kind of output, and the two processes must print the same ones; its
+768x768 stack is one LU chunk, which runs without a pool, so only the hold
+around each LAPACK call keeps getrf on one thread there. Likewise
 a model spanning many fill blocks is built, a stack of two LU chunks solved
 and a desk training step of four batch chunks taken, in a process pinned to
 one CPU before loralab loads and in one left unpinned. While a pool shares
@@ -45,8 +47,10 @@ with contextlib.redirect_stdout(stdout):
                      "--out", str(out / "analysis")])
 assert code == 0
 w0s = np.stack([matcore.gaussian(768, 768, 0, 1, seed) for seed in range(4)])
+assert len(w0s) <= matcore._LU_WORKSPACE // (8 * 768 * 768)  # one chunk: no pool holds BLAS
 x = matcore.solve(w0s, np.stack([matcore.gaussian(768, 8, 0, 1, 10 + s) for s in range(4)]))
 svd = matcore.svd(x)
+condition = matcore.condition_estimate(w0s[0])
 blas = _rng._openblas()
 print(json.dumps({
     "adapters": sha(b"".join((out / m / "adapter.ckpt").read_bytes() for m in ("lora", "condlora"))),
@@ -57,8 +61,9 @@ print(json.dumps({
     "analyze": sha(stdout.getvalue().encode() + b"".join(
         path.name.encode() + path.read_bytes()
         for path in sorted((out / "analysis").iterdir()))),
-    "solve": sha(x.tobytes() + svd.u.tobytes() + svd.s.tobytes() + svd.vt.tobytes()),
-    "threads": blas[0]() if blas else None,
+    "solve": sha(x.tobytes() + svd.u.tobytes() + svd.s.tobytes() + svd.vt.tobytes()
+                 + condition.hex().encode()),
+    "threads": blas.scipy_openblas_get_num_threads64_() if blas else None,
 }))
 """
 
@@ -134,7 +139,7 @@ def test_a_pool_runs_openblas_on_one_thread_and_restores_its_count(force_cpus):
     blas = _rng._openblas()
     if blas is None:
         pytest.skip("numpy's BLAS is not an OpenBLAS found here")
-    get, put = blas
+    get, put = blas.scipy_openblas_get_num_threads64_, blas.scipy_openblas_set_num_threads64_
     before = get()
     force_cpus(2)
     seen = []

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from checkpoint_files import rewrite_header
-from loralab import adapters, analysis, cli, matcore, model, trainer
+from loralab import _rng, adapters, analysis, cli, matcore, model, trainer
 from loralab import config as config_module
 from loralab.cli import main
 
@@ -121,6 +121,7 @@ def test_train_records_its_environment(tmp_path, capsys, monkeypatch, force_cpus
         "blas": {"name": blas["name"], "version": blas["version"]},
         "blas_threads": {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None,
                          "MKL_NUM_THREADS": None},
+        "bundled_openblas": _rng._openblas() is not None,
         "usable_cpus": 3,
         "chunks": {name: {"count": len(sizes), "examples_per_chunk": [max(sizes), min(sizes)]
                           if max(sizes) > min(sizes) else [max(sizes)]}
@@ -129,6 +130,13 @@ def test_train_records_its_environment(tmp_path, capsys, monkeypatch, force_cpus
     assert list(summary)[:-1] == ["method", "task", "max_steps", "initial_loss", "final_loss",
                                   "examples_per_second", "trainable_params",
                                   "wall_clock_seconds", "seeds"]
+    # where numpy's wheel brings no OpenBLAS, the run says so
+    monkeypatch.setattr(_rng, "_openblas", lambda: None)
+    code, _, _ = run_cli(capsys, "train", "--config", str(cfg),
+                         "--max-steps", "0", "--out", str(tmp_path / "plain"))
+    assert code == 0
+    summary = json.loads((tmp_path / "plain" / "run.json").read_text())
+    assert summary["environment"]["bundled_openblas"] is False
 
 
 def test_train_zero_steps_single_report_entry(tmp_path, capsys):

@@ -8,7 +8,23 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from loralab import _rng, matcore
+from loralab import _rng, matcore, model
+from loralab.config import ExperimentConfig
+
+
+@pytest.fixture()
+def lu_routes(monkeypatch):
+    """``for route in lu_routes():`` runs the loop body on each LU route of
+    ``matcore``: LAPACK's getrf/getrs where numpy's OpenBLAS has them, then
+    the numpy LU, forced by a LAPACK lookup that finds nothing. So the
+    fallback stays under test on a host that has the library."""
+    def routes():
+        if matcore._lapack() is not None:
+            yield "lapack"
+        with monkeypatch.context() as patch:
+            patch.setattr(matcore, "_lapack", lambda: None)
+            yield "numpy"
+    return routes
 
 
 # --- matmul ------------------------------------------------------------------
@@ -55,10 +71,11 @@ def test_invert_residual_oracle():
     assert np.linalg.norm(a @ x - np.eye(8)) < 1e-8
 
 
-def test_invert_rejects_singular_with_condition():
-    with pytest.raises(matcore.SingularMatrixError) as info:
-        matcore.invert([[1.0, 2.0], [2.0, 4.0]])
-    assert info.value.condition > matcore.COND_LIMIT or math.isinf(info.value.condition)
+def test_invert_rejects_singular_with_condition(lu_routes):
+    for route in lu_routes():
+        with pytest.raises(matcore.SingularMatrixError) as info:
+            matcore.invert([[1.0, 2.0], [2.0, 4.0]])
+        assert info.value.condition > matcore.COND_LIMIT or math.isinf(info.value.condition), route
 
 
 def test_invert_rejects_non_square():
@@ -78,12 +95,13 @@ def test_invert_gaussian_property():
     assert checked >= 35
 
 
-def test_condition_estimate_scales_with_near_singularity():
+def test_condition_estimate_scales_with_near_singularity(lu_routes):
     base = matcore.gaussian(6, 6, 0, 1, 5)
-    assert matcore.condition_estimate(base) < 1e6
     near = base.copy()
     near[5] = near[4] + 1e-14 * base[3]
-    assert matcore.condition_estimate(near) > matcore.COND_LIMIT
+    for route in lu_routes():
+        assert matcore.condition_estimate(base) < 1e6, route
+        assert matcore.condition_estimate(near) > matcore.COND_LIMIT, route
 
 
 # --- recursive LU and solve ---------------------------------------------------
@@ -132,33 +150,41 @@ def test_blocked_lu_reconstructs_and_solves(n):
     assert _rel(matcore.solve(a, rhs), matcore.invert(a) @ rhs) <= 1e-12
 
 
-def test_solve_rejects_rank_deficient_past_block():
+def test_solve_rejects_rank_deficient_past_block(lu_routes):
     n = 2 * BASE + 9
     col = _late_column(n)
     rhs = np.ones((n, 1))
     zero_col = matcore.gaussian(n, n, 0, 1, 77)
     zero_col[:, col] = 0.0  # an exact zero pivot that a later branch of the recursion meets
-    with pytest.raises(matcore.SingularMatrixError) as info:
-        matcore.solve(zero_col, rhs)
-    assert math.isinf(info.value.condition)
-    assert math.isinf(matcore.condition_estimate(zero_col))
     dup_col = matcore.gaussian(n, n, 0, 1, 78)
     dup_col[:, col] = dup_col[:, 2]
-    with pytest.raises(matcore.SingularMatrixError):
-        matcore.solve(dup_col, rhs)
+    for route in lu_routes():
+        with pytest.raises(matcore.SingularMatrixError) as info:
+            matcore.solve(zero_col, rhs)
+        assert math.isinf(info.value.condition), route
+        assert math.isinf(matcore.condition_estimate(zero_col)), route
+        with pytest.raises(matcore.SingularMatrixError):
+            matcore.solve(dup_col, rhs)
 
 
-def test_solve_rejects_near_singular_past_block():
-    n = 2 * BASE + 9
-    col = _late_column(n)
-    base = matcore.gaussian(n, n, 0, 1, 79)
-    assert matcore.condition_estimate(base) < 1e6
+def _near_singular(n, seed):
+    """(base, near): a Gaussian n x n matrix, and it with a late column
+    replaced by its left neighbour plus 1e-14 times column 3."""
+    base = matcore.gaussian(n, n, 0, 1, seed)
     near = base.copy()
-    near[:, col] = near[:, col - 1] + 1e-14 * base[:, 3]
-    assert matcore.condition_estimate(near) > matcore.COND_LIMIT
-    with pytest.raises(matcore.SingularMatrixError) as info:
-        matcore.solve(near, np.ones((n, 2)))
-    assert info.value.condition > matcore.COND_LIMIT
+    near[:, _late_column(n)] = near[:, _late_column(n) - 1] + 1e-14 * base[:, 3]
+    return base, near
+
+
+def test_solve_rejects_near_singular_past_block(lu_routes):
+    n = 2 * BASE + 9
+    base, near = _near_singular(n, 79)
+    for route in lu_routes():
+        assert matcore.condition_estimate(base) < 1e6, route
+        assert matcore.condition_estimate(near) > matcore.COND_LIMIT, route
+        with pytest.raises(matcore.SingularMatrixError) as info:
+            matcore.solve(near, np.ones((n, 2)))
+        assert info.value.condition > matcore.COND_LIMIT, route
 
 
 def test_solve_agrees_with_lapack():
@@ -176,33 +202,35 @@ def test_solve_agrees_with_lapack():
     assert _rel(matcore.invert(a) @ a, np.eye(300)) <= 1e-12
 
 
-def test_solve_rejects_nonfinite_and_bad_shapes():
+def test_solve_rejects_nonfinite_and_bad_shapes(lu_routes):
     bad = np.eye(3)
     bad[1, 2] = np.nan
-    with pytest.raises(matcore.NumericError, match="solve input"):
-        matcore.solve(bad, np.ones((3, 1)))
     rhs = np.ones((3, 2))
     rhs[2, 1] = np.nan
-    with pytest.raises(matcore.NumericError, match="right-hand side"):
-        matcore.solve(np.eye(3), rhs)
-    with np.errstate(over="ignore"), pytest.raises(matcore.NumericError, match="solve result"):
-        matcore.solve(1e-300 * np.eye(2), [[1e10], [1.0]])
-    with pytest.raises(matcore.ShapeError, match="square"):
-        matcore.solve(np.ones((2, 3)), np.ones((2, 1)))
-    with pytest.raises(matcore.ShapeError, match="3x3.*4x1"):
-        matcore.solve(np.eye(3), np.ones((4, 1)))
+    for route in lu_routes():
+        with pytest.raises(matcore.NumericError, match="solve input"):
+            matcore.solve(bad, np.ones((3, 1)))
+        with pytest.raises(matcore.NumericError, match="right-hand side"):
+            matcore.solve(np.eye(3), rhs)
+        with np.errstate(over="ignore"), pytest.raises(matcore.NumericError, match="solve result"):
+            matcore.solve(1e-300 * np.eye(2), [[1e10], [1.0]])
+        with pytest.raises(matcore.ShapeError, match="square"):
+            matcore.solve(np.ones((2, 3)), np.ones((2, 1)))
+        with pytest.raises(matcore.ShapeError, match="3x3.*4x1"):
+            matcore.solve(np.eye(3), np.ones((4, 1)))
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-def test_condition_estimate_rejects_nonfinite_entries(value):
+def test_condition_estimate_rejects_nonfinite_entries(value, lu_routes):
     bad = matcore.gaussian(5, 5, 0, 1, 31)
     bad[3, 1] = value
-    with pytest.raises(matcore.NumericError,
-                       match="^condition_estimate input contains non-finite entries$"):
-        matcore.condition_estimate(bad)
     zero_pivot = np.eye(3)
     zero_pivot[1, 1] = 0.0
-    assert math.isinf(matcore.condition_estimate(zero_pivot))
+    for route in lu_routes():
+        with pytest.raises(matcore.NumericError,
+                           match="^condition_estimate input contains non-finite entries$"):
+            matcore.condition_estimate(bad)
+        assert math.isinf(matcore.condition_estimate(zero_pivot)), route
 
 
 @pytest.mark.parametrize("op, args, shape", [
@@ -230,44 +258,49 @@ def _stack_case(n, count, seed=0):
 
 @pytest.mark.parametrize("n, count", [(n, count) for n in LU_SIZES
                                       for count in ((2,) if n == 768 else (1, 3))])
-def test_stacked_solve_equals_each_2d_solve_bit_for_bit(n, count):
+def test_stacked_solve_equals_each_2d_solve_bit_for_bit(n, count, lu_routes):
     mats, rhs = _stack_case(n, count)
-    each = [matcore.solve(m, b) for m, b in zip(mats, rhs)]
-    for stack in (np.stack(mats), mats):
-        x = matcore.solve(stack, rhs)
-        assert x.shape == (count, n, 3)
-        for s in range(count):
-            assert x[s].tobytes() == each[s].tobytes(), s
+    for route in lu_routes():
+        each = [matcore.solve(m, b) for m, b in zip(mats, rhs)]
+        for stack in (np.stack(mats), mats):
+            x = matcore.solve(stack, rhs)
+            assert x.shape == (count, n, 3)
+            for s in range(count):
+                assert x[s].tobytes() == each[s].tobytes(), (route, s)
 
 
-def test_solve_bits_do_not_depend_on_memory_layout():
-    # the LU's base case swaps rows through a flat view of a C-ordered copy of its panel
+def test_solve_bits_do_not_depend_on_memory_layout(lu_routes):
+    # the numpy LU's base case swaps rows through a flat view of a C-ordered
+    # copy of its panel; LAPACK's reads a column-major copy
     mats, rhs = _stack_case(BASE + 6, 2)
     stack = np.stack(mats)
-    want = matcore.solve(stack, rhs)
-    assert matcore.solve(np.asfortranarray(stack), rhs).tobytes() == want.tobytes()
-    assert matcore.solve(np.asfortranarray(mats[1]), rhs[1]).tobytes() == want[1].tobytes()
+    for route in lu_routes():
+        want = matcore.solve(stack, rhs)
+        assert matcore.solve(np.asfortranarray(stack), rhs).tobytes() == want.tobytes(), route
+        assert matcore.solve(np.asfortranarray(mats[1]), rhs[1]).tobytes() == want[1].tobytes()
 
 
-def test_stacked_solve_in_small_chunks_gives_the_same_bits(monkeypatch, force_cpus):
+def test_stacked_solve_in_small_chunks_gives_the_same_bits(monkeypatch, force_cpus, lu_routes):
     force_cpus(1)  # one worker takes the chunks in order
     n, count = BASE + 6, 7
     mats, rhs = _stack_case(n, count)
-    whole = matcore.solve(mats, rhs)
-    chunks = []
-    ratios = matcore._pivot_ratios  # read once per factored chunk; _lu_factor recurses
+    solve_chunk = matcore._solve_chunk
 
-    def counting_ratios(lu):
-        chunks.append(len(lu))
-        return ratios(lu)
+    def counting_chunks(a, b, workspace, out):
+        chunks.append(len(b))
+        solve_chunk(a, b, workspace, out)
 
-    monkeypatch.setattr(matcore, "_pivot_ratios", counting_ratios)
-    monkeypatch.setattr(matcore, "_LU_WORKSPACE", 3 * 8 * n * n + 5)
-    assert matcore.solve(mats, rhs).tobytes() == whole.tobytes()
-    assert chunks == [3, 3, 1]
+    for route in lu_routes():
+        whole = matcore.solve(mats, rhs)
+        chunks = []
+        with monkeypatch.context() as patch:
+            patch.setattr(matcore, "_solve_chunk", counting_chunks)
+            patch.setattr(matcore, "_LU_WORKSPACE", 3 * 8 * n * n + 5)
+            assert matcore.solve(mats, rhs).tobytes() == whole.tobytes(), route
+        assert chunks == [3, 3, 1], route
 
 
-def test_stacked_solve_copies_one_chunk_at_a_time(monkeypatch, force_cpus):
+def test_stacked_solve_copies_one_chunk_at_a_time(monkeypatch, force_cpus, lu_routes):
     # A stack of 12 with a workspace of 3 matrices: the LU copy, its factor
     # and substitution temporaries stay within two workspaces, where a copy
     # of the whole stack alone would take four.
@@ -277,16 +310,17 @@ def test_stacked_solve_copies_one_chunk_at_a_time(monkeypatch, force_cpus):
     rhs = np.ones((count, n, 8))
     workspace = 3 * 8 * n * n
     monkeypatch.setattr(matcore, "_LU_WORKSPACE", workspace)
-    tracemalloc.start()
-    try:
-        x = matcore.solve(mats, rhs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * workspace + rhs.nbytes + x.nbytes, peak
+    for route in lu_routes():
+        tracemalloc.start()
+        try:
+            x = matcore.solve(mats, rhs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * workspace + rhs.nbytes + x.nbytes, (route, peak)
 
 
-def test_stacked_solve_on_two_workers_copies_one_chunk_each(monkeypatch, force_cpus):
+def test_stacked_solve_on_two_workers_copies_one_chunk_each(monkeypatch, force_cpus, lu_routes):
     # As above with two workers: each has its own workspace, and the
     # temporaries of both stay within the same allowance of one more.
     force_cpus(2)
@@ -296,39 +330,42 @@ def test_stacked_solve_on_two_workers_copies_one_chunk_each(monkeypatch, force_c
     workspace = 3 * 8 * n * n
     monkeypatch.setattr(matcore, "_LU_WORKSPACE", workspace)
     matcore.solve(mats[:6], rhs[:6])  # the pool's first use loads concurrent.futures
-    tracemalloc.start()
-    try:
-        x = matcore.solve(mats, rhs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 3 * workspace + rhs.nbytes + x.nbytes, peak
+    for route in lu_routes():
+        tracemalloc.start()
+        try:
+            x = matcore.solve(mats, rhs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * workspace + rhs.nbytes + x.nbytes, (route, peak)
 
 
 @pytest.mark.parametrize("n, per_chunk, count", [(BASE + 6, 2, 7), (2 * BASE + 9, 3, 12)])
 def test_stacked_solve_bytes_do_not_depend_on_the_worker_count(monkeypatch, force_cpus, n,
-                                                               per_chunk, count):
+                                                               per_chunk, count, lu_routes):
     mats, rhs = _stack_case(n, count)
-    force_cpus(1)
-    whole = matcore.solve(mats, rhs).tobytes()
-    monkeypatch.setattr(matcore, "_LU_WORKSPACE", per_chunk * 8 * n * n)
-    for cpus in (1, 2, 3):
-        force_cpus(cpus)
-        assert matcore.solve(mats, rhs).tobytes() == whole, cpus
-        assert matcore.solve(np.stack(mats), rhs).tobytes() == whole, cpus
-    # one worker per chunk, switching threads as often as the interpreter allows
-    force_cpus(count)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        assert matcore.solve(mats, rhs).tobytes() == whole
-    finally:
-        sys.setswitchinterval(interval)
+    for route in lu_routes():
+        force_cpus(1)
+        whole = matcore.solve(mats, rhs).tobytes()
+        with monkeypatch.context() as patch:
+            patch.setattr(matcore, "_LU_WORKSPACE", per_chunk * 8 * n * n)
+            for cpus in (1, 2, 3):
+                force_cpus(cpus)
+                assert matcore.solve(mats, rhs).tobytes() == whole, (route, cpus)
+                assert matcore.solve(np.stack(mats), rhs).tobytes() == whole, (route, cpus)
+            # one worker per chunk, switching threads as often as the interpreter allows
+            force_cpus(count)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                assert matcore.solve(mats, rhs).tobytes() == whole, route
+            finally:
+                sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("kind", ["zero pivot", "near singular"])
 def test_stacked_solve_names_the_lowest_failing_chunk_at_every_worker_count(
-        monkeypatch, force_cpus, kind):
+        monkeypatch, force_cpus, kind, lu_routes):
     # Chunks of 2: members 3 (chunk 1) and 7 (chunk 3) are singular, and
     # member 7 fails in the first base panel, long before member 3 does.
     n = 2 * BASE + 9
@@ -340,14 +377,39 @@ def test_stacked_solve_names_the_lowest_failing_chunk_at_every_worker_count(
         mats[3][:, col] = mats[3][:, col - 1] + 1e-14 * mats[3][:, 3]
     mats[7][:, 0] = 0.0
     monkeypatch.setattr(matcore, "_LU_WORKSPACE", 2 * 8 * n * n)
-    for cpus in (1, 2, 3, 4):
-        force_cpus(cpus)
-        with pytest.raises(matcore.SingularMatrixError, match="^matrix 3: singular matrix") as info:
-            matcore.solve(mats, np.ones((8, n, 1)))
-        assert info.value.index == 3, cpus
+    for route in lu_routes():
+        for cpus in (1, 2, 3, 4):
+            force_cpus(cpus)
+            with pytest.raises(matcore.SingularMatrixError,
+                               match="^matrix 3: singular matrix") as info:
+                matcore.solve(mats, np.ones((8, n, 1)))
+            assert info.value.index == 3, (route, cpus)
 
 
-def test_a_one_chunk_stack_starts_no_thread(monkeypatch, force_cpus):
+@pytest.mark.parametrize("bad, want", [
+    ({1: "late zero", 3: "first zero"}, 3),
+    ({1: "near singular", 3: "late zero"}, 3),
+    ({1: "late zero", 2: "late zero"}, 1),
+    ({1: "near singular", 2: "near singular"}, 1),
+], ids=["earliest-zero-pivot", "zero-pivot-before-ratio", "lowest-of-one-column", "lowest-ratio"])
+def test_a_chunk_names_the_member_the_numpy_lu_meets_first(bad, want, lu_routes):
+    # The numpy LU factors a chunk column by column and stops at the first
+    # exact zero pivot (the lowest member at that column); the pivot ratios
+    # are read after, the lowest member over the limit named.
+    n = 2 * BASE + 9
+    mats, _ = _stack_case(n, 4, seed=6)
+    for s, kind in bad.items():
+        if kind == "near singular":
+            mats[s] = _near_singular(n, 80 + s)[1]
+        else:
+            mats[s][:, 0 if kind == "first zero" else _late_column(n)] = 0.0
+    for route in lu_routes():
+        with pytest.raises(matcore.SingularMatrixError) as info:
+            matcore.solve(mats, np.ones((4, n, 1)))
+        assert info.value.index == want, route
+
+
+def test_a_one_chunk_stack_starts_no_thread(monkeypatch, force_cpus, lu_routes):
     force_cpus(8)
 
     def no_thread(*args, **kwargs):
@@ -356,16 +418,17 @@ def test_a_one_chunk_stack_starts_no_thread(monkeypatch, force_cpus):
     monkeypatch.setattr(threading, "Thread", no_thread)
     n = BASE + 6
     mats, rhs = _stack_case(n, 4)
-    monkeypatch.setattr(matcore, "_LU_WORKSPACE", 4 * 8 * n * n)
-    matcore.solve(mats, rhs)
-    monkeypatch.setattr(matcore, "_LU_WORKSPACE", 2 * 8 * n * n)
-    with pytest.raises(AssertionError, match="a thread was started"):
+    for route in lu_routes():
+        monkeypatch.setattr(matcore, "_LU_WORKSPACE", 4 * 8 * n * n)
         matcore.solve(mats, rhs)
+        monkeypatch.setattr(matcore, "_LU_WORKSPACE", 2 * 8 * n * n)
+        with pytest.raises(AssertionError, match="a thread was started"):
+            matcore.solve(mats, rhs)
 
 
 @pytest.mark.parametrize("per_chunk", [None, 1])
 @pytest.mark.parametrize("kind", ["zero pivot", "near singular"])
-def test_stacked_solve_names_the_singular_member(monkeypatch, kind, per_chunk):
+def test_stacked_solve_names_the_singular_member(monkeypatch, kind, per_chunk, lu_routes):
     n = 2 * BASE + 9
     col = _late_column(n)
     mats, _ = _stack_case(n, 4, seed=3)
@@ -377,24 +440,89 @@ def test_stacked_solve_names_the_singular_member(monkeypatch, kind, per_chunk):
     mats[2] = bad
     if per_chunk is not None:
         monkeypatch.setattr(matcore, "_LU_WORKSPACE", per_chunk * 8 * n * n)
-    with pytest.raises(matcore.SingularMatrixError, match="^matrix 2: singular matrix") as info:
-        matcore.solve(mats, np.ones((4, n, 1)))
-    assert info.value.index == 2
-    assert info.value.condition > matcore.COND_LIMIT
-    with pytest.raises(matcore.SingularMatrixError, match="^singular matrix") as info:
-        matcore.solve(bad, np.ones((n, 1)))
-    assert info.value.index is None
+    for route in lu_routes():
+        with pytest.raises(matcore.SingularMatrixError,
+                           match="^matrix 2: singular matrix") as info:
+            matcore.solve(mats, np.ones((4, n, 1)))
+        assert info.value.index == 2, route
+        assert info.value.condition > matcore.COND_LIMIT, route
+        with pytest.raises(matcore.SingularMatrixError, match="^singular matrix") as info:
+            matcore.solve(bad, np.ones((n, 1)))
+        assert info.value.index is None, route
 
 
-def test_stacked_solve_rejects_bad_shapes():
-    with pytest.raises(matcore.ShapeError, match="stack mixes"):
-        matcore.solve([np.eye(3), np.eye(4)], np.ones((2, 3, 1)))
-    with pytest.raises(matcore.ShapeError, match="2x3x3.*3x3x1"):
-        matcore.solve(np.stack([np.eye(3)] * 2), np.ones((3, 3, 1)))
-    with pytest.raises(matcore.ShapeError, match="right-hand side must be 3-D"):
-        matcore.solve(np.stack([np.eye(3)] * 2), np.ones((3, 1)))
-    with pytest.raises(matcore.ShapeError, match="right-hand side must be 2-D"):
-        matcore.solve(np.eye(3), np.ones((1, 3, 1)))
+def test_stacked_solve_rejects_bad_shapes(lu_routes):
+    for route in lu_routes():
+        with pytest.raises(matcore.ShapeError, match="stack mixes"):
+            matcore.solve([np.eye(3), np.eye(4)], np.ones((2, 3, 1)))
+        with pytest.raises(matcore.ShapeError, match="2x3x3.*3x3x1"):
+            matcore.solve(np.stack([np.eye(3)] * 2), np.ones((3, 3, 1)))
+        with pytest.raises(matcore.ShapeError, match="right-hand side must be 3-D"):
+            matcore.solve(np.stack([np.eye(3)] * 2), np.ones((3, 1)))
+        with pytest.raises(matcore.ShapeError, match="right-hand side must be 2-D"):
+            matcore.solve(np.eye(3), np.ones((1, 3, 1)))
+
+
+# --- LAPACK against the numpy LU -------------------------------------------------
+
+def _lapack_row_order(ipiv):
+    """The rows of the input in the order of LU's rows, from LAPACK's 1-based swaps."""
+    order = np.arange(len(ipiv))
+    for i, p in enumerate(ipiv - 1):
+        order[[i, p]] = order[[p, i]]
+    return order
+
+
+def _reference_w0s():
+    desk = ExperimentConfig()
+    weights = model.build_model(desk.model_config())
+    for name in weights.names():
+        if name.endswith((".query", ".value")):
+            yield name, weights[name]
+    for seed in range(12):
+        yield f"gaussian {seed}", matcore.gaussian(768, 768, 0, 1, 3000 + seed)
+
+
+def test_lapack_lu_agrees_with_the_numpy_lu():
+    # Both factor P W0 = L U with the largest-magnitude pivot of each column,
+    # so the row orders are equal. Their roundings differ: the pivot ratios
+    # and the solutions agree to cond_1(W0) * eps (measured: at most 0.04 of
+    # it on these W0s, whose cond_1 reaches 5e6).
+    if matcore._lapack() is None:
+        pytest.skip("numpy's OpenBLAS with LAPACK's getrf and getrs is not found here")
+    eps = np.finfo(np.float64).eps
+    for name, w0 in _reference_w0s():
+        n = len(w0)
+        lu, ipiv = np.empty((n, n)), np.empty(n, np.int64)
+        zero, ratio = matcore._getrf(w0, lu, ipiv)
+        reference = w0.copy()
+        order = matcore._lu_factor(reference[None])[0]
+        assert zero == 0 and np.array_equal(_lapack_row_order(ipiv), order), name
+        bound = np.linalg.cond(w0, 1) * eps
+        want = float(matcore._pivot_ratios(reference))
+        assert abs(ratio - want) <= bound * want, name
+        rhs = matcore.gaussian(n, 16, 0, 1, 4000 + n)
+        x = matcore.solve(w0, rhs)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(matcore, "_lapack", lambda: None)
+            numpy_x = matcore.solve(w0, rhs)
+        assert _rel(x, numpy_x) <= bound, name
+
+
+@pytest.mark.parametrize("kind", ["zero pivot", "duplicate column", "near singular"])
+def test_lapack_lu_rejects_what_the_numpy_lu_rejects(kind, lu_routes):
+    n = 2 * BASE + 9
+    col = _late_column(n)
+    base, w0 = _near_singular(n, 81)
+    if kind != "near singular":
+        w0 = base.copy()
+        w0[:, col] = 0.0 if kind == "zero pivot" else w0[:, 2]
+    for route in lu_routes():
+        condition = matcore.condition_estimate(w0)
+        assert condition > matcore.COND_LIMIT, (route, condition)
+        assert math.isinf(condition) == (kind == "zero pivot"), route
+        with pytest.raises(matcore.SingularMatrixError, match="^matrix 1: singular matrix"):
+            matcore.solve([base, w0], np.ones((2, n, 1)))
 
 
 # --- svd ---------------------------------------------------------------------

@@ -33,11 +33,11 @@ the platform's libm rounding in the last couple of ulps.
 Because any output can be drawn alone, ``gaussian_block`` shares its blocks
 of ``_PAIR_BLOCK`` pairs among the calling thread and the helpers of a
 ``ThreadPoolExecutor`` made for the call, up to one thread per CPU the
-process may run on (``run_shares``, which ``matcore.solve`` and
-``model.run_chunks`` use for their chunks too, with OpenBLAS held to one
-thread while the pool runs); each value is computed by the same operations
-whatever thread draws it, so the bytes do not depend on the number of
-threads.
+process may run on (``run_parts``, which ``matcore.solve``,
+``model.forward_pass`` and ``trainer.loss_and_grads`` use for their chunks
+too, with OpenBLAS held to one thread while the pool runs); each value is
+computed by the same operations whatever thread draws it, so the bytes do
+not depend on the number of threads.
 """
 
 from __future__ import annotations
@@ -47,7 +47,8 @@ import functools
 import math
 import numbers
 import os
-from typing import Callable, Iterator
+import threading
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -198,13 +199,16 @@ def gaussian_block(n: int, seed: int, scale: tuple[float, float] | None = None) 
     Pairs are drawn ``_PAIR_BLOCK`` at a time into buffers each worker
     allocates once, so the temporaries stay small whatever n is; every value
     is the one a single full-length pass gives. The blocks are independent,
-    and ``run_shares`` shares them among the CPUs.
+    and ``run_parts`` shares them among the CPUs.
     """
     check_int("n", n, 0)
     seed = check_seed(seed)
     pairs = (n + 1) // 2
     out = np.empty(2 * pairs, dtype=np.float64)
-    run_shares(lambda first, step: _fill(out, seed, first, step, scale), -(-pairs // _PAIR_BLOCK))
+    size = min(_PAIR_BLOCK, pairs)
+    run_parts(range(-(-pairs // _PAIR_BLOCK)),
+              lambda block, buffers: _fill(out, seed, block, buffers, scale),
+              lambda worker: _fill_buffers(size))
     return out[:n]
 
 
@@ -215,37 +219,68 @@ def usable_cpus() -> int:
     return cpus or 1
 
 
-def run_shares(work: Callable[[int, int], object], shares: int) -> None:
-    """Run ``work(first, k)`` for first = 0, ..., k - 1, each share taking
-    the independent parts first, first + k, ... of ``shares`` such parts,
-    with k = min(shares, ``usable_cpus()``).
+def run_parts(parts: Sequence, work: Callable[[object, object], object],
+              workspace: Callable[[int], object],
+              fold: Callable[[object], object] | None = None) -> None:
+    """``fold(work(part, space))`` for every part, the folds in part order.
 
-    The calling thread runs share 0 and a ``ThreadPoolExecutor`` of k - 1
-    helpers the others; leaving the pool joins every helper, also when the
-    caller's own share fails, and ``result()`` raises a helper's error here.
-    While the pool runs, OpenBLAS runs on one thread (``_one_blas_thread``).
-    With k = 1 (one part, or one CPU) the calling thread runs ``work(0, 1)``
-    and no pool is made.
+    With w = min(len(parts), ``usable_cpus()``), worker i makes its space
+    ``workspace(i)`` once and takes parts i, i + w, ... in it. The calling
+    thread is worker 0 and a ``ThreadPoolExecutor`` of w - 1 helpers runs
+    the others; leaving the pool joins every helper, also when the caller's
+    own parts fail. With w = 1 (one part, or one CPU) no pool is made. While
+    the pool runs, OpenBLAS runs on one thread (``_one_blas_thread``).
+
+    A worker that finishes a part folds every finished result whose earlier
+    parts are all folded, so the folds run in part order whatever w is, one
+    at a time, and no worker waits for another; a result is held only until
+    the parts before it are folded. A worker stops at its first failing
+    part, and the error raised is that of the lowest-indexed failing part,
+    whichever worker finished first, so it is the same on any number of CPUs.
     """
-    workers = min(shares, usable_cpus()) if shares > 1 else 1
+    done: dict[int, object] = {}  # finished parts not yet folded: result or error
+    folded = 0
+    lock = threading.Lock()
+
+    def share(first: int, step: int) -> None:
+        nonlocal folded
+        space = workspace(first)
+        for index in range(first, len(parts), step):
+            try:
+                result = work(parts[index], space)
+            except Exception as exc:
+                result = exc
+            with lock:
+                done[index] = result
+                while folded in done and not isinstance(done[folded], Exception):
+                    ready = done.pop(folded)
+                    if fold is not None:
+                        fold(ready)
+                    folded += 1
+            if isinstance(result, Exception):
+                return
+
+    workers = min(len(parts), usable_cpus()) if len(parts) > 1 else 1
     if workers == 1:
-        work(0, 1)
-        return
-    # imported here: concurrent.futures loads logging (about 12 ms and
-    # 0.7 MB), which a process of one-part calls never needs
-    from concurrent.futures import ThreadPoolExecutor
-    with _one_blas_thread(), ThreadPoolExecutor(workers - 1) as pool:
-        helpers = [pool.submit(work, first, workers) for first in range(1, workers)]
-        work(0, workers)
-        for helper in helpers:
-            helper.result()
+        share(0, 1)
+    else:
+        # imported here: concurrent.futures loads logging (about 12 ms and
+        # 0.7 MB), which a process of one-part calls never needs
+        from concurrent.futures import ThreadPoolExecutor
+        with _one_blas_thread(), ThreadPoolExecutor(workers - 1) as pool:
+            helpers = [pool.submit(share, first, workers) for first in range(1, workers)]
+            share(0, workers)
+            for helper in helpers:
+                helper.result()
+    if folded < len(parts):  # every earlier part was folded, so this one failed
+        raise done[folded]
 
 
 @contextlib.contextmanager
 def _one_blas_thread() -> Iterator[None]:
     """OpenBLAS on one thread within, and on as many as before after.
 
-    A pool of ``run_shares`` already keeps every usable CPU busy; an OpenBLAS
+    A pool of ``run_parts`` already keeps every usable CPU busy; an OpenBLAS
     that also splits each product among threads of its own oversubscribes
     them, and at its default of one thread per CPU a batch-256 training step
     ran at about 60% of its one-thread speed (``BENCH_chunk_budget.json``).
@@ -285,42 +320,46 @@ def _openblas():
     return None
 
 
-def _fill(out: np.ndarray, seed: int, first: int, step: int,
+def _fill_buffers(size: int) -> tuple[np.ndarray, ...]:
+    """One worker's block buffers for ``_fill``, for blocks of up to ``size``
+    pairs: the steps 1, 2, ... of ``_mix``, its output and scratch, and the
+    radii and angles."""
+    return (np.arange(1, 2 * size + 1, dtype=np.uint64), np.empty(2 * size, dtype=np.uint64),
+            np.empty(2 * size, dtype=np.uint64), np.empty(size), np.empty(size))
+
+
+def _fill(out: np.ndarray, seed: int, block: int, buffers: tuple[np.ndarray, ...],
           scale: tuple[float, float] | None) -> None:
-    """Draw blocks first, first + step, ... of out's pairs into out, through
-    one set of block buffers allocated once per call."""
-    pairs = out.size // 2
-    size = min(_PAIR_BLOCK, pairs)
-    steps = np.arange(1, 2 * size + 1, dtype=np.uint64)
-    z_buf, tmp_buf = np.empty(2 * size, dtype=np.uint64), np.empty(2 * size, dtype=np.uint64)
-    radius_buf, angle_buf = np.empty(size), np.empty(size)
-    for start in range(first * _PAIR_BLOCK, pairs, step * _PAIR_BLOCK):
-        count = min(_PAIR_BLOCK, pairs - start)
-        z, tmp = z_buf[:2 * count], tmp_buf[:2 * count]
-        radius, angle = radius_buf[:count], angle_buf[:count]
-        _mix(z, tmp, seed, 2 * start, steps)
-        bits = tmp[:count]  # the mix's scratch, free again
-        np.right_shift(z[0::2], np.uint64(11), out=bits)
-        radius[...] = bits
-        radius += 1.0
-        radius *= _TWO53
-        np.log(radius, out=radius)
-        radius *= -2.0
-        np.sqrt(radius, out=radius)
-        np.right_shift(z[1::2], np.uint64(11), out=bits)
-        angle[...] = bits
-        angle *= _TWO53
-        angle *= 2.0 * math.pi
-        block = out[2 * start:2 * (start + count)]
-        even, odd = block[0::2], block[1::2]
-        np.cos(angle, out=even)
-        even *= radius
-        np.sin(angle, out=odd)
-        odd *= radius
-        if scale is not None:
-            mean, std = scale
-            block *= std
-            block += mean
+    """Draw block ``block`` of out's pairs into out, through one worker's
+    ``buffers`` (``_fill_buffers``)."""
+    steps, z_buf, tmp_buf, radius_buf, angle_buf = buffers
+    start = block * _PAIR_BLOCK
+    count = min(_PAIR_BLOCK, out.size // 2 - start)
+    z, tmp = z_buf[:2 * count], tmp_buf[:2 * count]
+    radius, angle = radius_buf[:count], angle_buf[:count]
+    _mix(z, tmp, seed, 2 * start, steps)
+    bits = tmp[:count]  # the mix's scratch, free again
+    np.right_shift(z[0::2], np.uint64(11), out=bits)
+    radius[...] = bits
+    radius += 1.0
+    radius *= _TWO53
+    np.log(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    np.right_shift(z[1::2], np.uint64(11), out=bits)
+    angle[...] = bits
+    angle *= _TWO53
+    angle *= 2.0 * math.pi
+    values = out[2 * start:2 * (start + count)]
+    even, odd = values[0::2], values[1::2]
+    np.cos(angle, out=even)
+    even *= radius
+    np.sin(angle, out=odd)
+    odd *= radius
+    if scale is not None:
+        mean, std = scale
+        values *= std
+        values += mean
 
 
 def randint_block(n: int, bound: int, seed: int, start: int = 0) -> np.ndarray:

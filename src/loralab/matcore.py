@@ -11,7 +11,7 @@ the operations that carry correctness contracts:
   on the columns of ``rhs`` only. ``a`` may be a stack of matrices, which is
   solved in chunks of as many matrices as fit ``_LU_WORKSPACE`` bytes; the
   chunks are independent, so they are shared among the CPUs the process may
-  run on (``_rng.run_shares``). The chunking depends on the bytes only, so
+  run on (``_rng.run_parts``). The chunking depends on the bytes only, so
   every output and every error is the same on one CPU or many, and each
   matrix gets the bits of its own 2-D solve. There are two routes:
 
@@ -373,7 +373,7 @@ def solve(a, rhs) -> np.ndarray:
     CPUs this process may run on), worker i takes chunks i, i + w, ... in a
     workspace of its own: the calling thread is worker 0, and a thread pool
     runs the others only when there are two chunks or more
-    (``_rng.run_shares``). Where ``_lapack`` finds LAPACK's getrf and getrs,
+    (``_rng.run_parts``). Where ``_lapack`` finds LAPACK's getrf and getrs,
     each matrix is factored and substituted by them, one at a time in a
     one-matrix workspace, on one OpenBLAS thread; elsewhere the numpy LU
     factors a whole chunk in a workspace of the chunk's size. Every matrix
@@ -382,9 +382,8 @@ def solve(a, rhs) -> np.ndarray:
     Rejects a matrix whose pivot-ratio condition estimate exceeds COND_LIMIT;
     for a stack the error carries the matrix's index. Within a chunk it is
     the matrix with the earliest exact zero pivot, else the first over the
-    limit, on both routes. A worker stops at its first failing chunk, and the
-    error raised is that of the lowest-indexed failing chunk, whichever
-    worker finished first.
+    limit, on both routes. Across chunks it is that of the lowest-indexed
+    failing chunk, on any number of CPUs (``_rng.run_parts``).
     """
     a, single = _as_stack(a)
     if not len(a):  # only an array can hold no matrices; a list of none is 1-D
@@ -404,26 +403,16 @@ def solve(a, rhs) -> np.ndarray:
     x = np.empty(rhs.shape)
     chunk = max(1, _LU_WORKSPACE // (8 * n * n))
     held = 1 if _lapack() is not None else min(chunk, count)  # matrices a workspace holds
-    starts = range(0, count, chunk)
-    errors: dict[int, NumericError] = {}  # chunk start -> the error that stopped its worker
 
-    def solve_chunks(first: int, step: int) -> None:
-        workspace = np.empty((held, n, n))
-        for c0 in starts[first::step]:
-            part = slice(c0, c0 + chunk)
-            try:
-                _solve_chunk(a[part], rhs[part], workspace, x[part])
-            except NumericError as exc:
-                errors[c0] = exc
-                return
+    def solve_part(part: slice, workspace: np.ndarray) -> None:
+        try:
+            _solve_chunk(a[part], rhs[part], workspace, x[part])
+        except SingularMatrixError as exc:
+            raise SingularMatrixError(exc.condition,
+                                      None if single else part.start + exc.index) from None
 
-    _rng.run_shares(solve_chunks, len(starts))
-    if errors:
-        c0 = min(errors)
-        exc = errors[c0]
-        if isinstance(exc, SingularMatrixError):
-            raise SingularMatrixError(exc.condition, None if single else c0 + exc.index) from None
-        raise exc
+    _rng.run_parts([slice(c0, c0 + chunk) for c0 in range(0, count, chunk)], solve_part,
+                   lambda worker: np.empty((held, n, n)))
     return x[0] if single else x
 
 

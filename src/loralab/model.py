@@ -31,12 +31,12 @@ of the bytes), so the workspace is bounded by that budget, not by the batch;
 ``trainer.loss_and_grads`` chunks a training step. Of a sweep of 8-32 MiB
 over batches of 64 to 1024 on one and two CPUs (``BENCH_chunk_budget.json``)
 the budget trained batch 256 fastest on two CPUs and slowed no batch beyond
-the run-to-run spread, at one BLAS thread and at OpenBLAS's default (which
-``_rng.run_shares`` holds to one thread while chunks share the CPUs).
-``run_chunks`` shares a batch's chunks among the CPUs the process may run
-on, one workspace per worker: worker 0 uses the cache's own buffers and
-each other worker a Cache the first one keeps, so the workspace is bounded
-by the budget times the workers. Every product of the pass is taken per
+the run-to-run spread, at one BLAS thread and at OpenBLAS's default.
+``_rng.run_parts`` shares a batch's chunks among the CPUs the process may
+run on, with OpenBLAS held to one thread, one workspace per worker
+(``Cache._worker``): worker 0 uses the cache's own buffers and each other
+worker a Cache the first one keeps, so the workspace is bounded by the
+budget times the workers. Every product of the pass is taken per
 example, so an example's logits have the same bits alone and in any batch
 or chunk, and chunked logits, put back in chunk order, have the bits of
 one whole pass on any number of CPUs. A caller that runs many passes keeps
@@ -54,9 +54,8 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
 from dataclasses import dataclass, fields
-from typing import IO, Callable, Iterator
+from typing import IO, Iterator
 
 import numpy as np
 
@@ -422,7 +421,7 @@ class Cache:
     the token length changes or a chunk outgrows them; a smaller chunk gets
     their leading views. Every array a pass returns is fresh.
 
-    ``_worker(i)`` is the workspace of worker i of ``run_chunks``: the cache
+    ``_worker(i)`` is the workspace of worker i of ``_rng.run_parts``: the cache
     itself for worker 0, and for each other worker a Cache of the same kind,
     made on its first use and kept with this one.
     """
@@ -469,7 +468,7 @@ def forward_pass(
     ``projections`` overrides attention weights per (module, layer); the
     caller is responsible for their shapes. With no ``cache`` the pass uses a
     fresh forward-only one. A forward-only cache runs the batch in the chunks
-    of ``chunks``, shared among the CPUs by ``run_chunks``; a kept one
+    of ``chunks``, shared among the CPUs by ``_rng.run_parts``; a kept one
     (``keep_layers``) runs what it is given as one pass, for ``backward``, so
     its caller hands it one chunk at a time.
     """
@@ -480,48 +479,10 @@ def forward_pass(
     if cache.keep_layers:
         return _pass(weights, tokens, projections, cache)
     logits: list[np.ndarray] = []
-    run_chunks(cache, chunks(config, *tokens.shape),
-               lambda rows, workspace: _pass(weights, tokens[rows], projections, workspace),
-               logits.append)
+    _rng.run_parts(chunks(config, *tokens.shape),
+                   lambda rows, workspace: _pass(weights, tokens[rows], projections, workspace),
+                   cache._worker, logits.append)
     return np.concatenate(logits)
-
-
-def run_chunks(cache: Cache, chunks: list[slice], work: Callable[[slice, Cache], object],
-               fold: Callable[[object], None]) -> None:
-    """``fold(work(rows, workspace))`` for every chunk, the folds in chunk order.
-
-    With w = min(len(chunks), usable CPUs), worker i takes chunks i, i + w,
-    ... in its own workspace ``cache._worker(i)`` (``_rng.run_shares``: the
-    calling thread is worker 0, and one chunk makes no pool). A worker that
-    finishes a chunk folds every finished result whose earlier chunks are all
-    folded, so the folds run in chunk order whatever w is, one at a time, and
-    no worker waits for another. A worker stops at its first failing chunk,
-    and the error raised is that of the lowest-indexed failing chunk,
-    whichever worker finished first.
-    """
-    done: dict[int, object] = {}  # finished chunks not yet folded: result or error
-    folded = 0
-    lock = threading.Lock()
-
-    def share(first: int, step: int) -> None:
-        nonlocal folded
-        workspace = cache._worker(first)
-        for index in range(first, len(chunks), step):
-            try:
-                result = work(chunks[index], workspace)
-            except Exception as exc:
-                result = exc
-            with lock:
-                done[index] = result
-                while folded in done and not isinstance(done[folded], Exception):
-                    fold(done.pop(folded))
-                    folded += 1
-            if isinstance(result, Exception):
-                return
-
-    _rng.run_shares(share, len(chunks))
-    if folded < len(chunks):  # every earlier chunk was folded, so this one failed
-        raise done[folded]
 
 
 def _pass(weights: BaseWeights, tokens: np.ndarray,

@@ -5,7 +5,7 @@ W = W0 + s·B·A (s = alpha / r) with ``adapters.adapted``, then runs the batch
 in the chunks of ``model.chunks`` through a
 ``model.Cache(keep_layers=True)`` (``_steps`` reuses one for every step).
 The chunks are shared among the CPUs the process may run on
-(``model.run_chunks``), each worker in a workspace of its own that the Cache
+(``_rng.run_parts``), each worker in a workspace of its own that the Cache
 keeps. Per chunk a worker runs ``model.forward_pass``, takes dL/dlogits in
 closed form, normalised by the whole batch (MSE on float targets:
 2(logits - y)/N over the batch's N entries; cross-entropy on integer labels:
@@ -135,7 +135,7 @@ def loss_and_grads(weights: BaseWeights, params: AdapterParams, spec: AdapterSpe
     ``cache``, a ``model.Cache(keep_layers=True)``, is the activation
     workspace; a caller that steps repeatedly passes the same one. The batch
     goes through it in the chunks of ``model.chunks``, forward and backward
-    per chunk, shared among the CPUs by ``model.run_chunks``, and the chunks'
+    per chunk, shared among the CPUs by ``_rng.run_parts``, and the chunks'
     losses and dL/dW are summed in chunk order: a batch of one chunk gets the
     bits of one pass, a larger one sums in another order, the same on any
     number of CPUs. A non-finite loss is a ``NumericError``; with several,
@@ -168,7 +168,7 @@ def loss_and_grads(weights: BaseWeights, params: AdapterParams, spec: AdapterSpe
             else:
                 dws[key] = dw
 
-    model.run_chunks(cache, model.chunks(weights.config, *tokens.shape), chunk, fold)
+    _rng.run_parts(model.chunks(weights.config, *tokens.shape), chunk, cache._worker, fold)
     return loss, adapters.factor_grads(weights, params, spec, factors, dws)
 
 

@@ -1,3 +1,5 @@
+import threading
+
 import pytest
 
 from loralab import _rng
@@ -11,3 +13,13 @@ def force_cpus(monkeypatch):
         monkeypatch.setattr(_rng.os, "sched_getaffinity", lambda pid: set(range(cpus)),
                             raising=False)
     return force
+
+
+@pytest.fixture()
+def no_threads(monkeypatch):
+    """Starting a thread raises ``AssertionError("a thread was started")``,
+    until the test ends."""
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading, "Thread", no_thread)

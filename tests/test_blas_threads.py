@@ -145,12 +145,13 @@ def test_a_pool_runs_openblas_on_one_thread_and_restores_its_count(force_cpus):
     seen = []
     try:
         put(2)
-        _rng.run_shares(lambda first, step: seen.append(get()), 2)
+        _rng.run_parts(range(2), lambda part, space: seen.append(get()), lambda worker: None)
         assert seen == [1, 1] and get() == 2
-        _rng.run_shares(lambda first, step: seen.append(get()), 1)  # no pool, no change
+        _rng.run_parts(range(1), lambda part, space: seen.append(get()),
+                       lambda worker: None)  # no pool, no change
         assert seen[2:] == [2]
         with pytest.raises(ZeroDivisionError):
-            _rng.run_shares(lambda first, step: 1 / 0, 2)
+            _rng.run_parts(range(2), lambda part, space: 1 / 0, lambda worker: None)
         assert get() == 2
     finally:
         put(before)

@@ -57,7 +57,7 @@ def workspace_bytes(cache):
 def test_chunks_split_a_batch_into_near_equal_parts_within_the_budget(
         weights, monkeypatch, keep_layers):
     # A forward-only pass and a training step are both cut by the bytes of a
-    # training step's workspace; the chunks each hands to run_chunks are read.
+    # training step's workspace; the chunks each hands to run_parts are read.
     kept = model.Cache(keep_layers=True)
     model.forward_pass(weights, tokens(1), cache=kept)
     per_example = workspace_bytes(kept)
@@ -67,13 +67,13 @@ def test_chunks_split_a_batch_into_near_equal_parts_within_the_budget(
     class Cut(Exception):
         pass
 
-    def record(cache, chunks, work, fold):
-        raise Cut(chunks)
+    def record(parts, work, workspace, fold=None):
+        raise Cut(parts)
 
     def cut(batch):
         toks = np.zeros((batch, LENGTH), dtype=np.int64)
         with monkeypatch.context() as patch, pytest.raises(Cut) as info:
-            patch.setattr(model, "run_chunks", record)
+            patch.setattr(_rng, "run_parts", record)
             if keep_layers:
                 trainer.loss_and_grads(weights, params, spec,
                                        (toks, np.zeros((batch, DESK.n_outputs))))
@@ -186,7 +186,7 @@ def test_a_training_step_holds_no_chunk_gradient_it_has_summed(force_cpus, monke
     assert peaks[1] < peaks[0] + (1 << 20), peaks
 
 
-# --- chunks shared among the CPUs (model.run_chunks) ---------------------------------
+# --- chunks shared among the CPUs (_rng.run_parts) ------------------------------------
 
 @pytest.mark.parametrize("kind", tasks.TASK_KINDS, ids=["mse", "cross_entropy"])
 def test_chunk_bytes_do_not_depend_on_the_worker_count(weights, force_cpus, kind):
@@ -218,13 +218,8 @@ def test_chunk_bytes_do_not_depend_on_the_worker_count(weights, force_cpus, kind
     assert sorted(step_cache._workers) == [1, 2, 3]  # a kept workspace for each helper
 
 
-def test_a_batch_of_one_chunk_starts_no_thread(weights, monkeypatch, force_cpus):
+def test_a_batch_of_one_chunk_starts_no_thread(weights, force_cpus, no_threads):
     force_cpus(8)
-
-    def no_thread(*args, **kwargs):
-        raise AssertionError("a thread was started")
-
-    monkeypatch.setattr(threading, "Thread", no_thread)
     task = tasks.build_task("teacher", weights, seed=2, rank=4)
     spec = DESK.adapter_spec("lora")
     params = adapters.init_params(spec, DESK.d_model, 1)

@@ -2,7 +2,6 @@ import io
 import math
 import re
 import sys
-import threading
 import tracemalloc
 
 import numpy as np
@@ -409,13 +408,8 @@ def test_a_chunk_names_the_member_the_numpy_lu_meets_first(bad, want, lu_routes)
         assert info.value.index == want, route
 
 
-def test_a_one_chunk_stack_starts_no_thread(monkeypatch, force_cpus, lu_routes):
+def test_a_one_chunk_stack_starts_no_thread(monkeypatch, force_cpus, no_threads, lu_routes):
     force_cpus(8)
-
-    def no_thread(*args, **kwargs):
-        raise AssertionError("a thread was started")
-
-    monkeypatch.setattr(threading, "Thread", no_thread)
     n = BASE + 6
     mats, rhs = _stack_case(n, 4)
     for route in lu_routes():

@@ -1,6 +1,7 @@
 import math
 import re
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -157,14 +158,22 @@ def test_a_negative_or_fractional_count_is_an_error(call, name, value):
 
 @pytest.fixture()
 def fill_calls(monkeypatch):
-    """Every (first block, step) that ``_rng._fill`` is called with."""
-    calls, real = [], _rng._fill
+    """One list per ``run_parts`` call, of the (worker, block) pairs it ran:
+    each worker's workspace is wrapped to carry the worker's index."""
+    calls, real = [], _rng.run_parts
 
-    def fill(out, seed, first, step, scale):
-        calls.append((first, step))
-        real(out, seed, first, step, scale)
+    def run_parts(parts, work, workspace, fold=None):
+        ran = []
+        calls.append(ran)
 
-    monkeypatch.setattr(_rng, "_fill", fill)
+        def tagged(block, space):
+            worker, buffers = space
+            ran.append((worker, block))
+            return work(block, buffers)
+
+        real(parts, tagged, lambda worker: (worker, workspace(worker)), fold)
+
+    monkeypatch.setattr(_rng, "run_parts", run_parts)
     return calls
 
 
@@ -180,7 +189,10 @@ def test_gaussian_block_bytes_do_not_depend_on_the_worker_count(fill_calls, n, f
         draws = [_rng.gaussian_block(n, 5)] + [_rng.gaussian_block(n, 5, s) for s in SCALES]
         assert [d.tobytes() for d in draws] == references, cpus
         workers = min(cpus, blocks)
-        assert sorted(set(fill_calls)) == [(first, workers) for first in range(workers)]
+        # worker i fills blocks i, i + workers, ...
+        for ran in fill_calls:
+            assert {w: [b for v, b in ran if v == w] for w, _ in ran} == {
+                w: list(range(w, blocks, workers)) for w in range(workers)}, cpus
 
 
 @pytest.mark.parametrize("failing", [None, 0, 1])
@@ -188,10 +200,10 @@ def test_an_error_in_any_block_is_raised_and_no_thread_survives(monkeypatch, for
     force_cpus(2)
     real = _rng._fill
 
-    def fill(out, seed, first, step, scale):
-        if first == failing:
-            raise RuntimeError(f"block {first} failed")
-        real(out, seed, first, step, scale)
+    def fill(out, seed, block, buffers, scale):
+        if block == failing:
+            raise RuntimeError(f"block {block} failed")
+        real(out, seed, block, buffers, scale)
 
     monkeypatch.setattr(_rng, "_fill", fill)
     before = threading.active_count()
@@ -203,13 +215,42 @@ def test_an_error_in_any_block_is_raised_and_no_thread_survives(monkeypatch, for
     assert threading.active_count() == before
 
 
-def test_a_one_block_call_and_a_desk_model_start_no_thread(monkeypatch, force_cpus):
+def test_the_lowest_failing_block_is_raised_on_any_number_of_cpus(monkeypatch, force_cpus):
+    # Three blocks, of which 1 and 2 fail; on two CPUs worker 0 takes blocks
+    # 0 and 2 and worker 1 block 1, so the error must not be the caller's own.
+    real = _rng._mix
+
+    def mix(z, tmp, seed, start, steps):
+        block = start // (2 * P)
+        if block in (1, 2):
+            raise RuntimeError(f"block {block} failed")
+        real(z, tmp, seed, start, steps)
+
+    monkeypatch.setattr(_rng, "_mix", mix)
+    for cpus in (1, 2, 3):
+        force_cpus(cpus)
+        with pytest.raises(RuntimeError, match="^block 1 failed$"):
+            _rng.gaussian_block(6 * P, 3)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_the_fill_temporaries_stay_small_whatever_n_is(force_cpus, cpus):
+    # A worker's block buffers are the steps, the mix's output and scratch
+    # (2P uint64 each), and the radii and angles (P float64 each).
+    force_cpus(cpus)
+    _rng.gaussian_block(4 * P, 1)  # the pool's first use loads concurrent.futures
+    per_worker = P * (3 * 2 * 8 + 2 * 8)
+    tracemalloc.start()
+    try:
+        g = _rng.gaussian_block(768 * 3072, 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < g.nbytes + cpus * per_worker + (64 << 10), peak - g.nbytes
+
+
+def test_a_one_block_call_and_a_desk_model_start_no_thread(force_cpus, no_threads):
     force_cpus(8)
-
-    def no_thread(*args, **kwargs):
-        raise AssertionError("a thread was started")
-
-    monkeypatch.setattr(threading, "Thread", no_thread)
     _rng.gaussian_block(2 * P, 3)
     model.build_model(model.ModelConfig())
     force_cpus(1)

@@ -55,6 +55,9 @@ class AdapterSpec:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         _rng.check_int("rank", self.rank, 1)
         _rng.check_real("alpha", self.alpha, "positive")
+        for name in ("target_modules", "target_layers"):  # a tuple keeps the spec hashable
+            if not isinstance(getattr(self, name), tuple):
+                raise ValueError(f"{name} must be a tuple, got {getattr(self, name)!r}")
         if not self.target_modules:
             raise ValueError("target_modules must be non-empty")
         for m in self.target_modules:
@@ -243,7 +246,7 @@ _CHECKPOINT = matcore.CheckpointFormat(
     {
         "method": ("method", str, str),
         "r": ("rank", matcore.parse_int, str),
-        "alpha": ("alpha", matcore.positive_float, matcore.format_float),
+        "alpha": ("alpha", matcore.positive_real("alpha"), matcore.format_float),
         "modules": ("target_modules", matcore.parse_items, matcore.format_items),
         "layers": ("target_layers", matcore.parse_layers, matcore.format_items),
     },

@@ -103,11 +103,12 @@ _FIELDS: matcore.Fields = {
     **{f"model.{name}": (name, matcore.int_at_least(name, 1), str) for name in _MODEL_FIELDS},
     "adapter.method": ("method", str, str),
     "adapter.rank": ("rank", matcore.int_at_least("rank", 1), str),
-    "adapter.alpha": ("alpha", matcore.positive_float, matcore.format_float),
+    "adapter.alpha": ("alpha", matcore.positive_real("alpha"), matcore.format_float),
     "adapter.target_modules": ("target_modules", matcore.parse_items, matcore.format_items),
     "adapter.target_layers": ("target_layers", matcore.parse_layers, matcore.format_items),
     "train.batch_size": ("batch_size", matcore.int_at_least("batch_size", 1), str),
-    "train.learning_rate": ("learning_rate", matcore.positive_float, matcore.format_float),
+    "train.learning_rate": ("learning_rate", matcore.positive_real("learning_rate"),
+                            matcore.format_float),
     "train.max_steps": ("max_steps", matcore.int_at_least("max_steps", 0), str),
     "task": ("task", str, str),
     "task.seq_len": ("seq_len", matcore.int_at_least("seq_len", 1), str),

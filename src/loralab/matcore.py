@@ -5,15 +5,15 @@ matrices around as 2-D C-contiguous float64 numpy arrays, or stacks of them. Thi
 the operations that carry correctness contracts:
 
 * ``matmul`` rejects mismatched shapes, naming both operands.
-* ``solve(a, rhs)`` factors ``a`` once with partial pivoting by rows,
-  refuses matrices whose pivot-ratio condition estimate exceeds
-  ``COND_LIMIT`` (1e12; an exact zero pivot reads as inf), and substitutes
-  on the columns of ``rhs`` only. ``a`` may be a stack of matrices, which is
-  solved in chunks of as many matrices as fit ``_LU_WORKSPACE`` bytes; the
-  chunks are independent, so they are shared among the CPUs the process may
-  run on (``_rng.run_parts``). The chunking depends on the bytes only, so
-  every output and every error is the same on one CPU or many, and each
-  matrix gets the bits of its own 2-D solve. There are two routes:
+* ``solve(a, rhs)`` factors ``a`` once with partial pivoting by rows, and
+  substitutes on the columns of ``rhs`` only. Every LU finishes, and one
+  gate (``_gate``) refuses a matrix whose pivot ratio exceeds ``COND_LIMIT``
+  (1e12; an exact zero pivot reads as inf). ``a`` may be a stack, solved in
+  chunks of as many matrices as fit ``_LU_WORKSPACE`` bytes that are shared
+  among the CPUs the process may run on (``_rng.run_parts``). The chunking
+  depends on the bytes only, so every output is the same on one CPU or
+  many, each matrix gets the bits of its own 2-D solve, and the error names
+  the lowest-indexed rejected matrix. There are two routes:
 
   - Where the OpenBLAS bundled with numpy's wheel (``_rng._openblas``)
     exports LAPACK's ``dgetrf`` and ``dgetrs``, each matrix of a chunk is
@@ -239,8 +239,7 @@ def _lu_base(a: np.ndarray) -> np.ndarray:
         from_j[at] = t[:, :, j]
         t[:, :, j] = pivot_rows
         pivots = pivot_rows[:, j]
-        if np.count_nonzero(pivots) < count:
-            raise SingularMatrixError(math.inf, int(np.argmin(pivots != 0.0)))
+        pivots[pivots == 0.0] = 1.0  # as getrf: U keeps the 0, and the column below it is 0
         u_row = t[:, j + 1 : w, j, None]
         u_row -= t[:, j + 1 : w, :j] @ t[:, :j, j, None]  # U[j, j+1:] -= L[j, :j] U[:j, j+1:]
         col = t[:, j, j + 1 :]
@@ -263,8 +262,8 @@ def _lu_factor(a: np.ndarray) -> np.ndarray:
     (_lu_base). The pivot is the largest-magnitude entry of the column, as in
     the unblocked algorithm, so both produce the same permutation. Each step
     runs on the whole stack, and gives every matrix the bits it would get
-    alone. An exact zero pivot raises SingularMatrixError with its matrix's
-    index.
+    alone. Every factorization finishes: an exact zero pivot stays on U's
+    diagonal, as LAPACK's getrf leaves it, and the gate reads it.
     """
     w = a.shape[2]
     if w <= _LU_BASE:
@@ -282,8 +281,22 @@ def _lu_factor(a: np.ndarray) -> np.ndarray:
 
 
 def _pivot_ratios(lu: np.ndarray) -> np.ndarray:
+    """|largest pivot| / |smallest pivot| of every LU on lu's last two axes,
+    inf where the smallest is 0 (an all-zero matrix's 0/0 included)."""
     diag = np.abs(np.diagonal(lu, axis1=-2, axis2=-1))
-    return diag.max(axis=-1) / diag.min(axis=-1)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ratios = diag.max(axis=-1) / diag.min(axis=-1)
+    return np.where(np.isnan(ratios), math.inf, ratios)
+
+
+def _gate(ratios, first: int | None) -> None:
+    """SingularMatrixError for the lowest-indexed pivot ratio over COND_LIMIT,
+    ratios[s] being matrix first + s's, or a 2-D solve's where first is None:
+    the one rejection rule of both LU routes, where a second quantity joins."""
+    over = np.flatnonzero(np.asarray(ratios) > COND_LIMIT)
+    if len(over):
+        s = int(over[0])
+        raise SingularMatrixError(float(ratios[s]), None if first is None else first + s)
 
 
 def condition_estimate(a) -> float:
@@ -295,12 +308,9 @@ def condition_estimate(a) -> float:
     _require_finite(a, "condition_estimate input")
     n = a.shape[0]
     if _lapack() is not None:
-        return _getrf(a, np.empty((n, n)), np.empty(n, np.int64))[1]
+        return _getrf(a, np.empty((n, n)), np.empty(n, np.int64))
     lu = np.array(a, order="C")
-    try:
-        _lu_factor(lu[None])
-    except SingularMatrixError:
-        return math.inf
+    _lu_factor(lu[None])
     return float(_pivot_ratios(lu))
 
 
@@ -325,22 +335,21 @@ def _lapack():
     return getrf, getrs
 
 
-def _getrf(m: np.ndarray, lu: np.ndarray, ipiv: np.ndarray) -> tuple[int, float]:
-    """(zero, ratio) of LAPACK's LU of the (n, n) matrix m, made in lu.
+def _getrf(m: np.ndarray, lu: np.ndarray, ipiv: np.ndarray) -> float:
+    """The pivot ratio (``_pivot_ratios``) of LAPACK's LU of the (n, n) matrix m, made in lu.
 
     lu, a C-ordered (n, n) array, gets m.T, which LAPACK reads as m
     column-major; so the rows of m are pivoted, as the numpy LU pivots them.
-    ipiv (n int64) gets LAPACK's pivots. zero is the 1-based column of the
-    first exact zero pivot (LAPACK's info), or 0; ratio is the pivot ratio,
-    inf at a zero pivot. OpenBLAS runs on one thread for the call: its getrf
-    gave other bytes at two threads than at one.
+    ipiv (n int64) gets LAPACK's pivots. getrf finishes past an exact zero
+    pivot, which stays on U's diagonal, so its info is not read. OpenBLAS
+    runs on one thread for the call: its getrf gave other bytes at two
+    threads than at one.
     """
     lu[...] = m.T
     size, info = np.array([len(m)], np.int64), np.zeros(1, np.int64)
     with _rng._one_blas_thread():
         _lapack()[0](size, size, lu, size, ipiv, info)
-    zero = int(info[0])
-    return zero, math.inf if zero else float(_pivot_ratios(lu))
+    return float(_pivot_ratios(lu))
 
 
 def _as_stack(a) -> tuple[np.ndarray | list[np.ndarray], bool]:
@@ -379,11 +388,10 @@ def solve(a, rhs) -> np.ndarray:
     factors a whole chunk in a workspace of the chunk's size. Every matrix
     gets the bits its own 2-D solve gives.
 
-    Rejects a matrix whose pivot-ratio condition estimate exceeds COND_LIMIT;
-    for a stack the error carries the matrix's index. Within a chunk it is
-    the matrix with the earliest exact zero pivot, else the first over the
-    limit, on both routes. Across chunks it is that of the lowest-indexed
-    failing chunk, on any number of CPUs (``_rng.run_parts``).
+    Rejects a matrix whose pivot-ratio condition estimate exceeds COND_LIMIT
+    (``_gate``); every factorization finishes, an exact zero pivot reading as
+    inf. For a stack the error names the lowest-indexed rejected matrix, on
+    either route, at any chunking and on any number of CPUs.
     """
     a, single = _as_stack(a)
     if not len(a):  # only an array can hold no matrices; a list of none is 1-D
@@ -405,20 +413,16 @@ def solve(a, rhs) -> np.ndarray:
     held = 1 if _lapack() is not None else min(chunk, count)  # matrices a workspace holds
 
     def solve_part(part: slice, workspace: np.ndarray) -> None:
-        try:
-            _solve_chunk(a[part], rhs[part], workspace, x[part])
-        except SingularMatrixError as exc:
-            raise SingularMatrixError(exc.condition,
-                                      None if single else part.start + exc.index) from None
+        _solve_chunk(a[part], rhs[part], workspace, x[part], None if single else part.start)
 
     _rng.run_parts([slice(c0, c0 + chunk) for c0 in range(0, count, chunk)], solve_part,
                    lambda worker: np.empty((held, n, n)))
     return x[0] if single else x
 
 
-def _solve_chunk(a, b: np.ndarray, workspace: np.ndarray, out: np.ndarray) -> None:
-    """Solve the chunk a (k matrices) for b into out; a rejected matrix
-    raises SingularMatrixError with its index in the chunk.
+def _solve_chunk(a, b: np.ndarray, workspace: np.ndarray, out: np.ndarray, first) -> None:
+    """Solve the chunk a (k matrices, from matrix first of the stack) for b
+    into out; a rejected matrix raises SingularMatrixError (``_gate``).
 
     Where ``_lapack`` finds LAPACK, each matrix is factored in turn in the
     workspace's first matrix (``_lapack_solve``); elsewhere the numpy LU
@@ -428,50 +432,36 @@ def _solve_chunk(a, b: np.ndarray, workspace: np.ndarray, out: np.ndarray) -> No
         _require_finite(m, "solve input")
     _require_finite(b, "solve right-hand side")
     if _lapack() is None:
-        _numpy_solve(a, b, workspace[: len(b)], out)
+        _numpy_solve(a, b, workspace[: len(b)], out, first)
     else:
-        _lapack_solve(a, b, workspace[0], out)
+        _lapack_solve(a, b, workspace[0], out, first)
     _require_finite(out, "solve result")
 
 
-def _numpy_solve(a, b: np.ndarray, lu: np.ndarray, out: np.ndarray) -> None:
+def _numpy_solve(a, b: np.ndarray, lu: np.ndarray, out: np.ndarray, first) -> None:
     for i, m in enumerate(a):
         lu[i] = m
     perm = _lu_factor(lu)
-    cond = _pivot_ratios(lu)
-    if (cond > COND_LIMIT).any():
-        s = int(np.argmax(cond > COND_LIMIT))
-        raise SingularMatrixError(float(cond[s]), s)
+    _gate(_pivot_ratios(lu), first)
     out[...] = b[np.arange(len(b))[:, None], perm]
     _unit_lower_solve(lu, out)
     _upper_solve(lu, out)
 
 
-def _lapack_solve(a, b: np.ndarray, lu: np.ndarray, out: np.ndarray) -> None:
-    """Each matrix of a factored by getrf in lu (``_getrf``) and, if it
-    passes the gate, substituted by one getrs on its columns of b.
-
-    Every matrix is factored, so that a rejected one is the one the numpy
-    LU names, which goes column by column over the whole chunk.
-    """
+def _lapack_solve(a, b: np.ndarray, lu: np.ndarray, out: np.ndarray, first) -> None:
+    """Each matrix of a factored by getrf in lu (``_getrf``), gated, and
+    substituted by one getrs on its columns of b, until one is rejected."""
     getrs = _lapack()[1]
     _, n, r = b.shape
     ipiv, info = np.empty(n, np.int64), np.zeros(1, np.int64)
     order, nrhs = np.array([n], np.int64), np.array([r], np.int64)
     cols = np.empty((r, n))  # b[s] column-major
-    failed = {}  # matrix -> (its first zero pivot, or n + 1 for none; its condition)
     for s, m in enumerate(a):
-        zero, cond = _getrf(m, lu, ipiv)
-        if cond > COND_LIMIT:
-            failed[s] = (zero or n + 1, cond)
-        elif not failed:
-            cols[...] = b[s].T
-            with _rng._one_blas_thread():
-                getrs(b"N", order, nrhs, lu, order, ipiv, cols, order, info)
-            out[s] = cols.T
-    if failed:
-        s = min(failed, key=lambda s: (failed[s][0], s))
-        raise SingularMatrixError(failed[s][1], s)
+        _gate([_getrf(m, lu, ipiv)], first if first is None else first + s)
+        cols[...] = b[s].T
+        with _rng._one_blas_thread():
+            getrs(b"N", order, nrhs, lu, order, ipiv, cols, order, info)
+        out[s] = cols.T
 
 
 def invert(a) -> np.ndarray:
@@ -624,11 +614,17 @@ def int_at_least(name: str, low: int) -> Callable[[str], int]:
     return parse
 
 
-def positive_float(text: str) -> float:
-    value = float(text)
-    if not (value > 0) or not math.isfinite(value):
-        raise ValueError("not a positive finite number")
-    return value
+def positive_real(name: str) -> Callable[[str], float]:
+    """The parser of the real ``name``, checked by ``_rng.check_real`` as
+    positive, as the dataclass that takes it checks it."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise ValueError("not a number") from None
+        _rng.check_real(name, value, "positive")
+        return value
+    return parse
 
 
 def parse_seed(text: str) -> int:

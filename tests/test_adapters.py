@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,16 @@ def test_spec_validation():
         lora_spec(rank=64).validate_for(DESK)
     with pytest.raises(ValueError):
         lora_spec(target_layers=(1, 9)).validate_for(DESK)
+
+
+@pytest.mark.parametrize("field, value", [("target_modules", ["query", "value"]),
+                                          ("target_modules", "query"),
+                                          ("target_layers", [1, 2]), ("target_layers", range(1, 3))])
+def test_spec_targets_must_be_tuples(field, value):
+    # A list would leave the spec unhashable and unequal to its tuple twin,
+    # and a str would be read letter by letter as module names.
+    with pytest.raises(ValueError, match=f"^{field} must be a tuple, got {re.escape(repr(value))}$"):
+        lora_spec(**{field: value})
 
 
 # --- initialization ------------------------------------------------------------

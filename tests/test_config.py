@@ -61,7 +61,9 @@ def test_parse_rejects_bad_value():
                                   "adapter.alpha = 0", "train.learning_rate = nan",
                                   "train.learning_rate = inf", "train.learning_rate = -1e-3"])
 def test_parse_rejects_non_finite_and_non_positive_floats(text):
-    with pytest.raises(ConfigError, match=f"line 1: bad value for {text.split()[0]}"):
+    key, value = text.split(" = ")
+    rule = f"{key.split('.')[1]} must be positive and finite, got {float(value)}"
+    with pytest.raises(ConfigError, match=f"^line 1: bad value for {key}: '{value}' \\({rule}\\)$"):
         parse_config(text + "\n")
 
 
@@ -172,7 +174,9 @@ def test_model_config_carries_model_seed():
 @pytest.mark.parametrize("config_text, header_text, problem", [
     ("model.width = 4", "width=4", "unknown key '{key}'"),
     ("adapter.rank = four", "r=four", "bad value for {key}: 'four' (not an integer)"),
-    ("adapter.alpha = nan", "alpha=nan", "bad value for {key}: 'nan' (not a positive finite"),
+    ("adapter.alpha = nan", "alpha=nan",
+     "bad value for {key}: 'nan' (alpha must be positive and finite, got nan)"),
+    ("adapter.alpha = x", "alpha=x", "bad value for {key}: 'x' (not a number)"),
 ])
 def test_config_and_header_errors_share_one_wording(tmp_path, config_text, header_text, problem):
     with pytest.raises(ConfigError) as info:

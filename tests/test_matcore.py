@@ -3,6 +3,7 @@ import math
 import re
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -285,9 +286,9 @@ def test_stacked_solve_in_small_chunks_gives_the_same_bits(monkeypatch, force_cp
     mats, rhs = _stack_case(n, count)
     solve_chunk = matcore._solve_chunk
 
-    def counting_chunks(a, b, workspace, out):
+    def counting_chunks(a, b, *rest):
         chunks.append(len(b))
-        solve_chunk(a, b, workspace, out)
+        solve_chunk(a, b, *rest)
 
     for route in lu_routes():
         whole = matcore.solve(mats, rhs)
@@ -385,16 +386,17 @@ def test_stacked_solve_names_the_lowest_failing_chunk_at_every_worker_count(
             assert info.value.index == 3, (route, cpus)
 
 
-@pytest.mark.parametrize("bad, want", [
-    ({1: "late zero", 3: "first zero"}, 3),
-    ({1: "near singular", 3: "late zero"}, 3),
-    ({1: "late zero", 2: "late zero"}, 1),
-    ({1: "near singular", 2: "near singular"}, 1),
-], ids=["earliest-zero-pivot", "zero-pivot-before-ratio", "lowest-of-one-column", "lowest-ratio"])
-def test_a_chunk_names_the_member_the_numpy_lu_meets_first(bad, want, lu_routes):
-    # The numpy LU factors a chunk column by column and stops at the first
-    # exact zero pivot (the lowest member at that column); the pivot ratios
-    # are read after, the lowest member over the limit named.
+@pytest.mark.parametrize("bad", [
+    {1: "late zero", 3: "first zero"},
+    {1: "near singular", 3: "late zero"},
+    {1: "late zero", 2: "late zero"},
+    {1: "near singular", 2: "near singular"},
+], ids=["before-an-earlier-zero-pivot", "ratio-before-a-zero-pivot", "two-zero-pivots",
+        "two-ratios"])
+def test_a_stack_names_its_lowest_rejected_member(monkeypatch, force_cpus, bad, lu_routes):
+    # Every factorization finishes, so the column at which a member meets a
+    # zero pivot does not matter: the lowest rejected member, 1, is named
+    # on either route, at any chunking and on any number of CPUs.
     n = 2 * BASE + 9
     mats, _ = _stack_case(n, 4, seed=6)
     for s, kind in bad.items():
@@ -403,9 +405,36 @@ def test_a_chunk_names_the_member_the_numpy_lu_meets_first(bad, want, lu_routes)
         else:
             mats[s][:, 0 if kind == "first zero" else _late_column(n)] = 0.0
     for route in lu_routes():
-        with pytest.raises(matcore.SingularMatrixError) as info:
-            matcore.solve(mats, np.ones((4, n, 1)))
-        assert info.value.index == want, route
+        for per_chunk in (1, 2, 4):
+            monkeypatch.setattr(matcore, "_LU_WORKSPACE", per_chunk * 8 * n * n)
+            for cpus in (1, 2, 3):
+                force_cpus(cpus)
+                with pytest.raises(matcore.SingularMatrixError,
+                                   match="^matrix 1: singular matrix") as info:
+                    matcore.solve(mats, np.ones((4, n, 1)))
+                assert info.value.index == 1, (route, per_chunk, cpus)
+
+
+@pytest.mark.parametrize("w0", [np.zeros((3, 3)), np.diag([1.0, 0.0, 1.0]),
+                                np.zeros((2 * BASE + 9,) * 2),
+                                np.diag(np.arange(2 * BASE + 9.0) % 5)],
+                         ids=["all-zero", "zero-on-the-diagonal", "all-zero-past-base",
+                              "zeros-on-the-diagonal-past-base"])
+def test_an_exact_zero_pivot_reads_inf_without_a_warning(w0, lu_routes):
+    # A zero pivot, also an all-zero matrix's 0/0, reads as inf, never as
+    # NaN (which would pass the gate), and warns of no division.
+    n = len(w0)
+    for route in lu_routes():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert matcore.condition_estimate(w0) == math.inf, route
+            with pytest.raises(matcore.SingularMatrixError, match="^singular matrix") as info:
+                matcore.solve(w0, np.ones((n, 1)))
+            assert info.value.condition == math.inf, route
+            with pytest.raises(matcore.SingularMatrixError,
+                               match="^matrix 1: singular matrix") as info:
+                matcore.solve([np.eye(n), w0, w0], np.ones((3, n, 1)))
+            assert info.value.condition == math.inf, route
 
 
 def test_a_one_chunk_stack_starts_no_thread(monkeypatch, force_cpus, no_threads, lu_routes):
@@ -488,10 +517,10 @@ def test_lapack_lu_agrees_with_the_numpy_lu():
     for name, w0 in _reference_w0s():
         n = len(w0)
         lu, ipiv = np.empty((n, n)), np.empty(n, np.int64)
-        zero, ratio = matcore._getrf(w0, lu, ipiv)
+        ratio = matcore._getrf(w0, lu, ipiv)
         reference = w0.copy()
         order = matcore._lu_factor(reference[None])[0]
-        assert zero == 0 and np.array_equal(_lapack_row_order(ipiv), order), name
+        assert math.isfinite(ratio) and np.array_equal(_lapack_row_order(ipiv), order), name
         bound = np.linalg.cond(w0, 1) * eps
         want = float(matcore._pivot_ratios(reference))
         assert abs(ratio - want) <= bound * want, name

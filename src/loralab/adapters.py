@@ -143,17 +143,25 @@ def cond_b(w0: np.ndarray, theta_b: np.ndarray) -> np.ndarray:
     return matcore.matmul(w0.T, theta_b)
 
 
+_FACTORS = {  # (method, factor) -> the effective factor from W0 and the factor's tensor
+    ("lora", "A"): lambda w0, a: a,
+    ("lora", "B"): lambda w0, b: b,
+    ("condlora", "A"): cond_a,
+    ("condlora", "B"): cond_b,
+}
+
+
 def adapter_factors(
-    params: AdapterParams, spec: AdapterSpec, w0: np.ndarray, module: str, layer: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The effective (A, B) pair for one target, materialized for condlora."""
+    params: AdapterParams, spec: AdapterSpec, w0: np.ndarray, module: str, layer: int,
+    which: str = "AB",
+) -> tuple[np.ndarray, ...]:
+    """The effective factors that which names, in A, B order, for one target:
+    (A, B) by default, materialized for condlora. A factor which omits is
+    not made."""
     if not spec.is_target(module, layer):
         raise NotATargetError(f"({module}, layer {layer}) is not a target of this adapter")
-    key_a, key_b = _keys(spec, module, layer)
-    a, b = params.tensors[key_a], params.tensors[key_b]
-    if spec.method == "lora":
-        return a, b
-    return cond_a(w0, a), cond_b(w0, b)
+    return tuple([_FACTORS[spec.method, f](w0, params.tensors[key])
+                  for f, key in zip("AB", _keys(spec, module, layer)) if f in which])
 
 
 def adapted(weights: BaseWeights, params: AdapterParams, spec: AdapterSpec):

@@ -18,12 +18,15 @@ ill-conditioned W0 and names it.
 
 Work runs per stack of layers, not per layer: a module's conversions, A^T and
 B side by side, come from one stacked ``matcore.solve`` that factors each W0
-once (``_conversions``), a grid's bases from one stacked ``matcore.svd``, and
-the comparison takes one SVD per side over every target of both methods.
+once (``_conversions``, which makes only the factors a grid names), a grid's
+bases from one stacked ``matcore.svd``, and the comparison takes one SVD per
+side over every target of both methods, its phi_dW column being phi_B.
 Each matrix gets the bits it would get alone, and ``_phi`` takes a whole grid
-or comparison column from one product of the stacked bases. ``analyze`` is
-the recipe of ``loralab analyze``: its grids in order, the baseline, the
-comparison and the rules a pair of adapters must meet.
+or comparison column from one product of the stacked bases. So a desk pass
+costs about what its LAPACK calls, SVDs and file reads cost, not the calls
+around them. ``analyze`` is the recipe of ``loralab analyze``: its grids in
+order, the baseline, the comparison and the rules a pair of adapters must
+meet.
 """
 
 from __future__ import annotations
@@ -81,20 +84,6 @@ def _basis(x: np.ndarray, count: int, side: str, names: list[str] | None = None)
     return result.vt[..., :count, :].swapaxes(-1, -2)
 
 
-def _delta_basis(a: np.ndarray, b: np.ndarray, names: list[str] | None = None) -> np.ndarray:
-    """Top-r left singular vectors of every B @ A (d x r), without forming the d x d products.
-
-    a and b are stacks (…, r, d) and (…, d, r). With B = Q R, B @ A = Q (R @ A),
-    so the left singular vectors of B @ A are Q times those of the r x d
-    matrix R @ A, which has B @ A's singular values. A product of rank below r
-    raises a NumericError under its entry of names.
-    """
-    q, r = np.linalg.qr(b)
-    result = matcore.svd(r @ a)
-    _check_rank(result.s, a.shape[-2], (b.shape[-2], a.shape[-1]), names)
-    return q @ result.u
-
-
 def _phi(bx: np.ndarray, by: np.ndarray, i: int, j: int) -> np.ndarray:
     """phi of every pair of orthonormal bases (…, d, i) and (…, d, j); clamped to [0, 1].
 
@@ -131,8 +120,8 @@ def _convert(w0s: list, rhs: list, names: list[str]) -> np.ndarray:
         raise ShapeError(f"conversion requires square W0, got {rows}x{cols}")
     try:
         return matcore.solve(w0s, np.stack(rhs))
-    except matcore.SingularMatrixError as exc:
-        raise matcore.SingularMatrixError(exc.condition, exc.index, names[exc.index]) from None
+    except matcore.RejectedMatrixError as exc:
+        raise exc.named(names[exc.index]) from None
 
 
 def conversion_a(w0, a) -> np.ndarray:
@@ -204,15 +193,18 @@ def _conversions(weights: BaseWeights, params: AdapterParams, spec: AdapterSpec,
                  module: str, which: str) -> dict[str, np.ndarray]:
     """{factor: its conversions, d x r per target layer} for each factor of which ("AB" or one).
 
-    A^T and B sit side by side in one right-hand side, so one stacked ``_convert``
-    factors each W0 once and names a W0 it rejects, such as ``layer1.value``.
+    Only the factors which names are made (``adapter_factors``). A^T and B sit
+    side by side in one right-hand side, so one stacked ``_convert`` factors
+    each W0 once and names a W0 it rejects, such as ``layer1.value``.
     """
     layers = spec.target_layers
     w0s = [weights.projection(module, layer) for layer in layers]
-    factors = [adapter_factors(params, spec, w0, module, layer) for w0, layer in zip(w0s, layers)]
-    rhs = [np.hstack([{"A": a.T, "B": b}[factor] for factor in which]) for a, b in factors]
+    rhs = [np.hstack([x.T if factor == "A" else x for factor, x in
+                      zip(which, adapter_factors(params, spec, w0, module, layer, which))])
+           for w0, layer in zip(w0s, layers)]
     x = _convert(w0s, rhs, [f"layer{layer}.{module}" for layer in layers])
-    return dict(zip(which, np.split(x, len(which), axis=-1)))
+    r = spec.rank
+    return {factor: x[..., k * r:(k + 1) * r] for k, factor in enumerate(which)}
 
 
 def conversion_grid(weights: BaseWeights, params: AdapterParams, spec: AdapterSpec,
@@ -253,12 +245,10 @@ def compare_lora_condlora(lora_params, cond_params, weights: BaseWeights,
     """Per-target similarity rows: A on the right side, B and delta on the left.
 
     The factors of every target of both methods form one stack per side, so
-    one SVD gives every A basis, one every B basis, and one QR and one SVD
-    every delta basis. The delta subspaces come from the factors (see
-    ``_delta_basis``); the d x d deltas are never formed. Every returned row
-    has ``phi_delta`` = ``phi_b`` up to rounding: an A or B of rank below r
-    raises a NumericError at its own basis first, and with A of full row
-    rank r the column space of B·A is that of B.
+    one SVD gives every A basis and one every B basis. ``phi_delta`` is
+    ``phi_b``, bit for bit: ``_basis`` has checked that every A and B has
+    rank r, so the column space of B·A is that of B, and phi at i = j = r
+    depends on the column spaces alone. The d x d deltas are never formed.
     """
     targets = list(spec.targets())
     factors = [
@@ -271,14 +261,12 @@ def compare_lora_condlora(lora_params, cond_params, weights: BaseWeights,
     b = np.stack([f[1] for f in factors])
     r, n = spec.rank, len(targets)
     names = [f"{method} layer{l}.{m}" for method in ("lora", "condlora") for m, l in targets]
-    phi_a, phi_b, phi_delta = (
+    phi_a, phi_b = (
         _phi(bases[:n], bases[n:], r, r).tolist()
         for bases in (_basis(a, r, "right", [f"comparison A of {x}" for x in names]),
-                      _basis(b, r, "left", [f"comparison B of {x}" for x in names]),
-                      _delta_basis(a, b, [f"comparison BA of {x}" for x in names]))
+                      _basis(b, r, "left", [f"comparison B of {x}" for x in names]))
     )
-    return [ComparisonRow(m, l, *phis)
-            for (m, l), *phis in zip(targets, phi_a, phi_b, phi_delta)]
+    return [ComparisonRow(m, l, pa, pb, pb) for (m, l), pa, pb in zip(targets, phi_a, phi_b)]
 
 
 def analyze(weights: BaseWeights, loaded: list, i: int, j: int, side: str = "left",

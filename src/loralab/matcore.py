@@ -7,22 +7,30 @@ the operations that carry correctness contracts:
 * ``matmul`` rejects mismatched shapes, naming both operands.
 * ``solve(a, rhs)`` factors ``a`` once with partial pivoting by rows, and
   substitutes on the columns of ``rhs`` only. Every LU finishes, and one
-  gate (``_gate``) refuses a matrix whose pivot ratio exceeds ``COND_LIMIT``
-  (1e12; an exact zero pivot reads as inf). ``a`` may be a stack, solved in
-  chunks of as many matrices as fit ``_LU_WORKSPACE`` bytes that are shared
-  among the CPUs the process may run on (``_rng.run_parts``). The chunking
-  depends on the bytes only, so every output is the same on one CPU or
-  many, each matrix gets the bits of its own 2-D solve, and the error names
-  the lowest-indexed rejected matrix. There are two routes:
+  gate (``_gate``), read once per chunk on both routes, refuses a matrix
+  whose pivot ratio exceeds ``COND_LIMIT`` (1e12; an exact zero pivot reads
+  as inf) and reports a pivot that overflowed as such. ``a`` may be a
+  stack, solved in chunks of as many matrices as fit ``_LU_WORKSPACE`` bytes
+  that are shared among the CPUs the process may run on
+  (``_rng.run_parts``). The chunking depends on the bytes only, so every
+  output is the same on one CPU or many, each matrix gets the bits of its
+  own 2-D solve, and the error names the lowest-indexed rejected matrix.
+  There are two routes:
 
   - Where the OpenBLAS bundled with numpy's wheel (``_rng._openblas``)
     exports LAPACK's ``dgetrf`` and ``dgetrs``, each matrix of a chunk is
     factored by one getrf call on a column-major copy in a one-matrix
-    workspace per worker, and substituted by one getrs call. ctypes releases
-    the GIL, so the chunks really run at once; OpenBLAS is held to one
-    thread around every call (``_rng._one_blas_thread``), also where no pool
-    runs, since its getrf gave other bytes at two threads than at one.
-    12 paper-dim W0s took about 0.1 s on two CPUs (``BENCH_lapack_lu.json``).
+    workspace per worker (``_LapackSpace``), and substituted by one getrs
+    call. Both are bound once with raw-address arguments and get only the
+    workspace's own buffers, so a call converts no array and a desk W0
+    costs about what LAPACK's work on it costs. ``np.linalg.solve`` calls
+    dgesv, which in this OpenBLAS runs the same getrf and getrs kernels, so
+    on one OpenBLAS thread the bits agree with it (a fact of the library
+    that a test pins). ctypes releases the GIL, so the chunks really run at
+    once; OpenBLAS is held to one thread for each chunk
+    (``_rng._one_blas_thread``), also where no pool runs, since its getrf
+    gave other bytes at two threads than at one. 12 paper-dim W0s took
+    about 0.1 s on two CPUs (``BENCH_lapack_lu.json``).
   - Elsewhere (numpy 1.x wheels, conda or distro builds, Accelerate) a
     recursive LU in numpy calls factors a whole chunk at once in a workspace
     of its own size: the structure of LAPACK's dgetrf2 (halves of the
@@ -86,22 +94,46 @@ class NumericError(ArithmeticError):
     """A numeric contract was violated (non-finite values, no convergence)."""
 
 
-class SingularMatrixError(NumericError):
-    """Inversion rejected: pivot-ratio condition estimate too large.
+def _label(name: str | None, index: int | None) -> str:
+    """The prefix naming a rejected matrix: its name, else ``matrix <index>``, else none."""
+    if name is None and index is not None:
+        name = f"matrix {index}"
+    return "" if name is None else f"{name}: "
+
+
+class RejectedMatrixError(NumericError):
+    """A matrix that the LU gate (``_gate``) refused, for ``reason``.
 
     ``index`` is the rejected matrix's place in a stacked solve (None for one
     matrix); ``name``, or else the index, labels the message.
     """
 
-    def __init__(self, condition: float, index: int | None = None, name: str | None = None):
-        if name is None and index is not None:
-            name = f"matrix {index}"
-        super().__init__(
-            ("" if name is None else f"{name}: ")
-            + f"singular matrix: condition estimate {condition:.3e} exceeds {COND_LIMIT:.0e}"
-        )
-        self.condition = condition
+    def __init__(self, reason: str, index: int | None = None, name: str | None = None):
+        super().__init__(_label(name, index) + reason)
+        self.reason = reason
         self.index = index
+
+    def named(self, name: str) -> RejectedMatrixError:
+        """This rejection, its message relabelled with name (in place)."""
+        self.args = (_label(name, self.index) + self.reason,)
+        return self
+
+
+class SingularMatrixError(RejectedMatrixError):
+    """Inversion rejected: pivot-ratio condition estimate too large."""
+
+    def __init__(self, condition: float, index: int | None = None, name: str | None = None):
+        super().__init__(f"singular matrix: condition estimate {condition:.3e} exceeds "
+                         f"{COND_LIMIT:.0e}", index, name)
+        self.condition = condition
+
+
+class OverflowedLUError(RejectedMatrixError):
+    """Inversion rejected: a pivot of the LU overflowed to inf or NaN, as it
+    can for entries near the float64 limit at any condition."""
+
+    def __init__(self, index: int | None = None, name: str | None = None):
+        super().__init__("LU overflowed: a pivot is not finite", index, name)
 
 
 def as_matrix(obj, name: str = "matrix") -> np.ndarray:
@@ -123,7 +155,8 @@ def _require_square(a: np.ndarray, op: str) -> None:
 
 
 def _require_finite(a: np.ndarray, what: str) -> None:
-    if not np.isfinite(a).all():
+    # np.count_nonzero has less per-call overhead than .all()
+    if np.count_nonzero(np.isfinite(a)) != a.size:
         raise NumericError(f"{what} contains non-finite entries")
 
 
@@ -280,76 +313,101 @@ def _lu_factor(a: np.ndarray) -> np.ndarray:
     return order
 
 
-def _pivot_ratios(lu: np.ndarray) -> np.ndarray:
-    """|largest pivot| / |smallest pivot| of every LU on lu's last two axes,
-    inf where the smallest is 0 (an all-zero matrix's 0/0 included)."""
-    diag = np.abs(np.diagonal(lu, axis1=-2, axis2=-1))
+def _pivot_ratios(diags: np.ndarray) -> np.ndarray:
+    """|largest pivot| / |smallest pivot| of every LU, diags being their
+    |diagonals| (k, n): inf where the smallest is 0 (an all-zero matrix's 0/0
+    included) or a pivot is not finite."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        ratios = diag.max(axis=-1) / diag.min(axis=-1)
+        ratios = diags.max(axis=-1) / diags.min(axis=-1)
     return np.where(np.isnan(ratios), math.inf, ratios)
 
 
-def _gate(ratios, first: int | None) -> None:
-    """SingularMatrixError for the lowest-indexed pivot ratio over COND_LIMIT,
-    ratios[s] being matrix first + s's, or a 2-D solve's where first is None:
-    the one rejection rule of both LU routes, where a second quantity joins."""
-    over = np.flatnonzero(np.asarray(ratios) > COND_LIMIT)
+def _gate(diags: np.ndarray, first: int | None) -> None:
+    """The one rejection rule of both LU routes, on diags, the |pivots| (k, n)
+    of matrices first, first + 1, ... of a stack (first None for a 2-D
+    solve): the lowest-indexed matrix whose pivot ratio (``_pivot_ratios``,
+    inf at a NaN) exceeds COND_LIMIT raises OverflowedLUError if one of its
+    pivots is not finite, else SingularMatrixError. A second quantity would
+    join here."""
+    ratios = _pivot_ratios(diags)
+    over = np.flatnonzero(ratios > COND_LIMIT)
     if len(over):
         s = int(over[0])
-        raise SingularMatrixError(float(ratios[s]), None if first is None else first + s)
+        index = None if first is None else first + s
+        if not np.isfinite(diags[s]).all():
+            raise OverflowedLUError(index)
+        raise SingularMatrixError(float(ratios[s]), index)
 
 
 def condition_estimate(a) -> float:
     """|largest pivot| / |smallest pivot| of the LU factorization that
     ``solve`` makes (LAPACK's where ``_lapack`` finds it), inf at an exact
-    zero pivot."""
+    zero pivot or a pivot that overflowed."""
     a = as_matrix(a)
     _require_square(a, "condition_estimate")
     _require_finite(a, "condition_estimate input")
-    n = a.shape[0]
     if _lapack() is not None:
-        return _getrf(a, np.empty((n, n)), np.empty(n, np.int64))
-    lu = np.array(a, order="C")
-    _lu_factor(lu[None])
-    return float(_pivot_ratios(lu))
+        space = _LapackSpace(a.shape[0])
+        with _rng._one_blas_thread():
+            _getrf(a, space)
+        lu = space.lu
+    else:
+        lu = np.array(a, order="C")
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowed pivot reads inf
+            _lu_factor(lu[None])
+    return float(_pivot_ratios(np.abs(lu.diagonal())))
 
 
 @functools.cache
 def _lapack():
     """(getrf, getrs): LAPACK's dgetrf and dgetrs in the OpenBLAS that
-    ``_rng._openblas`` finds, typed for its ILP64 interface (every integer,
-    ``ipiv`` included, is an int64), or None where that library or either
-    routine is absent. ctypes releases the GIL for the call."""
+    ``_rng._openblas`` finds, or None where that library or either routine is
+    absent. Every argument but getrs's ``trans`` is a raw address
+    (``ctypes.c_void_p``) into a ``_LapackSpace``, so a call converts no
+    array; its integers, ``ipiv`` included, are int64, as the ILP64 interface
+    reads them. ctypes releases the GIL for the call."""
     blas = _rng._openblas()
     routines = [getattr(blas, f"scipy_dgetr{step}_64_", None) for step in "fs"]
     if blas is None or None in routines:
         return None
     import ctypes
 
-    f64, i64 = (np.ctypeslib.ndpointer(t, flags="C_CONTIGUOUS") for t in (np.float64, np.int64))
     getrf, getrs = routines
     # getrf(m, n, a, lda, ipiv, info) and getrs(trans, n, nrhs, a, lda, ipiv, b, ldb, info)
-    getrf.argtypes = [i64, i64, f64, i64, i64, i64]
-    getrs.argtypes = [ctypes.c_char_p, i64, i64, f64, i64, i64, f64, i64, i64]
+    getrf.argtypes = [ctypes.c_void_p] * 6
+    getrs.argtypes = [ctypes.c_char_p] + [ctypes.c_void_p] * 8
     getrf.restype = getrs.restype = None
     return getrf, getrs
 
 
-def _getrf(m: np.ndarray, lu: np.ndarray, ipiv: np.ndarray) -> float:
-    """The pivot ratio (``_pivot_ratios``) of LAPACK's LU of the (n, n) matrix m, made in lu.
+class _LapackSpace:
+    """The buffers that getrf and getrs work in for (n, n) matrices and r
+    right-hand columns, with their addresses (``at``): ``lu`` (n, n),
+    ``ipiv`` (n), ``cols`` (r, n), a right-hand side column-major, and
+    ``ints``, which holds n, r and info. Only these C-contiguous arrays,
+    allocated here, are passed to LAPACK, and the space keeps them alive."""
 
-    lu, a C-ordered (n, n) array, gets m.T, which LAPACK reads as m
-    column-major; so the rows of m are pivoted, as the numpy LU pivots them.
-    ipiv (n int64) gets LAPACK's pivots. getrf finishes past an exact zero
-    pivot, which stays on U's diagonal, so its info is not read. OpenBLAS
-    runs on one thread for the call: its getrf gave other bytes at two
-    threads than at one.
+    def __init__(self, n: int, r: int = 0):
+        self.lu, self.cols = np.empty((n, n)), np.empty((r, n))
+        self.ipiv, self.ints = np.empty(n, np.int64), np.array([n, r, 0], np.int64)
+        lu, ipiv, cols, ints = (x.ctypes.data for x in (self.lu, self.ipiv, self.cols, self.ints))
+        self.at = {"lu": lu, "ipiv": ipiv, "cols": cols, "n": ints, "r": ints + 8,
+                   "info": ints + 16}
+
+
+def _getrf(m: np.ndarray, space: _LapackSpace) -> None:
+    """LAPACK's LU of the (n, n) matrix m, made in space.lu, with its pivots in space.ipiv.
+
+    space.lu gets m.T, which LAPACK reads as m column-major; so the rows of m
+    are pivoted, as the numpy LU pivots them, and U's diagonal is space.lu's.
+    getrf finishes past an exact zero pivot, which stays on U's diagonal, so
+    its info is not read. The caller holds OpenBLAS to one thread
+    (``_rng._one_blas_thread``): its getrf gave other bytes at two threads
+    than at one.
     """
-    lu[...] = m.T
-    size, info = np.array([len(m)], np.int64), np.zeros(1, np.int64)
-    with _rng._one_blas_thread():
-        _lapack()[0](size, size, lu, size, ipiv, info)
-    return float(_pivot_ratios(lu))
+    space.lu[...] = m.T
+    at = space.at
+    _lapack()[0](at["n"], at["n"], at["lu"], at["n"], at["ipiv"], at["info"])
 
 
 def _as_stack(a) -> tuple[np.ndarray | list[np.ndarray], bool]:
@@ -389,9 +447,11 @@ def solve(a, rhs) -> np.ndarray:
     gets the bits its own 2-D solve gives.
 
     Rejects a matrix whose pivot-ratio condition estimate exceeds COND_LIMIT
-    (``_gate``); every factorization finishes, an exact zero pivot reading as
-    inf. For a stack the error names the lowest-indexed rejected matrix, on
-    either route, at any chunking and on any number of CPUs.
+    (SingularMatrixError) or whose LU overflowed (OverflowedLUError), one
+    gate per chunk (``_gate``); every factorization finishes, an exact zero
+    pivot reading as inf. For a stack the error names the lowest-indexed
+    rejected matrix, on either route, at any chunking and on any number of
+    CPUs.
     """
     a, single = _as_stack(a)
     if not len(a):  # only an array can hold no matrices; a list of none is 1-D
@@ -410,23 +470,25 @@ def solve(a, rhs) -> np.ndarray:
         )
     x = np.empty(rhs.shape)
     chunk = max(1, _LU_WORKSPACE // (8 * n * n))
-    held = 1 if _lapack() is not None else min(chunk, count)  # matrices a workspace holds
+    lapack = _lapack() is not None
 
-    def solve_part(part: slice, workspace: np.ndarray) -> None:
+    def space(worker: int):
+        return _LapackSpace(n, rhs.shape[2]) if lapack else np.empty((min(chunk, count), n, n))
+
+    def solve_part(part: slice, workspace) -> None:
         _solve_chunk(a[part], rhs[part], workspace, x[part], None if single else part.start)
 
-    _rng.run_parts([slice(c0, c0 + chunk) for c0 in range(0, count, chunk)], solve_part,
-                   lambda worker: np.empty((held, n, n)))
+    _rng.run_parts([slice(c0, c0 + chunk) for c0 in range(0, count, chunk)], solve_part, space)
     return x[0] if single else x
 
 
-def _solve_chunk(a, b: np.ndarray, workspace: np.ndarray, out: np.ndarray, first) -> None:
+def _solve_chunk(a, b: np.ndarray, workspace, out: np.ndarray, first) -> None:
     """Solve the chunk a (k matrices, from matrix first of the stack) for b
-    into out; a rejected matrix raises SingularMatrixError (``_gate``).
+    into out; the chunk's pivots are gated once (``_gate``).
 
-    Where ``_lapack`` finds LAPACK, each matrix is factored in turn in the
-    workspace's first matrix (``_lapack_solve``); elsewhere the numpy LU
-    factors the whole chunk at once in its first k matrices.
+    Where ``_lapack`` finds LAPACK, the workspace is a ``_LapackSpace`` in
+    which each matrix is factored in turn (``_lapack_solve``); elsewhere it
+    is an array in whose first k matrices the numpy LU factors the chunk.
     """
     for m in a:
         _require_finite(m, "solve input")
@@ -434,34 +496,38 @@ def _solve_chunk(a, b: np.ndarray, workspace: np.ndarray, out: np.ndarray, first
     if _lapack() is None:
         _numpy_solve(a, b, workspace[: len(b)], out, first)
     else:
-        _lapack_solve(a, b, workspace[0], out, first)
+        _lapack_solve(a, b, workspace, out, first)
     _require_finite(out, "solve result")
 
 
 def _numpy_solve(a, b: np.ndarray, lu: np.ndarray, out: np.ndarray, first) -> None:
     for i, m in enumerate(a):
         lu[i] = m
-    perm = _lu_factor(lu)
-    _gate(_pivot_ratios(lu), first)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed pivot is the gate's
+        perm = _lu_factor(lu)
+    _gate(np.abs(np.diagonal(lu, axis1=-2, axis2=-1)), first)
     out[...] = b[np.arange(len(b))[:, None], perm]
     _unit_lower_solve(lu, out)
     _upper_solve(lu, out)
 
 
-def _lapack_solve(a, b: np.ndarray, lu: np.ndarray, out: np.ndarray, first) -> None:
-    """Each matrix of a factored by getrf in lu (``_getrf``), gated, and
-    substituted by one getrs on its columns of b, until one is rejected."""
+def _lapack_solve(a, b: np.ndarray, space: _LapackSpace, out: np.ndarray, first) -> None:
+    """Each matrix of a factored by getrf (``_getrf``) and substituted by one
+    getrs on its columns of b, in space, with OpenBLAS held to one thread
+    for the whole chunk; then the chunk's pivots are gated, so a chunk with a
+    rejected matrix finishes its other matrices before it raises."""
     getrs = _lapack()[1]
-    _, n, r = b.shape
-    ipiv, info = np.empty(n, np.int64), np.zeros(1, np.int64)
-    order, nrhs = np.array([n], np.int64), np.array([r], np.int64)
-    cols = np.empty((r, n))  # b[s] column-major
-    for s, m in enumerate(a):
-        _gate([_getrf(m, lu, ipiv)], first if first is None else first + s)
-        cols[...] = b[s].T
-        with _rng._one_blas_thread():
-            getrs(b"N", order, nrhs, lu, order, ipiv, cols, order, info)
-        out[s] = cols.T
+    at = space.at
+    diags = np.empty(b.shape[:2])
+    with _rng._one_blas_thread():
+        for s, m in enumerate(a):
+            _getrf(m, space)
+            diags[s] = space.lu.diagonal()
+            space.cols[...] = b[s].T
+            getrs(b"N", at["n"], at["r"], at["lu"], at["n"], at["ipiv"], at["cols"], at["n"],
+                  at["info"])
+            out[s] = space.cols.T
+    _gate(np.abs(diags), first)
 
 
 def invert(a) -> np.ndarray:
@@ -494,8 +560,8 @@ def svd(a) -> SvdResult:
     # vector non-negative so repeated factorizations are reproducible.
     peaks = np.take_along_axis(u, np.abs(u).argmax(axis=-2)[..., None, :], axis=-2)
     signs = np.where(peaks < 0.0, -1.0, 1.0)
-    u = u * signs
-    vt = vt * signs.swapaxes(-1, -2)
+    u *= signs
+    vt *= signs.swapaxes(-1, -2)
     return SvdResult(u, s, vt)
 
 
@@ -526,6 +592,7 @@ def _read_blocks(fh: IO[bytes], offset: int, size: int,
     missing one is an error at end of file.
     """
     longest = max(map(len, layout), default=0) + 64  # "MATRIX", a name, two dims, the marker
+    dtype = np.dtype(_PAYLOAD)  # parsed once, not once a block
     bound: dict[str, int] = {}
     seen: set[str] = set()
     while line := fh.readline(longest):
@@ -542,7 +609,7 @@ def _read_blocks(fh: IO[bytes], offset: int, size: int,
                              f"got {text!r}")
         name = parts[1]
         where = f"byte {start}: tensor {name}"
-        rows, cols = (int(n) if n.isdecimal() else 0 for n in parts[2:4])
+        rows, cols = [int(n) if n.isdecimal() else 0 for n in parts[2:4]]
         if rows < 1 or cols < 1:
             raise ValueError(f"{where}: bad dimensions in {text!r}")
         if name in seen:
@@ -557,14 +624,14 @@ def _read_blocks(fh: IO[bytes], offset: int, size: int,
         if nbytes > size - offset:
             raise ValueError(f"{where}: payload cut short: {size - offset} of {nbytes} bytes")
         try:
-            data = np.empty((rows, cols), _PAYLOAD)
+            data = np.empty((rows, cols), dtype)
         except MemoryError:
             raise ValueError(f"{where}: {rows}x{cols} does not fit in memory") from None
         got = fh.readinto(data)
         if got != nbytes:
             raise ValueError(f"{where}: payload cut short: {got} of {nbytes} bytes")
         finite = np.isfinite(data)
-        if not finite.all():
+        if np.count_nonzero(finite) != finite.size:  # as _require_finite
             k = int(np.argmin(finite.ravel()))
             raise ValueError(f"byte {offset + 8 * k}: tensor {name}: non-finite entry "
                              f"{data.flat[k]} at row {k // cols + 1}, column {k % cols + 1}")

@@ -7,16 +7,19 @@ few standard errors above what any correct implementation can produce. The
 test asserts the stated bound anyway and reports the measured value.
 
 Heavy desk-scale training runs are shared across criteria 7-10 through a
-module-scoped fixture; every run uses the default desk configuration
+module-scoped fixture, which runs them in worker processes, one per usable
+CPU up to four; every run uses the default desk configuration
 (4 layers, d_model 32, rank 4, teacher rank 4, batch 16, 2000 steps).
 """
 
+import multiprocessing
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
-from loralab import adapters, analysis, matcore, model, tasks, trainer
+from loralab import _rng, adapters, analysis, matcore, model, tasks, trainer
 from loralab.cli import main
 from loralab.config import ExperimentConfig
 
@@ -43,21 +46,39 @@ def desk():
     return cfg, weights
 
 
+def train_canonical(method, adapter_seed, data_seed):
+    """One canonical desk run, (params, spec, report, seconds of its own
+    ``train_run``), on the desk model built from MODEL_SEED."""
+    cfg = ExperimentConfig(seed_model=MODEL_SEED, seed_adapter=adapter_seed, seed_data=data_seed)
+    weights = model.build_model(cfg.model_config())
+    task = cfg.make_task(weights)
+    spec = cfg.adapter_spec(method)
+    started = time.perf_counter()
+    params, rep = trainer.train_run(weights, spec, task, cfg.train_config(method))
+    return params, spec, rep, time.perf_counter() - started
+
+
 @pytest.fixture(scope="module")
-def trained(desk):
-    """Canonical desk runs: lora at three seed pairs plus condlora at the first."""
-    cfg, weights = desk
-    runs = {}
-    for method, pairs in (("lora", SEED_PAIRS), ("condlora", SEED_PAIRS[:1])):
-        for adapter_seed, data_seed in pairs:
-            cfg.seed_adapter, cfg.seed_data = adapter_seed, data_seed
-            task = cfg.make_task(weights)
-            spec = cfg.adapter_spec(method)
-            started = time.perf_counter()
-            params, rep = trainer.train_run(weights, spec, task, cfg.train_config(method))
-            elapsed = time.perf_counter() - started
-            runs[(method, adapter_seed)] = (params, spec, rep, elapsed)
-    return runs
+def trained():
+    """Canonical desk runs: lora at three seed pairs plus condlora at the first.
+
+    The four runs are independent, so they go to min(4, usable CPUs) worker
+    processes, started with ``spawn`` since this process may already hold
+    BLAS or pool threads; each run times its own ``train_run``, so
+    criterion 9 sums the runs' own times. On one CPU they run here.
+    """
+    jobs = [(method, adapter_seed, data_seed)
+            for method, pairs in (("lora", SEED_PAIRS), ("condlora", SEED_PAIRS[:1]))
+            for adapter_seed, data_seed in pairs]
+    workers = min(len(jobs), _rng.usable_cpus())
+    if workers == 1:
+        results = [train_canonical(*job) for job in jobs]
+    else:
+        context = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(workers, mp_context=context) as pool:
+            results = list(pool.map(train_canonical, *zip(*jobs)))
+    return {(method, adapter_seed): result
+            for (method, adapter_seed, _), result in zip(jobs, results)}
 
 
 def test_criterion_1_parameter_counts(report, capsys):

@@ -249,6 +249,20 @@ def test_analyze_singular_projection_exit_two(tmp_path, trained_pair, capsys):
     assert err.startswith("error: ") and "--pseudoinverse" in err and err.count("\n") == 1
 
 
+def test_analyze_overflowing_projection_exit_two(tmp_path, trained_pair, capsys):
+    # cond_2 of this W0 is 1, but its LU overflows: a numeric error that says
+    # so, not a singular matrix, and no warning.
+    weights = model.load_model(trained_pair["lora"] / "model.ckpt")
+    huge = np.kron(np.eye(8), [[1e308, 1e308], [1e308, -1e308]])
+    broken_path = tmp_path / "huge.ckpt"
+    model.save_model(broken_path, weights.replace({"layer1.value": huge}))
+    code, _, err = run_cli(capsys, "analyze", "--model", str(broken_path),
+                           "--adapter", str(trained_pair["lora"] / "adapter.ckpt"),
+                           "--out", str(tmp_path / "huge_analysis"))
+    assert code == 2
+    assert err == "numeric error: layer1.value: LU overflowed: a pivot is not finite\n"
+
+
 def test_analyze_untrained_pair_exit_two(tmp_path, capsys):
     # --max-steps 0 leaves LoRA's B and CondLoRA's theta_B zero: no subspace to compare
     cfg = write_tiny_config(tmp_path)

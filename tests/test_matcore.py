@@ -187,19 +187,30 @@ def test_solve_rejects_near_singular_past_block(lu_routes):
         assert info.value.condition > matcore.COND_LIMIT, route
 
 
-def test_solve_agrees_with_lapack():
-    # Two backward-stable solvers agree to about cond(a) * eps, so the draw's
-    # 2-norm condition number is checked first; both gates of solve pass it.
+def test_solve_agrees_with_lapack(lu_routes):
+    # np.linalg.solve calls LAPACK's dgesv, and numpy's bundled OpenBLAS
+    # runs dgesv as its own getrf and getrs kernels on column-major copies;
+    # on one OpenBLAS thread the LAPACK route's getrf and getrs calls then
+    # give the same bits. That is a fact of this OpenBLAS, pinned here: a
+    # wrong leading dimension, order or pivot buffer breaks it. On the numpy route two backward-stable solvers agree to about
+    # cond(a) * eps, so the draw's 2-norm condition number is checked first;
+    # both gates of solve pass it.
     a = matcore.gaussian(768, 768, 0, 1, 7)
     assert np.linalg.cond(a) < 1e4
     assert matcore.condition_estimate(a) < 1e6
     rhs = matcore.gaussian(768, 8, 0, 1, 8)
-    assert _rel(matcore.solve(a, rhs), np.linalg.solve(a, rhs)) <= 1e-12
     desk = np.stack([matcore.gaussian(32, 32, 0, 1, 20 + s) for s in range(4)])
     desk_rhs = np.stack([matcore.gaussian(32, 8, 0, 1, 30 + s) for s in range(4)])
-    assert _rel(matcore.solve(desk, desk_rhs), np.linalg.solve(desk, desk_rhs)) <= 1e-12
-    a = matcore.gaussian(300, 300, 0, 1, 9)
-    assert _rel(matcore.invert(a) @ a, np.eye(300)) <= 1e-12
+    square = matcore.gaussian(300, 300, 0, 1, 9)
+    with _rng._one_blas_thread():
+        want = [np.linalg.solve(a, rhs), np.linalg.solve(desk, desk_rhs)]
+        for route in lu_routes():
+            for x, ref in zip([matcore.solve(a, rhs), matcore.solve(desk, desk_rhs)], want):
+                if route == "lapack":
+                    assert np.array_equal(x, ref), route
+                else:
+                    assert _rel(x, ref) <= 1e-12, route
+            assert _rel(matcore.invert(square) @ square, np.eye(300)) <= 1e-12, route
 
 
 def test_solve_rejects_nonfinite_and_bad_shapes(lu_routes):
@@ -437,6 +448,29 @@ def test_an_exact_zero_pivot_reads_inf_without_a_warning(w0, lu_routes):
             assert info.value.condition == math.inf, route
 
 
+def test_an_overflowed_lu_is_not_a_singular_matrix(lu_routes):
+    # cond_2 of this W0 is 1, but U's second pivot, -1e308 - 1e308, overflows
+    # to -inf: the error says so and names the matrix, the lowest rejected
+    # one wins whatever its kind, and neither route warns.
+    w0 = np.array([[1e308, 1e308], [1e308, -1e308]])
+    for route in lu_routes():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert matcore.condition_estimate(w0) == math.inf, route
+            with pytest.raises(matcore.OverflowedLUError,
+                               match="^LU overflowed: a pivot is not finite$") as info:
+                matcore.solve(w0, np.ones((2, 1)))
+            assert info.value.index is None, route
+            with pytest.raises(matcore.OverflowedLUError, match="^matrix 1: LU overflowed") as info:
+                matcore.solve(np.stack([np.eye(2), w0, np.zeros((2, 2))]), np.ones((3, 2, 1)))
+            assert info.value.index == 1, route
+            with pytest.raises(matcore.SingularMatrixError, match="^matrix 0: singular matrix"):
+                matcore.solve([np.zeros((2, 2)), w0], np.ones((2, 2, 1)))
+    # a NaN pivot is rejected too, though nan > COND_LIMIT is False
+    with pytest.raises(matcore.OverflowedLUError, match="^matrix 4: LU overflowed"):
+        matcore._gate(np.array([[1.0, 2.0], [np.nan, 1.0]]), 3)
+
+
 def test_a_one_chunk_stack_starts_no_thread(monkeypatch, force_cpus, no_threads, lu_routes):
     force_cpus(8)
     n = BASE + 6
@@ -516,13 +550,15 @@ def test_lapack_lu_agrees_with_the_numpy_lu():
     eps = np.finfo(np.float64).eps
     for name, w0 in _reference_w0s():
         n = len(w0)
-        lu, ipiv = np.empty((n, n)), np.empty(n, np.int64)
-        ratio = matcore._getrf(w0, lu, ipiv)
+        space = matcore._LapackSpace(n)
+        with _rng._one_blas_thread():
+            matcore._getrf(w0, space)
+        ratio = float(matcore._pivot_ratios(np.abs(space.lu.diagonal())))
         reference = w0.copy()
         order = matcore._lu_factor(reference[None])[0]
-        assert math.isfinite(ratio) and np.array_equal(_lapack_row_order(ipiv), order), name
+        assert math.isfinite(ratio) and np.array_equal(_lapack_row_order(space.ipiv), order), name
         bound = np.linalg.cond(w0, 1) * eps
-        want = float(matcore._pivot_ratios(reference))
+        want = float(matcore._pivot_ratios(np.abs(reference.diagonal())))
         assert abs(ratio - want) <= bound * want, name
         rhs = matcore.gaussian(n, 16, 0, 1, 4000 + n)
         x = matcore.solve(w0, rhs)
